@@ -4,16 +4,6 @@
 
 namespace amac::core {
 
-namespace {
-
-util::Buffer encode_value(mac::Value v) {
-  util::Writer w;
-  w.put_uvarint(static_cast<std::uint64_t>(v));
-  return std::move(w).take();
-}
-
-}  // namespace
-
 CommitFlood::CommitFlood(bool leader, mac::Value value)
     : leader_(leader), value_(value) {
   AMAC_EXPECTS(value >= 0);
@@ -46,7 +36,13 @@ void CommitFlood::relay(mac::Context& ctx) {
   if (!relay_pending_ || relayed_ || ctx.busy()) return;
   relayed_ = true;
   relay_pending_ = false;
-  ctx.broadcast(encode_value(value_));
+  // The engine copies the payload into its pool, so one scratch buffer per
+  // thread (fuzz soak shards run on threads) serves every relay.
+  thread_local util::Buffer scratch;
+  util::Writer w(std::move(scratch));
+  w.put_uvarint(static_cast<std::uint64_t>(value_));
+  scratch = std::move(w).take();
+  ctx.broadcast(scratch);
 }
 
 std::unique_ptr<mac::Process> CommitFlood::clone() const {

@@ -6,10 +6,11 @@
 // two services that decided their slots differently (batched vs naive,
 // different windows, different lease lengths) still produce bit-equal
 // digests as long as the decided log linearizes the same client stream.
+// The table itself is a hash map: nothing observes its iteration order.
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <unordered_map>
 
 #include "log/workload.hpp"
 #include "util/hash.hpp"
@@ -33,7 +34,7 @@ class KvStateMachine {
   [[nodiscard]] std::size_t table_size() const { return kv_.size(); }
 
  private:
-  std::map<std::uint32_t, std::uint32_t> kv_;
+  std::unordered_map<std::uint32_t, std::uint32_t> kv_;
   util::Hasher fold_;
   std::size_t applied_ = 0;
 };

@@ -10,8 +10,7 @@ namespace amac::log {
 ReplicatedLog::ReplicatedLog(const net::Graph& graph,
                              mac::Scheduler& scheduler,
                              const Workload& workload, LogConfig config)
-    : graph_(graph),
-      workload_(workload),
+    : workload_(workload),
       config_(config),
       n_(graph.node_count()),
       total_slots_((workload.size() + config.batch_size - 1) /
@@ -121,14 +120,25 @@ void ReplicatedLog::launch_ready_slots() {
   }
 }
 
-void ReplicatedLog::pump(mac::Network& net) {
+bool ReplicatedLog::slot_decided(mac::InstanceId instance) const {
+  if (!net_.instance_all_decided(instance)) return false;
+  // A slot with no decision stays in flight and stalls; recovery then
+  // handles it like any other stall.
+  for (NodeId u = 0; u < n_; ++u) {
+    if (net_.decision(u, instance).decided) return true;
+  }
+  return false;
+}
+
+void ReplicatedLog::pump() {
   // Scan the (window-bounded) in-flight set for freshly decided slots.
-  // instance_all_decided is O(1) per instance, so this is O(window) per
-  // event — the service layer's constant, not a hidden O(slots).
+  // slot_decided is O(1) for an undecided instance, so this is O(window)
+  // per completing event — the service layer's constant, not a hidden
+  // O(slots).
   bool any = false;
   for (std::size_t i = 0; i < inflight_.size();) {
     const std::size_t slot = inflight_[i];
-    if (net.instance_all_decided(slots_[slot].instance)) {
+    if (slot_decided(slots_[slot].instance)) {
       inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
       on_slot_decided(slot);
       any = true;
@@ -157,7 +167,8 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
   // Per-slot oracle: agreement + validity against the slot's proposable
   // inputs. Judged before retirement out of tidiness only — decisions
   // stay readable after retire_instance.
-  std::vector<mac::Value> inputs(n_);
+  std::vector<mac::Value>& inputs = oracle_inputs_;
+  if (inputs.empty()) inputs.resize(n_);
   for (std::size_t u = 0; u < n_; ++u) {
     inputs[u] = rec.elective ? encode_renewal(slot, static_cast<NodeId>(u))
                              : rec.sole;
@@ -307,13 +318,13 @@ void ReplicatedLog::recover_stalled_slots() {
 const LogServiceStats& ReplicatedLog::drive(mac::Time horizon) {
   AMAC_EXPECTS(!driven_);  // one service run per ReplicatedLog
   driven_ = true;
-  net_.set_post_event_hook([this](mac::Network& net) { pump(net); });
+  net_.set_completion_hook([this](mac::Network&) { pump(); });
 
   std::size_t recovery_rounds = 0;
   for (;;) {
     const auto result = net_.run(mac::StopWhen::kQuiescent, horizon);
     just_launched_ = false;
-    pump(net_);  // a final event can decide the last slot
+    pump();  // completions no later event reported (e.g. inside the hook)
     stats_.end_time = net_.now();
     if (next_apply_ == total_slots_) {
       stats_.complete = true;

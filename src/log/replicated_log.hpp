@@ -28,7 +28,7 @@
 //   binary.
 //
 // Pipelining: up to `window` slot instances are in flight concurrently —
-// later slots launch mid-run (from the engine's post-event hook) as
+// later slots launch mid-run (from the engine's completion hook) as
 // earlier ones decide. Decides may land out of slot order; the state
 // machine still applies batches in slot order (contiguous-prefix rule).
 //
@@ -42,8 +42,10 @@
 // Correctness: every decided slot is judged by the per-instance oracle
 // (verify::check_consensus(net, instance, inputs)) — per-slot agreement
 // and validity are what make a log of consensus instances a correct log.
-// If a leased slot stalls (a crashed leader floods nothing and the event
-// queue drains), recovery relaunches the slot as a full wPAXOS instance —
+// A slot whose nodes all crashed before deciding holds no decision, so it
+// is not judged: it stays in flight like any stall. If a leased slot
+// stalls (a crashed leader floods nothing and the event queue drains),
+// recovery relaunches the slot as a full wPAXOS instance —
 // the slow path is always safe, the fast path is merely fast. The lease is
 // broken only until the next renewal slot re-elects a live holder.
 #pragma once
@@ -224,14 +226,17 @@ class ReplicatedLog {
   [[nodiscard]] mac::ProcessFactory slot_factory(std::size_t slot,
                                                  SlotMode mode,
                                                  mac::Value forced) const;
-  void pump(mac::Network& net);
+  /// True once `instance` is all-decided AND some node actually decided:
+  /// an instance whose nodes all crashed undecided is vacuously
+  /// all-decided but decided nothing.
+  [[nodiscard]] bool slot_decided(mac::InstanceId instance) const;
+  void pump();
   void on_slot_decided(std::size_t slot);
   void apply_ready_prefix();
   void serve_ready_reads();
   void launch_ready_slots();
   void recover_stalled_slots();
 
-  const net::Graph& graph_;
   const Workload& workload_;
   LogConfig config_;
   std::size_t n_;
@@ -260,6 +265,8 @@ class ReplicatedLog {
   bool just_launched_ = false;
   std::vector<ReadRecord> reads_;
   std::size_t next_read_serve_ = 0;  ///< reads_[0..this) are served
+  /// Per-slot oracle inputs, sized on first use and rewritten per slot.
+  std::vector<mac::Value> oracle_inputs_;
   KvStateMachine kv_;
   LogServiceStats stats_;
   bool driven_ = false;

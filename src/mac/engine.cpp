@@ -20,7 +20,7 @@ class Network::NodeContext final : public Context {
     AMAC_EXPECTS(!st.decision.decided);
     st.decision = Decision{true, v, net_->now_};
     AMAC_ENSURES(inst.undecided_alive > 0);
-    --inst.undecided_alive;
+    if (--inst.undecided_alive == 0) net_->completed_ = true;
     AMAC_ENSURES(net_->undecided_alive_ > 0);
     --net_->undecided_alive_;
   }
@@ -67,6 +67,7 @@ InstanceId Network::add_instance(const ProcessFactory& factory) {
     ++inst.undecided_alive;
   }
   undecided_alive_ += inst.undecided_alive;
+  if (inst.undecided_alive == 0) completed_ = true;  // every node crashed
   instances_.push_back(std::move(inst));
   if (started_) {
     // Launched mid-run (e.g. a pipelined log slot): start callbacks fire
@@ -137,6 +138,7 @@ void Network::reset(const ProcessFactory& factory) {
   next_broadcast_id_ = 1;
   now_ = 0;
   stats_ = EngineStats{};
+  completed_ = false;
   started_ = false;
   trace_hasher_ = util::Hasher{};
   (void)add_instance(factory);
@@ -484,7 +486,7 @@ void Network::process_event(const Event& e) {
       for (Instance& inst : instances_) {
         if (inst.retired || inst.nodes[e.node].decision.decided) continue;
         AMAC_ENSURES(inst.undecided_alive > 0);
-        --inst.undecided_alive;
+        if (--inst.undecided_alive == 0) completed_ = true;
         AMAC_ENSURES(undecided_alive_ > 0);
         --undecided_alive_;
       }
@@ -582,6 +584,10 @@ RunResult Network::run(StopWhen until, Time max_time) {
     if (trace_enabled_) trace_event(e);
     process_event(e);
     if (post_event_hook_) post_event_hook_(*this);
+    if (completed_) {
+      completed_ = false;  // cleared first: the hook may complete more
+      if (completion_hook_) completion_hook_(*this);
+    }
   }
   // Queue drained: quiescent.
   const bool met = until == StopWhen::kQuiescent || all_alive_decided();

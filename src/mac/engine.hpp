@@ -118,6 +118,17 @@
 //     returns its pool claims as its flights drain; events addressed to a
 //     retired instance are consumed as pure bookkeeping (no callbacks, no
 //     delivery/ack counters).
+//   * Completion hook. An instance COMPLETES when its undecided_alive
+//     count reaches 0: on the decide of its last live undecided node, on a
+//     crash that takes that node, or vacuously when add_instance finds no
+//     live node. run() notes the completion and, after the event that
+//     caused it (and after the post-event hook), calls the completion hook
+//     once, however many instances that event completed. A driver that
+//     only reacts to completions (the replicated log's slot loop) installs
+//     itself there instead of on the every-event post-event hook. A
+//     completion inside the completion hook itself — e.g. an instance
+//     added there with every node crashed — is reported after the next
+//     event. reset() forgets a completion not yet reported.
 //   * Digest neutrality. A single-instance Network is bit-identical to the
 //     pre-instance engine: instance 0 is the implicit default everywhere,
 //     the trace digest never mixes instance ids, and no counter moves —
@@ -302,10 +313,17 @@ class Network {
   }
 
   /// Invoked after every processed event; used by invariant monitors
-  /// (e.g. the Lemma 4.2 response-count conservation check) and by the
-  /// replicated-log driver to launch pipelined slot instances mid-run.
+  /// (e.g. the Lemma 4.2 response-count conservation check).
   void set_post_event_hook(std::function<void(Network&)> hook) {
     post_event_hook_ = std::move(hook);
+  }
+
+  /// Invoked once after each event that completed one or more instances
+  /// (design doc: "Instance multiplexing › Completion hook"); used by the
+  /// replicated-log driver to retire decided slots and launch pipelined
+  /// ones mid-run.
+  void set_completion_hook(std::function<void(Network&)> hook) {
+    completion_hook_ = std::move(hook);
   }
 
   /// Runs until the stop condition, the event queue drains, or virtual time
@@ -444,6 +462,8 @@ class Network {
   std::size_t undecided_alive_ = 0;  ///< sum across live instances
   EngineStats stats_;
   std::function<void(Network&)> post_event_hook_;
+  std::function<void(Network&)> completion_hook_;
+  bool completed_ = false;  ///< an instance completed since the last hook
   bool started_ = false;
   bool trace_enabled_ = false;
   util::Hasher trace_hasher_;

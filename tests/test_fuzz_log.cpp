@@ -9,6 +9,8 @@
 //     run_scenario: the report carries the service observables, the
 //     coverage signature raises kLogService plus nonzero recovery and
 //     re-election buckets, and the run is fingerprint-deterministic;
+//   * a slot whose nodes all crashed undecided is not a decided slot: it
+//     replays clean instead of as a per-slot oracle failure;
 //   * mutation can ENTER the family (the kLogService op), and every such
 //     mutant survives the clamp round-trip;
 //   * a log-promoting soak is digest-identical across job counts and
@@ -121,6 +123,25 @@ TEST(FuzzLogRun, LeaderCrashRunsServiceAndSignalsCoverage) {
   const RunReport r2 = run_scenario(*s);
   EXPECT_EQ(r2.fingerprint, r.fingerprint);
   EXPECT_EQ(r2.log_kv_digest, r.log_kv_digest);
+}
+
+TEST(FuzzLogRun, AllCrashedSlotIsNotADecidedSlot) {
+  // Both nodes crash at tick 0, before deciding anything: the slot's
+  // instance is vacuously all-decided, but no node decided. The service
+  // must keep it in flight (a stall, not a decision) instead of handing
+  // it to the per-slot oracle, and termination is not owed under crashes.
+  const auto s = parse_spec(
+      "amacfuzz1:seed=411:alg=wpaxos:topo=star:n=2:aux=0:sched=skewed:"
+      "fack=1:late=0:in=all1:ids=identity:f=0:hz=30000:log=1@1@1@1:"
+      "crashes=1@0,0@0");
+  ASSERT_TRUE(s.has_value());
+  const RunReport r = run_scenario(*s);
+  EXPECT_TRUE(r.log_service);
+  EXPECT_EQ(r.failure, FailureKind::kNone) << r.detail;
+  EXPECT_TRUE(r.verdict.agreement);
+  EXPECT_TRUE(r.verdict.validity);
+  EXPECT_FALSE(r.verdict.termination);
+  EXPECT_GT(r.log_slots_recovered, 0u);
 }
 
 TEST(FuzzLogRun, InstanceFamilyReportsNoService) {

@@ -11,10 +11,17 @@
 //     reference-heap engine agree on every per-instance observable of a
 //     multi-instance run (the single-instance differential is already
 //     pinned by the fuzz soak; this extends it to >= 2 instances).
+// Plus the completion hook: it fires exactly once after each event that
+// completes one or more instances (a decide, a crash, a vacuous
+// add_instance), never after reset(), while the post-event hook keeps
+// firing on every event.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "core/commit_flood.hpp"
 #include "core/wpaxos/wpaxos.hpp"
+#include "helpers.hpp"
 #include "mac/engine.hpp"
 #include "mac/reference_engine.hpp"
 #include "mac/schedulers.hpp"
@@ -227,6 +234,138 @@ TEST(MultiInstance, MidRunInstanceLaunchesAtCurrentTickAndDecides) {
     // The late tenant's timeline starts where the run already was.
     EXPECT_GE(net.decision(u, second).time, first_decided);
   }
+}
+
+/// Counts both hooks; `fired_at` holds the post-event count (the index of
+/// the event just processed) at each completion-hook call. The optional
+/// callbacks run a test's own checks from inside the hooks.
+struct HookLog {
+  std::size_t events = 0;
+  std::vector<std::size_t> fired_at;
+  std::function<void(Network&)> on_event;
+  std::function<void(Network&)> on_complete;
+
+  void install(Network& net) {
+    net.set_post_event_hook([this](Network& inner) {
+      ++events;
+      if (on_event) on_event(inner);
+    });
+    net.set_completion_hook([this](Network& inner) {
+      fired_at.push_back(events);
+      if (on_complete) on_complete(inner);
+    });
+  }
+};
+
+std::uint64_t events_pushed(const Network& net) {
+  return net.stats().wheel_pushes + net.stats().overflow_pushes;
+}
+
+TEST(CompletionHook, FiresOnceAfterTheCompletingDecide) {
+  const std::size_t n = 3;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  Network net(graph, commit_flood_factory(0, 9), sched);
+  HookLog hooks;
+  hooks.install(net);
+  std::size_t completing_event = 0;
+  hooks.on_event = [&](Network& inner) {
+    if (completing_event == 0 && inner.instance_all_decided(0)) {
+      completing_event = hooks.events;
+    }
+  };
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+
+  // The followers' relays keep the queue busy after the decide; only the
+  // event that decided the last node reports.
+  ASSERT_GT(completing_event, 0u);
+  EXPECT_EQ(hooks.fired_at, std::vector<std::size_t>{completing_event});
+  EXPECT_EQ(hooks.events, events_pushed(net));
+  EXPECT_GT(hooks.events, completing_event);
+}
+
+TEST(CompletionHook, OneCrashCompletingTwoInstancesFiresOnce) {
+  // Nodes 0 and 1 decide after their first ack in both instances; node 2
+  // never decides, so its crash completes both instances in one event.
+  const std::size_t n = 3;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  const ProcessFactory factory = [](NodeId u) {
+    return std::make_unique<testutil::ProbeProcess>(u, 1, u != 2);
+  };
+  Network net(graph, factory, sched);
+  const InstanceId second = net.add_instance(factory);
+  net.schedule_crash(CrashPlan{2, 5});
+  HookLog hooks;
+  hooks.install(net);
+  Time fired_tick = 0;
+  hooks.on_complete = [&](Network& inner) {
+    fired_tick = inner.now();
+    EXPECT_TRUE(inner.instance_all_decided(0));
+    EXPECT_TRUE(inner.instance_all_decided(second));
+  };
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+
+  ASSERT_EQ(hooks.fired_at.size(), 1u);
+  EXPECT_EQ(fired_tick, 5u);
+  EXPECT_EQ(hooks.fired_at.back(), hooks.events);  // the crash came last
+  EXPECT_EQ(hooks.events, events_pushed(net));
+}
+
+TEST(CompletionHook, InstanceAddedWithEveryNodeCrashedCompletesVacuously) {
+  const std::size_t n = 2;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  Network net(graph, testutil::probe_factory(1, true), sched);
+  net.schedule_crash(CrashPlan{0, 3});
+  net.schedule_crash(CrashPlan{1, 3});
+  HookLog hooks;
+  hooks.install(net);
+  InstanceId added = 0;
+  std::size_t add_event = 0;
+  hooks.on_event = [&](Network& inner) {
+    if (add_event == 0 && inner.crashed(0) && inner.crashed(1)) {
+      added = inner.add_instance(testutil::probe_factory(1, true));
+      add_event = hooks.events;
+    }
+  };
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+
+  // Instance 0 completes by its own decides; the crashes complete nothing
+  // (everyone had decided); the late instance completes as it is added.
+  ASSERT_GT(add_event, 0u);
+  EXPECT_TRUE(net.instance_all_decided(added));
+  EXPECT_FALSE(net.decision(0, added).decided);
+  ASSERT_EQ(hooks.fired_at.size(), 2u);
+  EXPECT_LT(hooks.fired_at[0], add_event);
+  EXPECT_EQ(hooks.fired_at[1], add_event);
+  EXPECT_EQ(hooks.events, events_pushed(net));
+}
+
+TEST(CompletionHook, ResetForgetsAnUnreportedCompletion) {
+  const std::size_t n = 2;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  Network net(graph, testutil::probe_factory(1), sched);
+  net.schedule_crash(CrashPlan{0, 3});
+  net.schedule_crash(CrashPlan{1, 3});
+  HookLog hooks;
+  hooks.install(net);
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  ASSERT_EQ(hooks.fired_at.size(), 1u);  // the second crash completed 0
+
+  // Added after the run with every node crashed: complete, not reported.
+  const InstanceId late = net.add_instance(testutil::probe_factory(1));
+  ASSERT_TRUE(net.instance_all_decided(late));
+
+  // Never-deciding processes, so nothing completes in the second run.
+  net.reset(testutil::probe_factory(1));
+  hooks.events = 0;
+  hooks.fired_at.clear();
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  EXPECT_GT(hooks.events, 0u);
+  EXPECT_TRUE(hooks.fired_at.empty());
+  EXPECT_EQ(hooks.events, events_pushed(net));
 }
 
 }  // namespace
