@@ -235,16 +235,12 @@ RunReport run_log_scenario(const Scenario& s) {
 }  // namespace
 
 const char* failure_name(FailureKind k) {
-  switch (k) {
-    case FailureKind::kNone: return "none";
-    case FailureKind::kAgreement: return "agreement";
-    case FailureKind::kValidity: return "validity";
-    case FailureKind::kTermination: return "termination";
-    case FailureKind::kInvariant: return "invariant";
-    case FailureKind::kDifferential: return "differential";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  static constexpr std::array<const char*, 6> kNames = {
+      "none", "agreement", "validity", "termination", "invariant",
+      "differential"};
+  const auto i = static_cast<std::size_t>(k);
+  AMAC_ASSERT(i < kNames.size());
+  return kNames[i];
 }
 
 RunReport run_scenario(const Scenario& s, const RunOptions& options) {
@@ -454,9 +450,25 @@ namespace {
 
 [[nodiscard]] std::vector<Scenario> shrink_candidates(const Scenario& s) {
   std::vector<Scenario> out;
+  const std::string spec = format_spec(s);
   const auto add = [&](Scenario cand) {
     normalize_scenario(cand);
-    if (format_spec(cand) != format_spec(s)) out.push_back(std::move(cand));
+    if (format_spec(cand) != spec) out.push_back(std::move(cand));
+  };
+  const auto drop_each = [&](auto member) {
+    for (std::size_t i = 0; i < (s.*member).size(); ++i) {
+      Scenario cand = s;
+      (cand.*member).erase((cand.*member).begin() +
+                           static_cast<std::ptrdiff_t>(i));
+      add(std::move(cand));
+    }
+  };
+  const auto halve = [&](std::uint32_t Scenario::*member) {
+    if (s.*member > 1) {
+      Scenario cand = s;
+      cand.*member = s.*member / 2;
+      add(std::move(cand));
+    }
   };
   // Biggest reductions first: the greedy loop restarts after every
   // acceptance, so early wins compound.
@@ -470,29 +482,12 @@ namespace {
     cand.n = s.n - 1;
     add(std::move(cand));
   }
-  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-    Scenario cand = s;
-    cand.crashes.erase(cand.crashes.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
-  for (std::size_t i = 0; i < s.holds.size(); ++i) {
-    Scenario cand = s;
-    cand.holds.erase(cand.holds.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
-  for (std::size_t i = 0; i < s.script.size(); ++i) {
-    Scenario cand = s;
-    cand.script.erase(cand.script.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
+  drop_each(&Scenario::crashes);
+  drop_each(&Scenario::holds);
+  drop_each(&Scenario::script);
   // Fault-plan reduction toward the empty plan: drop each window, zero
   // each rate, and collapse per-receiver script slots back to uniform.
-  for (std::size_t i = 0; i < s.faults.size(); ++i) {
-    Scenario cand = s;
-    cand.faults.erase(cand.faults.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
+  drop_each(&Scenario::faults);
   if (s.drop_rate_bp != 0) {
     Scenario cand = s;
     cand.drop_rate_bp = 0;
@@ -532,26 +527,10 @@ namespace {
     Scenario cand = s;
     cand.log_ops = 0;
     add(std::move(cand));
-    if (s.log_ops > 1) {
-      cand = s;
-      cand.log_ops = s.log_ops / 2;
-      add(std::move(cand));
-    }
-    if (s.log_batch > 1) {
-      cand = s;
-      cand.log_batch = s.log_batch / 2;
-      add(std::move(cand));
-    }
-    if (s.log_window > 1) {
-      cand = s;
-      cand.log_window = s.log_window / 2;
-      add(std::move(cand));
-    }
-    if (s.log_lease > 1) {
-      cand = s;
-      cand.log_lease = s.log_lease / 2;
-      add(std::move(cand));
-    }
+    halve(&Scenario::log_ops);
+    halve(&Scenario::log_batch);
+    halve(&Scenario::log_window);
+    halve(&Scenario::log_lease);
   }
   return out;
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <limits>
-#include <sstream>
+#include <span>
 
 #include "net/topologies.hpp"
 #include "util/hash.hpp"
@@ -98,54 +99,29 @@ constexpr std::uint64_t kLogSalt = 0x10654A17;
   return a == Algorithm::kTwoPhase || a == Algorithm::kBenOr;
 }
 
+[[nodiscard]] std::string_view name_of(std::span<const std::string_view> names,
+                                       auto value) {
+  const auto i = static_cast<std::size_t>(value);
+  AMAC_ASSERT(i < names.size());
+  return names[i];
+}
+
 }  // namespace
 
 const char* topology_name(TopologyKind k) {
-  switch (k) {
-    case TopologyKind::kClique: return "clique";
-    case TopologyKind::kLine: return "line";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kStar: return "star";
-    case TopologyKind::kGrid: return "grid";
-    case TopologyKind::kTorus: return "torus";
-    case TopologyKind::kBinaryTree: return "tree";
-    case TopologyKind::kBarbell: return "barbell";
-    case TopologyKind::kRandomConnected: return "randconn";
-    case TopologyKind::kRandomGeometric: return "geo";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  return name_of(kTopologyNames, k).data();
 }
 
 const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kSynchronous: return "sync";
-    case SchedulerKind::kMaxDelay: return "maxdelay";
-    case SchedulerKind::kUniformRandom: return "uniform";
-    case SchedulerKind::kSkewed: return "skewed";
-    case SchedulerKind::kContention: return "contention";
-    case SchedulerKind::kHoldback: return "holdback";
-    case SchedulerKind::kScripted: return "scripted";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  return name_of(kSchedulerNames, k).data();
 }
 
 const char* input_pattern_name(InputPattern p) {
-  switch (p) {
-    case InputPattern::kAllZero: return "all0";
-    case InputPattern::kAllOne: return "all1";
-    case InputPattern::kAlternating: return "alt";
-    case InputPattern::kSplit: return "split";
-    case InputPattern::kRandom: return "random";
-    case InputPattern::kMultivalued: return "multi";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  return name_of(kInputPatternNames, p).data();
 }
 
 const char* id_assignment_name(IdAssignment a) {
-  return a == IdAssignment::kIdentity ? "identity" : "perm";
+  return name_of(kIdAssignmentNames, a).data();
 }
 
 bool termination_expected(const Scenario& s) {
@@ -263,38 +239,6 @@ void normalize_scenario(Scenario& s) {
 }
 
 // ---- mutation -----------------------------------------------------------
-
-const char* mutation_name(MutationOp op) {
-  switch (op) {
-    case MutationOp::kPerturbFack: return "perturb-fack";
-    case MutationOp::kPerturbHoldRelease: return "perturb-hold";
-    case MutationOp::kPerturbCrashTime: return "perturb-crash";
-    case MutationOp::kRetimeHold: return "retime-hold";
-    case MutationOp::kAddHold: return "add-hold";
-    case MutationOp::kRemoveHold: return "remove-hold";
-    case MutationOp::kAddCrash: return "add-crash";
-    case MutationOp::kRemoveCrash: return "remove-crash";
-    case MutationOp::kToggleLateHolds: return "toggle-late";
-    case MutationOp::kReseed: return "reseed";
-    case MutationOp::kSpliceTransport: return "splice";
-    case MutationOp::kScriptTimeline: return "script-timeline";
-    case MutationOp::kRetimeScriptSlot: return "retime-slot";
-    case MutationOp::kSwapScriptSlots: return "swap-slots";
-    case MutationOp::kDuplicateScriptSlot: return "dup-slot";
-    case MutationOp::kDropScriptSlot: return "drop-slot";
-    case MutationOp::kAddDropWindow: return "add-window";
-    case MutationOp::kRemoveDropWindow: return "remove-window";
-    case MutationOp::kWidenDropWindow: return "widen-window";
-    case MutationOp::kNarrowDropWindow: return "narrow-window";
-    case MutationOp::kPerturbFaultRates: return "perturb-rates";
-    case MutationOp::kScriptReceiverDelay: return "receiver-delay";
-    case MutationOp::kSpliceFaultWindows: return "splice-windows";
-    case MutationOp::kLogService: return "log-service";
-    case MutationOp::kPerturbLogKnobs: return "perturb-log";
-  }
-  AMAC_ASSERT(false);
-  return "?";
-}
 
 namespace {
 
@@ -997,341 +941,330 @@ void promote_to_log_service(Scenario& s) {
 
 // ---- spec round-trip ----------------------------------------------------
 
-std::string format_spec(const Scenario& s) {
-  std::ostringstream os;
-  os << "amacfuzz1:seed=" << s.seed
-     << ":alg=" << harness::algorithm_name(s.algorithm)
-     << ":topo=" << topology_name(s.topology) << ":n=" << s.n
-     << ":aux=" << s.aux << ":sched=" << scheduler_name(s.scheduler)
-     << ":fack=" << s.fack << ":late=" << (s.late_holds ? 1 : 0)
-     << ":in=" << input_pattern_name(s.inputs)
-     << ":ids=" << id_assignment_name(s.ids) << ":f=" << s.benor_f
-     << ":hz=" << s.horizon;
-  if (s.log_ops != 0) {
-    os << ":log=" << s.log_ops << "@" << s.log_batch << "@" << s.log_window
-       << "@" << s.log_lease;
-  }
-  if (!s.crashes.empty()) {
-    os << ":crashes=";
-    for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-      if (i) os << ",";
-      os << s.crashes[i].node << "@" << s.crashes[i].when;
-    }
-  }
-  if (!s.holds.empty()) {
-    os << ":holds=";
-    for (std::size_t i = 0; i < s.holds.size(); ++i) {
-      if (i) os << ",";
-      os << s.holds[i].sender << "@" << s.holds[i].release;
-    }
-  }
-  if (!s.script.empty()) {
-    os << ":script=";
-    for (std::size_t i = 0; i < s.script.size(); ++i) {
-      if (i) os << ",";
-      const ScriptSlot& t = s.script[i];
-      os << t.sender << "@" << t.index << "@" << t.ack << "@";
-      if (t.delays.empty()) {
-        os << t.recv;  // uniform slot: bare shared delay
-      } else {
-        // Per-receiver slot: `r-d+r-d+...` (unlisted receivers delay 1).
-        for (std::size_t j = 0; j < t.delays.size(); ++j) {
-          if (j) os << "+";
-          os << t.delays[j].first << "-" << t.delays[j].second;
-        }
-      }
-    }
-  }
-  if (s.drop_rate_bp != 0) os << ":drop=" << s.drop_rate_bp;
-  if (s.dup_rate_bp != 0) os << ":dup=" << s.dup_rate_bp;
-  if (!s.faults.empty()) {
-    os << ":faults=";
-    for (std::size_t i = 0; i < s.faults.size(); ++i) {
-      if (i) os << ",";
-      const FaultSpec& w = s.faults[i];
-      os << w.from << "@" << w.to << "@" << w.from_tick << "@";
-      if (w.until_tick == mac::kForever) {
-        os << "inf";
-      } else {
-        os << w.until_tick;
-      }
-    }
-  }
-  return os.str();
-}
+// The spec line is driven by one table, kFields, in spec order. Each entry
+// names its key, says when the token is written (`present`; a null
+// predicate means always, and then parse_spec requires the key) and how
+// its value is written and read. The helpers below build the entries, and
+// each list record type has one put_item/parse_item pair, so adding a token
+// means adding one entry.
 
 namespace {
 
-[[nodiscard]] bool parse_u64(std::string_view v, std::uint64_t& out) {
-  const auto parsed = util::parse_u64(v);
-  if (!parsed.has_value()) return false;
-  out = *parsed;
+struct Field {
+  std::string_view key;
+  bool (*present)(const Scenario&);
+  void (*write)(std::string& out, const Scenario& s);
+  bool (*read)(std::string_view value, Scenario& s);
+};
+
+void put_uint(std::string& out, std::uint64_t v) {
+  std::array<char, 20> buf;
+  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  out.append(buf.data(), res.ptr);
+}
+
+/// Reads a whole-string decimal in [lo, hi] that also fits T.
+template <typename T>
+[[nodiscard]] bool read_uint(std::string_view v, T& out, std::uint64_t lo = 0,
+                             std::uint64_t hi = ~std::uint64_t{0}) {
+  const auto u = util::parse_u64(v);
+  if (!u || *u < lo || *u > hi || *u > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(*u);
   return true;
 }
 
-/// Parses "a@b,c@d" pair lists (crashes, holds).
-template <typename Pair>
-[[nodiscard]] bool parse_at_pairs(std::string_view v,
-                                  std::vector<Pair>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    const std::string_view item = v.substr(0, comma);
-    const std::size_t at = item.find('@');
+/// Splits `v` into N `sep`-separated fields. The last field keeps any
+/// further separators: each caller's reader for it (read_uint, `inf`, or a
+/// nested split ending in read_uint) rejects them, which spares a second
+/// scan of every well-formed record.
+template <std::size_t N>
+[[nodiscard]] bool split(std::string_view v, char sep,
+                         std::array<std::string_view, N>& out) {
+  for (std::size_t i = 0; i + 1 < N; ++i) {
+    const std::size_t at = v.find(sep);
     if (at == std::string_view::npos) return false;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    if (!parse_u64(item.substr(0, at), a) ||
-        !parse_u64(item.substr(at + 1), b)) {
+    out[i] = v.substr(0, at);
+    v.remove_prefix(at + 1);
+  }
+  out[N - 1] = v;
+  return true;
+}
+
+/// Reads every `sep`-separated item of `v`. An empty list and an empty item
+/// (a leading, doubled or trailing separator) are malformed.
+[[nodiscard]] bool read_items(std::string_view v, char sep, auto&& read) {
+  while (true) {
+    const std::size_t at = v.find(sep);
+    const std::string_view item = v.substr(0, at);
+    if (item.empty() || !read(item)) return false;
+    if (at == std::string_view::npos) return true;
+    v.remove_prefix(at + 1);
+  }
+}
+
+// ---- list records: `node@when`, `sender@release`, `s@i@ack@recv`,
+// `from@to@start@until` --------------------------------------------------
+
+void put_item(std::string& out, const CrashSpec& c) {
+  put_uint(out, c.node);
+  out += '@';
+  put_uint(out, c.when);
+}
+
+[[nodiscard]] bool parse_item(std::string_view v, CrashSpec& c) {
+  std::array<std::string_view, 2> f;
+  return split(v, '@', f) && read_uint(f[0], c.node) &&
+         read_uint(f[1], c.when);
+}
+
+void put_item(std::string& out, const HoldSpec& h) {
+  put_uint(out, h.sender);
+  out += '@';
+  put_uint(out, h.release);
+}
+
+[[nodiscard]] bool parse_item(std::string_view v, HoldSpec& h) {
+  std::array<std::string_view, 2> f;
+  return split(v, '@', f) && read_uint(f[0], h.sender) &&
+         read_uint(f[1], h.release);
+}
+
+/// The 4th field is the bare shared delay of a uniform slot, or the
+/// `r-d+r-d` list of a per-receiver one (unlisted receivers delay 1).
+void put_item(std::string& out, const ScriptSlot& t) {
+  put_uint(out, t.sender);
+  out += '@';
+  put_uint(out, t.index);
+  out += '@';
+  put_uint(out, t.ack);
+  out += '@';
+  if (t.delays.empty()) {
+    put_uint(out, t.recv);
+    return;
+  }
+  for (std::size_t j = 0; j < t.delays.size(); ++j) {
+    if (j != 0) out += '+';
+    put_uint(out, t.delays[j].first);
+    out += '-';
+    put_uint(out, t.delays[j].second);
+  }
+}
+
+/// A per-receiver slot's `recv` mirrors its largest listed delay, as
+/// normalize_scenario keeps it.
+[[nodiscard]] bool parse_item(std::string_view v, ScriptSlot& t) {
+  std::array<std::string_view, 4> f;
+  if (!split(v, '@', f) || !read_uint(f[0], t.sender) ||
+      !read_uint(f[1], t.index) || !read_uint(f[2], t.ack)) {
+    return false;
+  }
+  if (f[3].find('-') == std::string_view::npos) return read_uint(f[3], t.recv);
+  t.recv = 1;
+  return read_items(f[3], '+', [&t](std::string_view pair) {
+    std::array<std::string_view, 2> rd;
+    auto& [receiver, delay] = t.delays.emplace_back();
+    if (!split(pair, '-', rd) || !read_uint(rd[0], receiver) ||
+        !read_uint(rd[1], delay)) {
       return false;
     }
-    if (a > std::numeric_limits<NodeId>::max()) return false;
-    out.push_back(Pair{static_cast<NodeId>(a), b});
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
-  }
-  return true;
+    t.recv = std::max(t.recv, delay);
+    return true;
+  });
 }
 
-/// Parses "s@i@ack@recv,..." scripted-slot lists. The 4th field is either a
-/// bare shared delay (uniform slot) or a `r-d+r-d` per-receiver list, in
-/// which case `recv` mirrors the largest listed delay (as normalize keeps
-/// it).
-[[nodiscard]] bool parse_script_slots(std::string_view v,
-                                      std::vector<ScriptSlot>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    std::string_view item = v.substr(0, comma);
-    std::array<std::uint64_t, 3> fields{};
-    for (std::size_t f = 0; f < 3; ++f) {
-      const std::size_t at = item.find('@');
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(item.substr(0, at), fields[f])) return false;
-      item.remove_prefix(at + 1);
-    }
-    if (item.empty() || item.find('@') != std::string_view::npos) {
-      return false;
-    }
-    if (fields[0] > std::numeric_limits<NodeId>::max()) return false;
-    if (fields[1] > std::numeric_limits<std::uint32_t>::max()) return false;
-    ScriptSlot slot;
-    slot.sender = static_cast<NodeId>(fields[0]);
-    slot.index = static_cast<std::uint32_t>(fields[1]);
-    slot.ack = fields[2];
-    if (item.find('-') == std::string_view::npos) {
-      if (!parse_u64(item, slot.recv)) return false;
-    } else {
-      mac::Time max_delay = 1;
-      while (!item.empty()) {
-        const std::size_t plus = item.find('+');
-        const std::string_view pair = item.substr(0, plus);
-        const std::size_t dash = pair.find('-');
-        if (dash == std::string_view::npos) return false;
-        std::uint64_t r = 0;
-        std::uint64_t d = 0;
-        if (!parse_u64(pair.substr(0, dash), r) ||
-            !parse_u64(pair.substr(dash + 1), d)) {
-          return false;
-        }
-        if (r > std::numeric_limits<NodeId>::max()) return false;
-        slot.delays.emplace_back(static_cast<NodeId>(r), d);
-        max_delay = std::max(max_delay, d);
-        if (plus == std::string_view::npos) break;
-        item.remove_prefix(plus + 1);
-      }
-      slot.recv = max_delay;
-    }
-    out.push_back(std::move(slot));
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
+/// `until` is `inf` for a permanent (kForever) outage.
+void put_item(std::string& out, const FaultSpec& w) {
+  put_uint(out, w.from);
+  out += '@';
+  put_uint(out, w.to);
+  out += '@';
+  put_uint(out, w.from_tick);
+  out += '@';
+  if (w.until_tick == mac::kForever) {
+    out += "inf";
+  } else {
+    put_uint(out, w.until_tick);
   }
-  return true;
 }
 
-/// Parses "from@to@start@until,..." drop-window lists; `until` may be
-/// `inf` for a permanent (kForever) outage.
-[[nodiscard]] bool parse_fault_windows(std::string_view v,
-                                       std::vector<FaultSpec>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    std::string_view item = v.substr(0, comma);
-    std::array<std::uint64_t, 3> fields{};
-    for (std::size_t f = 0; f < 3; ++f) {
-      const std::size_t at = item.find('@');
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(item.substr(0, at), fields[f])) return false;
-      item.remove_prefix(at + 1);
-    }
-    if (item.find('@') != std::string_view::npos) return false;
-    mac::Time until = mac::kForever;
-    if (item != "inf" && !parse_u64(item, until)) return false;
-    if (fields[0] > std::numeric_limits<NodeId>::max() ||
-        fields[1] > std::numeric_limits<NodeId>::max()) {
-      return false;
-    }
-    out.push_back(FaultSpec{static_cast<NodeId>(fields[0]),
-                            static_cast<NodeId>(fields[1]), fields[2],
-                            until});
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
+[[nodiscard]] bool parse_item(std::string_view v, FaultSpec& w) {
+  std::array<std::string_view, 4> f;
+  if (!split(v, '@', f) || !read_uint(f[0], w.from) ||
+      !read_uint(f[1], w.to) || !read_uint(f[2], w.from_tick)) {
+    return false;
   }
-  return true;
+  if (f[3] == "inf") {
+    w.until_tick = mac::kForever;
+    return true;
+  }
+  return read_uint(f[3], w.until_tick);
 }
 
-/// Parses the `log=ops@batch@window@lease` service token: exactly four
-/// `@`-separated fields, all nonzero (a zero-op service is spelled by
-/// omitting the token entirely, which keeps the round-trip canonical).
-[[nodiscard]] bool parse_log_fields(std::string_view v, Scenario& s) {
-  std::array<std::uint64_t, 4> fields{};
-  for (std::size_t f = 0; f < 4; ++f) {
-    const std::size_t at = v.find('@');
-    if (f < 3) {
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(v.substr(0, at), fields[f])) return false;
-      v.remove_prefix(at + 1);
-    } else {
-      if (at != std::string_view::npos) return false;
-      if (!parse_u64(v, fields[f])) return false;
-    }
-    if (fields[f] == 0 || fields[f] > 1'000'000) return false;
-  }
-  s.log_ops = static_cast<std::uint32_t>(fields[0]);
-  s.log_batch = static_cast<std::uint32_t>(fields[1]);
-  s.log_window = static_cast<std::uint32_t>(fields[2]);
-  s.log_lease = static_cast<std::uint32_t>(fields[3]);
-  return true;
+// ---- field helpers ------------------------------------------------------
+
+/// A required decimal in [Lo, Hi].
+template <auto M, std::uint64_t Lo = 0, std::uint64_t Hi = ~std::uint64_t{0}>
+constexpr Field number(std::string_view key) {
+  return {key, nullptr,
+          [](std::string& out, const Scenario& s) { put_uint(out, s.*M); },
+          [](std::string_view v, Scenario& s) {
+            return read_uint(v, s.*M, Lo, Hi);
+          }};
 }
 
-template <typename Enum>
-[[nodiscard]] bool parse_enum(std::string_view v, std::size_t count,
-                              const char* (*name)(Enum), Enum& out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto e = static_cast<Enum>(i);
-    if (v == name(e)) {
-      out = e;
-      return true;
-    }
-  }
-  return false;
+/// A required enum, spelled by its entry in `Names`.
+template <auto M, const auto& Names>
+constexpr Field token(std::string_view key) {
+  return {key, nullptr,
+          [](std::string& out, const Scenario& s) {
+            out += name_of(Names, s.*M);
+          },
+          [](std::string_view v, Scenario& s) {
+            const auto it = std::find(Names.begin(), Names.end(), v);
+            if (it == Names.end()) return false;
+            s.*M = static_cast<std::remove_reference_t<decltype(s.*M)>>(
+                it - Names.begin());
+            return true;
+          }};
 }
+
+/// A fault rate in parts of kRateScale, written only when nonzero.
+template <auto M>
+constexpr Field rate(std::string_view key) {
+  Field f = number<M, 1, mac::LinkFaultPlan::kRateScale>(key);
+  f.present = [](const Scenario& s) { return s.*M != 0; };
+  return f;
+}
+
+/// `,`-separated put_item/parse_item records, written only when nonempty.
+template <auto M>
+constexpr Field list(std::string_view key) {
+  return {key, [](const Scenario& s) { return !(s.*M).empty(); },
+          [](std::string& out, const Scenario& s) {
+            for (std::size_t i = 0; i < (s.*M).size(); ++i) {
+              if (i != 0) out += ',';
+              put_item(out, (s.*M)[i]);
+            }
+          },
+          [](std::string_view v, Scenario& s) {
+            return read_items(v, ',', [&s](std::string_view item) {
+              return parse_item(item, (s.*M).emplace_back());
+            });
+          }};
+}
+
+template <auto First, auto...>
+constexpr auto kFirst = First;
+
+/// `@`-separated decimals in [Lo, Hi], written only when the first is
+/// nonzero: a zero first field is spelled by omitting the token, which
+/// keeps the round trip canonical.
+template <std::uint64_t Lo, std::uint64_t Hi, auto... Ms>
+constexpr Field group(std::string_view key) {
+  return {key, [](const Scenario& s) { return s.*kFirst<Ms...> != 0; },
+          [](std::string& out, const Scenario& s) {
+            const char* sep = "";
+            ((out += sep, put_uint(out, s.*Ms), sep = "@"), ...);
+          },
+          [](std::string_view v, Scenario& s) {
+            std::array<std::string_view, sizeof...(Ms)> f;
+            std::size_t i = 0;
+            return split(v, '@', f) &&
+                   (read_uint(f[i++], s.*Ms, Lo, Hi) && ...);
+          }};
+}
+
+constexpr std::array kFields{
+    number<&Scenario::seed>("seed"),
+    token<&Scenario::algorithm, harness::kAlgorithmNames>("alg"),
+    token<&Scenario::topology, kTopologyNames>("topo"),
+    number<&Scenario::n, 1, 16384>("n"),
+    number<&Scenario::aux, 0, 16384>("aux"),
+    token<&Scenario::scheduler, kSchedulerNames>("sched"),
+    number<&Scenario::fack, 1>("fack"),
+    number<&Scenario::late_holds, 0, 1>("late"),
+    token<&Scenario::inputs, kInputPatternNames>("in"),
+    token<&Scenario::ids, kIdAssignmentNames>("ids"),
+    number<&Scenario::benor_f>("f"),
+    number<&Scenario::horizon, 1>("hz"),
+    group<1, 1'000'000, &Scenario::log_ops, &Scenario::log_batch,
+          &Scenario::log_window, &Scenario::log_lease>("log"),
+    list<&Scenario::crashes>("crashes"),
+    list<&Scenario::holds>("holds"),
+    list<&Scenario::script>("script"),
+    rate<&Scenario::drop_rate_bp>("drop"),
+    rate<&Scenario::dup_rate_bp>("dup"),
+    list<&Scenario::faults>("faults"),
+};
+static_assert(kFields.size() <= 32, "parse_spec tracks seen keys in a u32");
+
+constexpr std::uint32_t kRequired = [] {
+  std::uint32_t mask = 0;
+  for (std::size_t i = 0; i < kFields.size(); ++i) {
+    if (kFields[i].present == nullptr) mask |= 1u << i;
+  }
+  return mask;
+}();
+
+constexpr std::string_view kMagic = "amacfuzz1";
 
 }  // namespace
+
+std::string format_spec(const Scenario& s) {
+  std::string out;
+  out.reserve(160);
+  out += kMagic;
+  for (const Field& f : kFields) {
+    if (f.present != nullptr && !f.present(s)) continue;
+    out += ':';
+    out += f.key;
+    out += '=';
+    f.write(out, s);
+  }
+  return out;
+}
 
 std::optional<Scenario> parse_spec(std::string_view spec) {
   // Convenience: a bare integer replays generate_scenario(seed).
   if (!spec.empty() &&
       spec.find_first_not_of("0123456789") == std::string_view::npos) {
-    std::uint64_t seed = 0;
-    if (!parse_u64(spec, seed)) return std::nullopt;
-    return generate_scenario(seed);
+    const auto seed = util::parse_u64(spec);
+    if (!seed) return std::nullopt;
+    return generate_scenario(*seed);
   }
 
-  Scenario s;
-  s.crashes.clear();
-  s.holds.clear();
-  bool first = true;
-  // Required scalar fields; crashes/holds stay optional.
-  std::uint32_t seen = 0;
-  constexpr std::uint32_t kAllScalar = (1u << 12) - 1;
-
-  while (!spec.empty()) {
+  const auto pop_token = [&spec] {
     const std::size_t colon = spec.find(':');
     const std::string_view token = spec.substr(0, colon);
     spec = colon == std::string_view::npos ? std::string_view{}
                                            : spec.substr(colon + 1);
-    if (first) {
-      if (token != "amacfuzz1") return std::nullopt;
-      first = false;
-      continue;
-    }
+    return token;
+  };
+  if (pop_token() != kMagic) return std::nullopt;
+
+  Scenario s;
+  std::uint32_t seen = 0;
+  // The key search starts after the last match, so a line in format_spec's
+  // order finds every key on the first comparison.
+  std::size_t next = 0;
+  while (!spec.empty()) {
+    const std::string_view token = pop_token();
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos) return std::nullopt;
     const std::string_view key = token.substr(0, eq);
-    const std::string_view val = token.substr(eq + 1);
-    std::uint64_t u = 0;
-    if (key == "seed") {
-      if (!parse_u64(val, u)) return std::nullopt;
-      s.seed = u;
-      seen |= 1u << 0;
-    } else if (key == "alg") {
-      const auto a = harness::algorithm_from_name(val);
-      if (!a) return std::nullopt;
-      s.algorithm = *a;
-      seen |= 1u << 1;
-    } else if (key == "topo") {
-      if (!parse_enum(val, kTopologyKindCount, topology_name, s.topology)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 2;
-    } else if (key == "n") {
-      if (!parse_u64(val, u) || u == 0 || u > 16384) return std::nullopt;
-      s.n = static_cast<std::uint32_t>(u);
-      seen |= 1u << 3;
-    } else if (key == "aux") {
-      if (!parse_u64(val, u) || u > 16384) return std::nullopt;
-      s.aux = static_cast<std::uint32_t>(u);
-      seen |= 1u << 4;
-    } else if (key == "sched") {
-      if (!parse_enum(val, kSchedulerKindCount, scheduler_name,
-                      s.scheduler)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 5;
-    } else if (key == "fack") {
-      if (!parse_u64(val, u) || u == 0) return std::nullopt;
-      s.fack = u;
-      seen |= 1u << 6;
-    } else if (key == "late") {
-      if (!parse_u64(val, u) || u > 1) return std::nullopt;
-      s.late_holds = u == 1;
-      seen |= 1u << 7;
-    } else if (key == "in") {
-      if (!parse_enum(val, kInputPatternCount, input_pattern_name,
-                      s.inputs)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 8;
-    } else if (key == "ids") {
-      if (val == "identity") {
-        s.ids = IdAssignment::kIdentity;
-      } else if (val == "perm") {
-        s.ids = IdAssignment::kPermuted;
-      } else {
-        return std::nullopt;
-      }
-      seen |= 1u << 9;
-    } else if (key == "f") {
-      if (!parse_u64(val, u)) return std::nullopt;
-      s.benor_f = u;
-      seen |= 1u << 10;
-    } else if (key == "hz") {
-      if (!parse_u64(val, u) || u == 0) return std::nullopt;
-      s.horizon = u;
-      seen |= 1u << 11;
-    } else if (key == "crashes") {
-      if (!parse_at_pairs(val, s.crashes)) return std::nullopt;
-    } else if (key == "holds") {
-      if (!parse_at_pairs(val, s.holds)) return std::nullopt;
-    } else if (key == "script") {
-      if (!parse_script_slots(val, s.script)) return std::nullopt;
-    } else if (key == "drop") {
-      if (!parse_u64(val, u) || u == 0 || u > mac::LinkFaultPlan::kRateScale) {
-        return std::nullopt;
-      }
-      s.drop_rate_bp = static_cast<std::uint32_t>(u);
-    } else if (key == "dup") {
-      if (!parse_u64(val, u) || u == 0 || u > mac::LinkFaultPlan::kRateScale) {
-        return std::nullopt;
-      }
-      s.dup_rate_bp = static_cast<std::uint32_t>(u);
-    } else if (key == "log") {
-      if (!parse_log_fields(val, s)) return std::nullopt;
-    } else if (key == "faults") {
-      if (!parse_fault_windows(val, s.faults)) return std::nullopt;
-    } else {
-      return std::nullopt;
+    std::size_t i = next;
+    while (kFields[i].key != key) {
+      i = i + 1 == kFields.size() ? 0 : i + 1;
+      if (i == next) return std::nullopt;  // unknown key
     }
+    if ((seen >> i & 1u) != 0) return std::nullopt;  // repeated key
+    if (!kFields[i].read(token.substr(eq + 1), s)) return std::nullopt;
+    seen |= 1u << i;
+    next = i + 1 == kFields.size() ? 0 : i + 1;
   }
-  if (first || seen != kAllScalar) return std::nullopt;
+  if ((seen & kRequired) != kRequired) return std::nullopt;
   return s;
 }
 

@@ -20,6 +20,7 @@
 // reproduced with the same tooling (see tests/test_fuzz_regressions.cpp).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -166,6 +167,21 @@ struct Scenario {
 };
 
 // ---- enum names (spec tokens) ------------------------------------------
+//
+// One table per enum, indexed by enumerator value and shared by format_spec,
+// parse_spec and the *_name() functions. Every entry is a string literal, so
+// its data() is NUL-terminated.
+
+inline constexpr std::array<std::string_view, kTopologyKindCount>
+    kTopologyNames = {"clique", "line",  "ring",    "star",     "grid",
+                      "torus",  "tree",  "barbell", "randconn", "geo"};
+inline constexpr std::array<std::string_view, kSchedulerKindCount>
+    kSchedulerNames = {"sync",       "maxdelay", "uniform", "skewed",
+                       "contention", "holdback", "scripted"};
+inline constexpr std::array<std::string_view, kInputPatternCount>
+    kInputPatternNames = {"all0", "all1", "alt", "split", "random", "multi"};
+inline constexpr std::array<std::string_view, 2> kIdAssignmentNames = {
+    "identity", "perm"};
 
 [[nodiscard]] const char* topology_name(TopologyKind k);
 [[nodiscard]] const char* scheduler_name(SchedulerKind k);
@@ -272,8 +288,6 @@ enum class MutationOp : std::uint8_t {
 };
 inline constexpr std::size_t kMutationOpCount = 25;
 
-[[nodiscard]] const char* mutation_name(MutationOp op);
-
 /// Clamps a mutated scenario back inside its algorithm's guarantee
 /// envelope, mirroring generate_scenario's constraints (synchronous-only
 /// algorithms lose adversarial schedulers and crashes, single-hop
@@ -303,10 +317,28 @@ void clamp_to_envelope(Scenario& s);
 
 /// One-line textual form, `amacfuzz1:seed=...:alg=...:...`. Round-trip
 /// exact: parse_spec(format_spec(s)) reproduces `s` field for field.
+///
+/// The line is `amacfuzz1` followed by `:key=value` tokens in one fixed
+/// order: scalar tokens always, list, `log` and rate tokens only when they
+/// carry something. format_spec and parse_spec walk one field table
+/// (kFields in scenario.cpp), so a token's key, bounds and position live in
+/// exactly one place.
 [[nodiscard]] std::string format_spec(const Scenario& s);
 
 /// Parses a spec line (or, as a convenience, a bare decimal integer, which
 /// means generate_scenario(seed)). Returns nullopt on malformed input.
+///
+/// Keys may come in any order, but nothing in an accepted line is dropped,
+/// merged or overridden, so the scenario is exactly what the line states:
+///   * every scalar key is required, and no key may appear twice (a second
+///     `crashes=` is not appended, a second `seed=` does not win);
+///   * lists (`crashes`, `holds`, `script`, `faults` and a script slot's
+///     `r-d+r-d` delays) hold at least one item, with no empty item, so no
+///     empty value and no leading, doubled or trailing separator;
+///   * an optional token never spells its absent value: `log` fields and
+///     the `drop`/`dup` rates are at least 1;
+///   * numbers are plain decimals inside their field's bounds, and a fault
+///     window's end may be `inf`.
 [[nodiscard]] std::optional<Scenario> parse_spec(std::string_view spec);
 
 // ---- materialization ----------------------------------------------------

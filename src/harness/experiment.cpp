@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace amac::harness {
@@ -117,24 +118,16 @@ mac::ProcessFactory benor_factory(std::vector<mac::Value> inputs,
 }
 
 const char* algorithm_name(Algorithm a) {
-  switch (a) {
-    case Algorithm::kTwoPhase: return "two_phase";
-    case Algorithm::kFlooding: return "flooding";
-    case Algorithm::kWPaxos: return "wpaxos";
-    case Algorithm::kAnonymous: return "anonymous";
-    case Algorithm::kStability: return "stability";
-    case Algorithm::kBenOr: return "benor";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  const auto i = static_cast<std::size_t>(a);
+  AMAC_ASSERT(i < kAlgorithmNames.size());
+  return kAlgorithmNames[i].data();
 }
 
 std::optional<Algorithm> algorithm_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
-    const auto a = static_cast<Algorithm>(i);
-    if (name == algorithm_name(a)) return a;
-  }
-  return std::nullopt;
+  const auto it =
+      std::find(kAlgorithmNames.begin(), kAlgorithmNames.end(), name);
+  if (it == kAlgorithmNames.end()) return std::nullopt;
+  return static_cast<Algorithm>(it - kAlgorithmNames.begin());
 }
 
 mac::ProcessFactory algorithm_factory(Algorithm algorithm,

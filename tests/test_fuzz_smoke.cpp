@@ -1,13 +1,18 @@
 // Fuzz smoke lane (tier-1): the pinned seed corpus must run clean.
 //
 //   * the generator stays inside every algorithm's guarantee envelope;
-//   * spec lines round-trip exactly (the --replay contract);
+//   * spec lines round-trip exactly (the --replay contract), every table
+//     entry included, and lines that would not round-trip are rejected;
 //   * replaying a scenario is bit-identical, run to run and spec to spec;
 //   * a sampled subset matches the frozen reference engine exactly;
 //   * the 504-scenario corpus (seeds 1..504, the same range the CI fuzz
 //     lane soaks) produces zero property violations across all six
 //     algorithms.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 #include "fuzz/fuzzer.hpp"
 #include "net/graph.hpp"
@@ -41,6 +46,161 @@ TEST(FuzzSpec, RejectsMalformedInput) {
   const std::string good = format_spec(generate_scenario(7));
   EXPECT_TRUE(parse_spec(good).has_value());
   EXPECT_FALSE(parse_spec(good + ":bogus=1").has_value());
+
+  // Lines that would run a scenario other than the one they state.
+  const std::string base =
+      "amacfuzz1:seed=1:alg=flooding:topo=ring:n=4:aux=0:sched=sync:fack=1"
+      ":late=0:in=alt:ids=identity:f=0:hz=100";
+  ASSERT_TRUE(parse_spec(base).has_value());
+  EXPECT_TRUE(parse_spec(base + ":crashes=3@17").has_value());
+  EXPECT_TRUE(parse_spec(base + ":script=1@2@3@1-2").has_value());
+  for (const char* bad : {
+           ":crashes=3@17:crashes=1@2",  // a second list is not appended
+           ":seed=2",                    // a second scalar does not win
+           ":crashes=", ":holds=", ":script=", ":faults=",  // empty lists
+           ":crashes=3@17,", ":crashes=,3@17", ":crashes=3@17,,1@2",
+           ":holds=1@5,", ":faults=0@1@2@inf,",
+           ":script=1@2@3@1-2+", ":script=1@2@3@+1-2", ":script=1@2@3@4,",
+       }) {
+    EXPECT_FALSE(parse_spec(base + bad).has_value()) << bad;
+  }
+}
+
+// One hand-made scenario that sets every spec token, left un-normalized
+// (its per-receiver slot's recv already mirrors the largest delay, as the
+// parser sets it). Its line pins the token order and every value format.
+Scenario every_token_scenario() {
+  Scenario s;
+  s.seed = 123456789;
+  s.algorithm = Algorithm::kWPaxos;
+  s.topology = TopologyKind::kGrid;
+  s.n = 12;
+  s.aux = 3;
+  s.scheduler = SchedulerKind::kScripted;
+  s.fack = 9;
+  s.late_holds = true;
+  s.inputs = InputPattern::kMultivalued;
+  s.ids = IdAssignment::kPermuted;
+  s.benor_f = 2;
+  s.horizon = 30000;
+  s.log_ops = 40;
+  s.log_batch = 3;
+  s.log_window = 2;
+  s.log_lease = 5;
+  s.crashes = {{1, 17}, {4, 2}};
+  s.holds = {{2, 40}};
+  s.script = {ScriptSlot{0, 1, 9, 4, {}},
+              ScriptSlot{3, 0, 7, 6, {{1, 6}, {5, 2}}}};
+  s.drop_rate_bp = 150;
+  s.dup_rate_bp = 25;
+  s.faults = {{0, 1, 10, 50}, {2, 3, 0, mac::kForever}};
+  return s;
+}
+
+constexpr const char* kEveryToken =
+    "amacfuzz1:seed=123456789:alg=wpaxos:topo=grid:n=12:aux=3:sched=scripted"
+    ":fack=9:late=1:in=multi:ids=perm:f=2:hz=30000:log=40@3@2@5"
+    ":crashes=1@17,4@2:holds=2@40:script=0@1@9@4,3@0@7@1-6+5-2:drop=150"
+    ":dup=25:faults=0@1@10@50,2@3@0@inf";
+
+std::vector<std::string> spec_tokens(const std::string& spec) {
+  std::vector<std::string> tokens;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t colon = spec.find(':', start);
+    tokens.push_back(spec.substr(start, colon - start));
+    if (colon == std::string::npos) return tokens;
+    start = colon + 1;
+  }
+}
+
+std::string join_tokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) out += (out.empty() ? "" : ":") + t;
+  return out;
+}
+
+TEST(FuzzSpec, EveryTokenRoundTripsAndEachRequiredTokenIsRequired) {
+  const Scenario s = every_token_scenario();
+  ASSERT_EQ(format_spec(s), kEveryToken);
+  const auto parsed = parse_spec(kEveryToken);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(format_spec(*parsed), kEveryToken);
+  EXPECT_EQ(parsed->script[1].recv, 6u);
+  EXPECT_EQ(parsed->faults[1].until_tick, mac::kForever);
+
+  const std::vector<std::string> tokens = spec_tokens(kEveryToken);
+  ASSERT_EQ(tokens.size(), 20u);  // the magic plus one token per field
+  const std::set<std::string> required = {"seed", "alg",  "topo", "n",
+                                          "aux",  "sched", "fack", "late",
+                                          "in",   "ids",  "f",    "hz"};
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const std::string key = tokens[i].substr(0, tokens[i].find('='));
+    std::vector<std::string> without = tokens;
+    without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
+    const std::string line = join_tokens(without);
+    const auto back = parse_spec(line);
+    if (required.count(key) != 0) {
+      EXPECT_FALSE(back.has_value()) << "accepted without " << key;
+    } else {
+      // An omitted optional token means its absent value, nothing else.
+      ASSERT_TRUE(back.has_value()) << line;
+      EXPECT_EQ(format_spec(*back), line);
+    }
+    EXPECT_FALSE(parse_spec(std::string(kEveryToken) + ":" + tokens[i]))
+        << "accepted a repeated " << key;
+  }
+  // Keys are accepted in any order.
+  std::vector<std::string> reversed(tokens.rbegin(), tokens.rend() - 1);
+  reversed.insert(reversed.begin(), tokens[0]);
+  const auto shuffled = parse_spec(join_tokens(reversed));
+  ASSERT_TRUE(shuffled.has_value());
+  EXPECT_EQ(format_spec(*shuffled), kEveryToken);
+}
+
+TEST(FuzzSpec, MutatedLinesNeverCrashAndAcceptedOnesAreCanonical) {
+  // Seeded character-level mutations (flip, drop, duplicate) over valid
+  // lines. parse_spec must never crash, and whatever it accepts must reach
+  // a fixpoint of format_spec after one round trip.
+  std::vector<std::string> lines = {kEveryToken};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Scenario s = generate_scenario(seed);
+    lines.push_back(format_spec(s));
+    promote_to_log_service(s);
+    lines.push_back(format_spec(s));
+  }
+  constexpr std::string_view kAlphabet = "0123456789:=@,+-infabcz";
+  util::Rng rng(20140715);
+  std::size_t accepted = 0;
+  for (int c = 0; c < 10000; ++c) {
+    std::string x = lines[rng.uniform(0, lines.size() - 1)];
+    const std::size_t edits = rng.uniform(1, 3);
+    for (std::size_t e = 0; e < edits && !x.empty(); ++e) {
+      const std::size_t at = rng.uniform(0, x.size() - 1);
+      switch (rng.uniform(0, 2)) {
+        case 0:  // flip
+          x[at] = kAlphabet[rng.uniform(0, kAlphabet.size() - 1)];
+          break;
+        case 1:  // drop
+          x.erase(at, 1);
+          break;
+        default:  // duplicate
+          x.insert(at, 1, x[at]);
+          break;
+      }
+    }
+    const auto parsed = parse_spec(x);
+    if (!parsed) continue;
+    ++accepted;
+    const std::string once = format_spec(*parsed);
+    const auto again = parse_spec(once);
+    ASSERT_TRUE(again.has_value()) << x << "\n -> " << once;
+    EXPECT_EQ(format_spec(*again), once) << x;
+  }
+  // The mutants must exercise acceptance as well as rejection (about 4%
+  // of them are accepted).
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 9000u);
 }
 
 TEST(FuzzLargeTopology, PromotedScenariosStaySparseAndRoundTrip) {
