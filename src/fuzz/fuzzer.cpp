@@ -429,14 +429,6 @@ const Scenario& CoverageCorpus::select_base(util::Rng& rng) const {
   return entries_.back().scenario;  // floating-point edge: last entry
 }
 
-const Scenario& CoverageCorpus::select_partner(util::Rng& rng) const {
-  // Identical inverse-frequency weighting as select_base, as its own
-  // entry point: the partner draw must consume exactly one uniform
-  // variate regardless of how select_base evolves, so splice streams
-  // replay bit-for-bit from a soak's seed base.
-  return select_base(rng);
-}
-
 std::vector<Scenario> CoverageCorpus::entries() const {
   std::vector<Scenario> out;
   out.reserve(entries_.size());
@@ -775,10 +767,10 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
       const Scenario& base = corpus.select_base(mutate_rng);
       const Scenario* splice = nullptr;
       if (corpus.size() > 1 && mutate_rng.chance(0.35)) {
-        // Partner selection is rarity-weighted too (same inverse-frequency
-        // draw as the base), so splices import structure from the
-        // frontier rather than from whichever signature floods the pool.
-        splice = &corpus.select_partner(mutate_rng);
+        // The partner is a second rarity-weighted draw, so splices import
+        // structure from the frontier rather than from whichever signature
+        // floods the pool.
+        splice = &corpus.select_base(mutate_rng);
       }
       s = mutate_scenario(base, splice, mutate_rng);
       mutated = true;
@@ -897,7 +889,6 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
   }
   result.corpus = corpus.entries();
   result.corpus_digest = corpus_hash.digest();
-  out.sig_hits = corpus.hit_counts();
   return out;
 }
 
@@ -914,7 +905,6 @@ SoakResult merge_soak_shards(const SoakOptions& options,
   SoakResult out;
   util::Hasher digest_fold;
   std::map<std::uint64_t, CoverageSignature> signatures;
-  std::map<std::uint64_t, std::uint64_t> hits;
   std::set<std::uint64_t> engine_keys;
   std::set<std::uint64_t> protocol_keys;
   std::set<std::string> corpus_specs;  // dedupe (shards share pre-seeds)
@@ -947,7 +937,6 @@ SoakResult merge_soak_shards(const SoakOptions& options,
     // are partition-independent (a set union doesn't care which shard, or
     // how many, saw a key first).
     for (const auto& [key, sig] : sh.signatures) signatures.emplace(key, sig);
-    for (const auto& [key, n] : sh.sig_hits) hits[key] += n;
     engine_keys.insert(sh.engine_keys.begin(), sh.engine_keys.end());
     protocol_keys.insert(sh.protocol_keys.begin(), sh.protocol_keys.end());
     for (SoakFailure& f : loc.failures) out.failures.push_back(std::move(f));

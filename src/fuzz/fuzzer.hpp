@@ -430,22 +430,8 @@ class CoverageCorpus {
   /// Deterministic given the rng state. Requires size() > 0.
   [[nodiscard]] const Scenario& select_base(util::Rng& rng) const;
 
-  /// Rarity-weighted draw of a SPLICE PARTNER: same inverse-frequency
-  /// weighting as select_base, so cross-scenario splices pull structure
-  /// from the thinly-explored frontier instead of re-importing whatever
-  /// signature dominates the pool. Kept separate from select_base so the
-  /// base and partner draws each consume exactly one uniform variate (the
-  /// mutant stream stays reproducible spec-for-spec). Requires size() > 0.
-  [[nodiscard]] const Scenario& select_partner(util::Rng& rng) const;
-
   /// How often a signature key has been observed (0 if never).
   [[nodiscard]] std::uint64_t hits(std::uint64_t sig_key) const;
-
-  /// The full key -> observation-count map (shard merging sums these).
-  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& hit_counts()
-      const {
-    return hits_;
-  }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Scenario& entry(std::size_t i) const {
@@ -706,7 +692,6 @@ struct ShardSoakResult {
   /// First-seen signature struct per distinct key (key equality implies
   /// struct equality, so first-seen is canonical).
   std::map<std::uint64_t, CoverageSignature> signatures;
-  std::map<std::uint64_t, std::uint64_t> sig_hits;  ///< key -> observations
   std::set<std::uint64_t> engine_keys;    ///< distinct engine projections
   std::set<std::uint64_t> protocol_keys;  ///< distinct protocol projections
   /// Shard-local counters, failures, and mutation corpus (its coverage

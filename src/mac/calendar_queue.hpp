@@ -21,10 +21,13 @@
 //     allocates nothing and a ring only ever warms as many lanes as it has
 //     simultaneously occupied buckets.
 //   * `push_batch` is the fan-out fast path: when a broadcast schedule is
-//     uniform, all of its deliver events share one tick, so the engine
-//     reserves a contiguous span in that bucket's lane once and fills the
-//     events in place — one bounds check and one bucket lookup for the
-//     whole fan-out instead of per event.
+//     uniform, all of its kept deliver events share one tick, so the engine
+//     hands the queue a per-event fill callback and the queue reserves a
+//     contiguous span in that bucket's lane once and fills it in place —
+//     one bounds check and one bucket lookup for the whole fan-out. A tick
+//     beyond the wheel window spills the events to the overflow heap one
+//     push at a time, so the wheel-or-heap choice lives only here;
+//     `batch_reservations` counts the in-wheel reservations alone.
 //   * `occupancy_` is a bitmap over buckets; finding the next non-empty
 //     tick is a word-wise circular scan from the cursor.
 //   * Events with t >= base_ + W go to `overflow_`, a (t, kind, seq)
@@ -115,40 +118,6 @@ class CalendarQueue {
   /// Disables the self-resize (A/B benching of the overflow-heap fallback).
   void set_resize_enabled(bool enabled) { resize_enabled_ = enabled; }
 
-  /// Empties the queue and rewinds the cursor to tick 0 for another run on
-  /// the same engine (Network::reset). Deliberately NOT a rebuild: the ring
-  /// keeps its (possibly resized) span and every warmed lane parks in the
-  /// spare pool, so the next run re-adopts the existing capacity instead of
-  /// re-warming allocations. Accounting counters restart with the run.
-  void clear() {
-    for (std::size_t idx = 0; idx < buckets_.size(); ++idx) {
-      Bucket& b = buckets_[idx];
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        auto& lane = b.lane[k];
-        if (lane.capacity() != 0) {
-          lane.clear();
-          park_spare(std::move(lane));
-          lane = std::vector<Event>();
-        }
-        b.head[k] = 0;
-      }
-      b.tick = 0;
-      b.count = 0;
-    }
-    occupancy_.assign(occupancy_.size(), 0);
-    while (!overflow_.empty()) overflow_.pop();
-    base_ = 0;
-    wheel_count_ = 0;
-    size_ = 0;
-    peak_ = 0;
-    wheel_pushes_ = 0;
-    overflow_pushes_ = 0;
-    resizes_ = 0;
-    batch_reservations_ = 0;
-    observed_horizon_ = 0;
-    resizable_overflow_ = 0;
-  }
-
   void push(const Event& e) {
     AMAC_EXPECTS(e.t >= base_);
     ++size_;
@@ -163,17 +132,23 @@ class CalendarQueue {
     }
   }
 
-  /// Fan-out fast path: reserves `count` contiguous event slots in the
-  /// bucket lane for tick `t` of `kind` and returns the span for the caller
-  /// to fill — with strictly ascending seq values that are globally newer
-  /// than every previously pushed event (the engine's push counter
-  /// guarantees this), keeping the lane seq-sorted. Returns nullptr when
-  /// `t` is outside the wheel window; the caller then falls back to
-  /// per-event push (overflow path). The span is valid until the next queue
-  /// operation.
-  [[nodiscard]] Event* push_batch(Time t, EventKind kind, std::size_t count) {
-    AMAC_EXPECTS(t >= base_ && count > 0);
-    if (t - base_ >= wheel_span()) return nullptr;
+  /// Fan-out fast path: pushes `count` events of `kind` at tick `t`, each
+  /// produced by one call `fill()` returning the Event, in ascending seq
+  /// order (globally newer than every event already pushed; the engine's
+  /// push counter guarantees this). In the wheel window the events are
+  /// written in place into one contiguous reservation of the bucket lane
+  /// (one bounds check, one bucket lookup, lane stays seq-sorted); beyond
+  /// it each goes through push(), so the overflow heap and its resize
+  /// pressure see exactly the per-event stream. `fill` must not touch the
+  /// queue. A zero count is a no-op.
+  template <typename Fill>
+  void push_batch(Time t, EventKind kind, std::size_t count, Fill&& fill) {
+    if (count == 0) return;
+    AMAC_EXPECTS(t >= base_);
+    if (t - base_ >= wheel_span()) {
+      for (std::size_t i = 0; i < count; ++i) push(fill());
+      return;
+    }
     Bucket& b = buckets_[t & mask_];
     if (b.count == 0) {
       b.tick = t;
@@ -191,13 +166,17 @@ class CalendarQueue {
           std::max({2 * lane.capacity(), offset + count, kMinLaneCapacity}));
     }
     lane.resize(offset + count);
+    for (std::size_t i = offset; i < offset + count; ++i) {
+      lane[i] = fill();
+      AMAC_CHECK_ENSURES(lane[i].t == t && lane[i].kind == kind);
+      AMAC_CHECK_ENSURES(i == 0 || lane[i - 1].seq < lane[i].seq);
+    }
     b.count += count;
     wheel_count_ += count;
     size_ += count;
     if (size_ > peak_) peak_ = size_;
     wheel_pushes_ += count;
     ++batch_reservations_;
-    return lane.data() + offset;
   }
 
   /// Time of the next event to pop. Requires !empty(). Advances the cursor

@@ -108,42 +108,6 @@ void Network::set_link_faults(const LinkFaultPlan& plan) {
   faults_ = plan;
 }
 
-void Network::reset(const ProcessFactory& factory) {
-  for (Instance& inst : instances_) {
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      auto& st = inst.nodes[u];
-      if (st.flight_slot != kNoFlight) {
-        // Abandon the in-flight broadcast: release its payload slot and
-        // keep the flight record (capacity included) on the free list.
-        Flight& flight = flights_[st.flight_slot];
-        pool_.release(flight.payload_slot);
-        flight.pending.clear();
-        flight.undrained_events = 0;
-        st.flight_slot = kNoFlight;
-      }
-    }
-  }
-  for (auto& st : nodes_) {
-    st.crashed = false;
-    st.crash_time = kForever;
-  }
-  instances_.clear();
-  undecided_alive_ = 0;
-  free_flights_.clear();
-  for (std::uint32_t slot = 0; slot < flights_.size(); ++slot) {
-    free_flights_.push_back(slot);
-  }
-  events_.clear();
-  next_seq_ = 0;
-  next_broadcast_id_ = 1;
-  now_ = 0;
-  stats_ = EngineStats{};
-  completed_ = false;
-  started_ = false;
-  trace_hasher_ = util::Hasher{};
-  (void)add_instance(factory);
-}
-
 const Decision& Network::decision(NodeId u, InstanceId instance) const {
   AMAC_EXPECTS(u < nodes_.size());
   AMAC_EXPECTS(instance < instances_.size());
@@ -266,15 +230,18 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
   const std::size_t fanout = sched.size();
   Time ack_at = now_ + sched.ack_delay;
 
-  // Link-fault partition (design doc: "Unreliable links"). Every reliable
-  // copy gets a pure hash verdict; dropped copies consume no seq, deferred
-  // copies and duplicates stretch the ack so receives still precede it.
-  // The plan never touches the best-effort overlay — those edges carry no
-  // delivery guarantee to break.
+  // Link-fault partition (design doc: "Unreliable links"). With a plan
+  // installed every reliable copy gets a pure hash verdict; dropped copies
+  // consume no seq, deferred copies and duplicates stretch the ack so
+  // receives still precede it. Without one every copy is kept and no
+  // per-copy decision runs. The plan never touches the best-effort overlay
+  // — those edges carry no delivery guarantee to break.
   const bool faulted = !faults_.empty() && fanout > 0;
+  std::size_t kept = fanout;     // copies at the scheduler's own tick
   std::size_t emitted = fanout;  // reliable copies that will be scheduled
   if (faulted) {
     fault_scratch_.clear();
+    kept = 0;
     emitted = 0;
     Time latest = 0;
     for (std::size_t i = 0; i < fanout; ++i) {
@@ -288,7 +255,9 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
         continue;
       }
       ++emitted;
-      if (d.deliver_at != arrival) {
+      if (d.deliver_at == arrival) {
+        ++kept;
+      } else {
         ++stats_.drops;  // lost, retransmitted
         ++inst.stats.drops;
       }
@@ -341,112 +310,65 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     e.sender = u;
     e.instance = instance;
     e.reliable = true;
+    // The one emission site: every copy takes the next seq and the next
+    // pending slot, whichever group it belongs to.
+    const auto copy = [&](NodeId v, Time t) {
+      e.t = t;
+      e.seq = next_seq_++;
+      e.node = v;
+      flight.pending.push_back(v);
+      return e;
+    };
+    const auto is_kept = [&](std::size_t i) {
+      if (!faulted) return true;
+      const LinkFaultDecision& d = fault_scratch_[i];
+      return d.deliver && d.deliver_at == now_ + sched.delay(i);
+    };
 #if AMAC_CHECK
     for (std::size_t i = 0; i < fanout; ++i) {
       AMAC_CHECK_ENSURES(graph_->has_edge(u, sched.receivers[i]));
     }
 #endif
-    if (!faulted) {
-      if (sched.uniform && fanout > 0) {
-        // Dense fast path: one tick for the whole fan-out, so the pending
-        // list is a bulk copy and the wheel bucket is reserved once.
-        AMAC_ENSURES(sched.uniform_delay >= 1 &&
-                     sched.uniform_delay <= sched.ack_delay);
-        e.t = now_ + sched.uniform_delay;
-        flight.pending.assign(sched.receivers.begin(), sched.receivers.end());
-        flight.undrained_events += fanout;
-        if (Event* span = events_.push_batch(e.t, e.kind, fanout)) {
-          for (std::size_t i = 0; i < fanout; ++i) {
-            e.seq = next_seq_++;
-            e.node = sched.receivers[i];
-            span[i] = e;
-          }
-        } else {
-          for (std::size_t i = 0; i < fanout; ++i) {  // beyond wheel
-            e.seq = next_seq_++;
-            e.node = sched.receivers[i];
-            events_.push(e);
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < fanout; ++i) {
-          const Time delay = sched.delays[i];
-          AMAC_ENSURES(delay >= 1 && delay <= sched.ack_delay);
-          e.t = now_ + delay;
-          e.seq = next_seq_++;
-          e.node = sched.receivers[i];
-          events_.push(e);
-          flight.pending.push_back(sched.receivers[i]);
-          ++flight.undrained_events;
-        }
-      }
+    // Canonical emission order (shared with ReferenceNetwork): kept copies
+    // at their original ticks, then deferred copies, then duplicates —
+    // schedule index order within each group — then best-effort copies.
+    if (sched.uniform) {
+      // Dense fast path: every kept copy shares one tick, so the queue
+      // reserves the bucket lane once and the copies fill it in place.
+      AMAC_ENSURES(fanout == 0 || (sched.uniform_delay >= 1 &&
+                                   sched.uniform_delay <= sched.ack_delay));
+      const Time t = now_ + sched.uniform_delay;
+      std::size_t i = 0;
+      events_.push_batch(t, EventKind::kDeliver, kept, [&] {
+        while (!is_kept(i)) ++i;
+        return copy(sched.receivers[i++], t);
+      });
     } else {
-      // Canonical faulted emission order (shared with ReferenceNetwork):
-      // kept copies at their original ticks, then deferred copies, then
-      // duplicates — schedule index order within each group.
-      const auto emit = [&](NodeId v, Time t) {
-        e.t = t;
-        e.seq = next_seq_++;
-        e.node = v;
-        events_.push(e);
-        flight.pending.push_back(v);
-        ++flight.undrained_events;
-      };
-      if (sched.uniform) {
-        // The batch reservation shrinks to the kept subset: only affected
-        // receivers fall off the dense path.
-        const Time uniform_t = now_ + sched.uniform_delay;
-        std::size_t kept = 0;
-        for (const LinkFaultDecision& d : fault_scratch_) {
-          if (d.deliver && d.deliver_at == uniform_t) ++kept;
-        }
-        if (kept > 0) {
-          e.t = uniform_t;
-          Event* span = events_.push_batch(e.t, e.kind, kept);
-          std::size_t filled = 0;
-          for (std::size_t i = 0; i < fanout; ++i) {
-            const LinkFaultDecision& d = fault_scratch_[i];
-            if (!d.deliver || d.deliver_at != uniform_t) continue;
-            if (span != nullptr) {
-              e.seq = next_seq_++;
-              e.node = sched.receivers[i];
-              span[filled++] = e;
-              flight.pending.push_back(e.node);
-              ++flight.undrained_events;
-            } else {
-              emit(sched.receivers[i], uniform_t);
-            }
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < fanout; ++i) {
-          const LinkFaultDecision& d = fault_scratch_[i];
-          if (!d.deliver || d.deliver_at != now_ + sched.delays[i]) continue;
-          emit(sched.receivers[i], d.deliver_at);
-        }
+      for (std::size_t i = 0; i < fanout; ++i) {
+        const Time delay = sched.delays[i];
+        AMAC_ENSURES(delay >= 1 && delay <= sched.ack_delay);
+        if (is_kept(i)) events_.push(copy(sched.receivers[i], now_ + delay));
       }
+    }
+    if (faulted) {
       for (std::size_t i = 0; i < fanout; ++i) {  // deferred copies
         const LinkFaultDecision& d = fault_scratch_[i];
-        if (!d.deliver || d.deliver_at == now_ + sched.delay(i)) continue;
-        emit(sched.receivers[i], d.deliver_at);
+        if (d.deliver && !is_kept(i)) {
+          events_.push(copy(sched.receivers[i], d.deliver_at));
+        }
       }
       for (std::size_t i = 0; i < fanout; ++i) {  // duplicates
         const LinkFaultDecision& d = fault_scratch_[i];
-        if (!d.deliver || !d.duplicate) continue;
-        emit(sched.receivers[i], d.duplicate_at);
+        if (d.duplicate) events_.push(copy(sched.receivers[i], d.duplicate_at));
       }
     }
     e.reliable = false;
     for (const auto& [v, delay] : best_effort) {
       AMAC_ENSURES(delay >= 1 && delay <= sched.ack_delay);
       AMAC_CHECK_ENSURES(overlay_->has_edge(u, v));
-      e.t = now_ + delay;
-      e.seq = next_seq_++;
-      e.node = v;
-      events_.push(e);
-      flight.pending.push_back(v);
-      ++flight.undrained_events;
+      events_.push(copy(v, now_ + delay));
     }
+    flight.undrained_events = flight.pending.size();  // one event per copy
   }
 
   Event ack;

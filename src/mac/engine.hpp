@@ -45,10 +45,13 @@
 // SoA broadcast fan-out. BroadcastSchedule is struct-of-arrays: parallel
 // receivers[] / delays[] written by every scheduler into the engine's
 // scratch, plus a dense uniform form (receivers[] + one shared delay) for
-// lock-step schedulers. start_broadcast fans out with a tight two-array
-// loop; in the uniform case all deliver events share one tick, so the
-// engine batch-reserves the calendar bucket lane once (CalendarQueue::
-// push_batch) and fills the events in place — no per-event bucket lookup.
+// lock-step schedulers. start_broadcast emits every copy of a broadcast
+// through one helper that takes the next seq and the next pending slot;
+// in the uniform case the kept copies all share one tick, so the engine
+// hands them to CalendarQueue::push_batch as a fill callback and the queue
+// reserves the bucket lane once and fills it in place — no per-event
+// bucket lookup. Whether a tick lies in the wheel or spills to the
+// overflow heap is the queue's decision alone, batch or not.
 //
 // Payload pool. A broadcast copies its payload into a reusable PayloadPool
 // slot (payload_pool.hpp); deliver events carry the owning flight's slot
@@ -75,20 +78,21 @@
 // link_faults.hpp) partitions every reliable fan-out at broadcast time by
 // calling the plan's pure hash decision per (broadcast_id, sender,
 // receiver): copies are kept, deferred past a transient outage window,
-// permanently dropped, or duplicated at a bounded extra delay. Emission
-// order is canonical and engine-independent — kept copies at their original
-// ticks first (the dense-uniform batch reservation shrinks to exactly this
-// subset), then deferred copies, then duplicates, each group in schedule
-// index order — and the ack is stretched to the latest emitted arrival so
-// the layer's "receive before the sender's ack" guarantee survives
-// deferral and duplication (permanent losses are the one guarantee the
-// plan is allowed to break). Dropped copies consume no event seq and no
-// flight bookkeeping; a fan-out whose copies are all lost acquires no
-// flight at all. The drops/duplicates counters are identical across
-// engines (they are decided, not raced), so differential fingerprints may
-// include them; with an empty plan every byte of engine state and trace is
-// identical to a fault-free build, which the pinned fuzz-corpus digest
-// pins down.
+// permanently dropped, or duplicated at a bounded extra delay. An
+// unfaulted fan-out is the same pipeline with every copy kept and no
+// per-copy decision. Emission order is canonical and engine-independent —
+// kept copies at their original ticks first (a uniform schedule's kept
+// subset is one push_batch), then deferred copies, then duplicates, each
+// group in schedule index order, then best-effort overlay copies — and
+// the ack is stretched to the latest emitted arrival so the layer's
+// "receive before the sender's ack" guarantee survives deferral and
+// duplication (permanent losses are the one guarantee the plan is allowed
+// to break). Dropped copies consume no event seq and no flight
+// bookkeeping; a fan-out whose copies are all lost acquires no flight at
+// all. The drops/duplicates counters are identical across engines (they
+// are decided, not raced), so differential fingerprints may include them;
+// with an empty plan every byte of engine state and trace is identical to
+// a fault-free build, which the pinned fuzz-corpus digest pins down.
 //
 // Instance multiplexing (consensus as a service). One Network can host
 // multiple concurrent PROTOCOL INSTANCES — numbered slots of a replicated
@@ -128,7 +132,7 @@
 //     itself there instead of on the every-event post-event hook. A
 //     completion inside the completion hook itself — e.g. an instance
 //     added there with every node crashed — is reported after the next
-//     event. reset() forgets a completion not yet reported.
+//     event.
 //   * Digest neutrality. A single-instance Network is bit-identical to the
 //     pre-instance engine: instance 0 is the implicit default everywhere,
 //     the trace digest never mixes instance ids, and no counter moves —
@@ -278,15 +282,6 @@ class Network {
   /// the first run(), like schedule_crash; pass the identical plan to both
   /// engines for differential replay.
   void set_link_faults(const LinkFaultPlan& plan);
-
-  /// Returns the network to its pre-run state for another experiment on the
-  /// same topology/scheduler/plan: back to a SINGLE instance 0 with fresh
-  /// processes from `factory`, empty event queue (capacity kept), zeroed
-  /// stats — including the link-fault counters — and released
-  /// flights/payload slots. Scheduler-internal state (e.g. Holdback holds,
-  /// RNG positions) is the caller's to reset; the installed fault plan and
-  /// crash-free slate carry over.
-  void reset(const ProcessFactory& factory);
 
   /// Adds a concurrent protocol instance (design doc: "Instance
   /// multiplexing") and returns its id. Callable before the first run or

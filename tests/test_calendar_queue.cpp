@@ -179,8 +179,9 @@ TEST(CalendarQueueProperty, DisabledResizeStaysOnOverflowHeapAndCorrect) {
 }
 
 TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
-  // Same stream pushed via push_batch (where in-window) into one queue and
-  // per-event into another: identical pop order, and both match the oracle.
+  // Same stream pushed via push_batch into one queue and per-event into
+  // another: identical pop order, both match the oracle, and the two agree
+  // on which events took the wheel and which the overflow heap.
   util::Rng rng(0xBA7C4);
   for (int trial = 0; trial < 10; ++trial) {
     CalendarQueue batched(8);
@@ -204,18 +205,15 @@ TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
         e.t = now + (rng.chance(0.1) ? rng.uniform(500, 900)
                                      : rng.uniform(0, 12));
         e.kind = static_cast<EventKind>(rng.uniform(0, 2));
-        Event* span = batched.push_batch(e.t, e.kind, count);
-        for (std::size_t i = 0; i < count; ++i) {
+        // Beyond the window the batch spills to the overflow heap itself.
+        NodeId node = 0;
+        batched.push_batch(e.t, e.kind, count, [&] {
           e.seq = seq++;
-          e.node = static_cast<NodeId>(i);
-          if (span != nullptr) {
-            span[i] = e;
-          } else {
-            batched.push(e);  // beyond the window: overflow fallback
-          }
+          e.node = node++;
           plain.push(e);
           ref.push(e);
-        }
+          return e;
+        });
       }
     }
     while (!batched.empty()) {
@@ -227,10 +225,44 @@ TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
     }
     EXPECT_TRUE(plain.empty());
     EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(batched.wheel_pushes(), plain.wheel_pushes());
+    EXPECT_EQ(batched.overflow_pushes(), plain.overflow_pushes());
+    EXPECT_EQ(batched.resizes(), plain.resizes());
+    EXPECT_GT(batched.batch_reservations(), 0u);
   }
 }
 
 // --- deterministic corner cases ------------------------------------------
+
+TEST(CalendarQueueProperty, BatchBeyondTheWheelSpillsToOverflow) {
+  // A 16-bucket wheel: a batch at tick 5 is one in-wheel reservation, a
+  // batch at tick 100 spills event by event to the overflow heap (no
+  // reservation counted), and a zero-count batch never calls its fill.
+  CalendarQueue q(4);
+  ASSERT_EQ(q.span(), 16u);
+  Oracle ref;
+  std::uint64_t seq = 0;
+  const auto batch = [&](Time t, std::size_t count) {
+    q.push_batch(t, EventKind::kDeliver, count, [&] {
+      Event e;
+      e.t = t;
+      e.seq = seq++;
+      ref.push(e);
+      return e;
+    });
+  };
+  batch(5, 3);
+  EXPECT_EQ(q.batch_reservations(), 1u);
+  EXPECT_EQ(q.wheel_pushes(), 3u);
+  batch(100, 4);
+  EXPECT_EQ(q.batch_reservations(), 1u);
+  EXPECT_EQ(q.overflow_pushes(), 4u);
+  batch(7, 0);
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(q.batch_reservations(), 1u);
+  EXPECT_EQ(q.size(), 7u);
+  drain_and_compare(q, ref);
+}
 
 TEST(CalendarQueueProperty, WheelWrapAroundManyRevolutions) {
   // A 16-bucket wheel (hint 4 => span 16) driven 4096 ticks forward: the

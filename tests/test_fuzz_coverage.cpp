@@ -255,9 +255,10 @@ TEST(FuzzCorpusRarity, RareSignaturesAreSelectedAtTwiceUniformShare) {
 }
 
 TEST(FuzzCorpusRarity, SplicePartnersAreSelectedAtTwiceUniformShare) {
-  // Same statistical pin as select_base, for the SPLICE PARTNER draw:
-  // cross-scenario splices must pull structure from the frontier, not
-  // from whichever signature floods the pool. Identical skewed corpus,
+  // Same statistical pin as above, on the draw stream a splice partner
+  // sees (the soak draws the partner with select_base right after the
+  // base): cross-scenario splices must pull structure from the frontier,
+  // not from whichever signature floods the pool. Identical skewed corpus,
   // fixed draw stream — deterministic, never flakes.
   CoverageCorpus corpus(16);
   CoverageSignature common;
@@ -279,7 +280,7 @@ TEST(FuzzCorpusRarity, SplicePartnersAreSelectedAtTwiceUniformShare) {
   std::size_t rare_draws = 0;
   constexpr std::size_t kDraws = 10000;
   for (std::size_t i = 0; i < kDraws; ++i) {
-    if (format_spec(corpus.select_partner(rng)) == rare_spec) ++rare_draws;
+    if (format_spec(corpus.select_base(rng)) == rare_spec) ++rare_draws;
   }
   EXPECT_GE(rare_draws, 2 * kDraws / 10)
       << "partner selection did not favor the rare signature";

@@ -5,7 +5,8 @@
 //     randomized workloads, including far-future overflow + migration.
 //   * Network (calendar) vs ReferenceNetwork (frozen heap engine): same
 //     trace digest, stats, decisions, and crash outcomes across schedulers,
-//     topologies, crash plans, and the unreliable overlay.
+//     topologies, crash plans, link-fault plans, and the unreliable
+//     overlay.
 //   * Determinism: same seed => bit-identical digests run-to-run.
 //   * Payload pool reuse and lifetime.
 //   * Zero heap allocations in the steady-state broadcast->deliver->ack
@@ -144,6 +145,8 @@ void expect_equal(const RunRecord& a, const RunRecord& b) {
   EXPECT_EQ(a.stats.payload_bytes, b.stats.payload_bytes);
   EXPECT_EQ(a.stats.max_payload_bytes, b.stats.max_payload_bytes);
   EXPECT_EQ(a.stats.peak_events, b.stats.peak_events);
+  EXPECT_EQ(a.stats.drops, b.stats.drops);
+  EXPECT_EQ(a.stats.duplicates, b.stats.duplicates);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.condition_met, b.condition_met);
   ASSERT_EQ(a.decisions.size(), b.decisions.size());
@@ -160,10 +163,12 @@ RunRecord run_traced(const net::Graph& g, const ProcessFactory& factory,
                      Scheduler& sched, const std::vector<CrashPlan>& crashes,
                      StopWhen until, Time horizon,
                      const net::Graph* overlay = nullptr,
-                     const std::function<void()>& post_construct = {}) {
+                     const std::function<void()>& post_construct = {},
+                     const LinkFaultPlan* faults = nullptr) {
   Net net(g, factory, sched, overlay);
   net.enable_trace_digest();
   for (const auto& plan : crashes) net.schedule_crash(plan);
+  if (faults != nullptr) net.set_link_faults(*faults);
   // E.g. scheduler mutations that must not influence construction-time
   // decisions like calendar-wheel sizing (late holdback holds).
   if (post_construct) post_construct();
@@ -182,20 +187,25 @@ RunRecord run_traced(const net::Graph& g, const ProcessFactory& factory,
 
 /// Runs the same workload on both engines with independently constructed
 /// (identically seeded) schedulers and requires identical observations.
+/// Returns the calendar engine's record for workload-shape assertions.
 template <typename MakeScheduler>
-void expect_engines_agree(const net::Graph& g, const ProcessFactory& factory,
-                          const MakeScheduler& make_scheduler,
-                          const std::vector<CrashPlan>& crashes,
-                          StopWhen until, Time horizon,
-                          const net::Graph* overlay = nullptr) {
+RunRecord expect_engines_agree(const net::Graph& g,
+                               const ProcessFactory& factory,
+                               const MakeScheduler& make_scheduler,
+                               const std::vector<CrashPlan>& crashes,
+                               StopWhen until, Time horizon,
+                               const net::Graph* overlay = nullptr,
+                               const LinkFaultPlan* faults = nullptr) {
   auto sched_a = make_scheduler();
   auto sched_b = make_scheduler();
   const auto a = run_traced<Network>(g, factory, *sched_a, crashes, until,
-                                     horizon, overlay);
+                                     horizon, overlay, {}, faults);
   const auto b = run_traced<ReferenceNetwork>(g, factory, *sched_b, crashes,
-                                              until, horizon, overlay);
+                                              until, horizon, overlay, {},
+                                              faults);
   expect_equal(a, b);
   EXPECT_GT(a.stats.deliveries, 0u);  // the workload must exercise traffic
+  return a;
 }
 
 TEST(EngineDifferential, RandomSchedulerManySeeds) {
@@ -292,6 +302,91 @@ TEST(EngineDifferential, UnreliableOverlay) {
             std::make_unique<UniformRandomScheduler>(5, 21), 0.6, 77);
       },
       {}, StopWhen::kQuiescent, 100000, &overlay);
+}
+
+// --- link faults through every emission path ---------------------------
+
+/// Rate drops, duplicates, and one finite outage window on the directed
+/// link 0 -> 1, whose copies are deferred to tick 40. The duplicate rate is
+/// high enough that deferred copies and duplicates share broadcasts, so
+/// the order of those two emission groups shows in the trace.
+LinkFaultPlan drop_dup_window_plan() {
+  LinkFaultPlan plan;
+  plan.seed = 0xFA017;
+  plan.drop_rate_bp = 900;
+  plan.dup_rate_bp = 2000;
+  plan.windows.push_back(DropWindow{0, 1, 3, 40});
+  return plan;
+}
+
+TEST(EngineDifferential, FaultedSynchronousCliqueUniformBatch) {
+  // Synchronous rounds give uniform schedules, so the kept subset of each
+  // fan-out is one push_batch while deferred copies and duplicates take
+  // per-event pushes behind it.
+  const auto g = net::make_clique(8);
+  const LinkFaultPlan plan = drop_dup_window_plan();
+  const auto a = expect_engines_agree(
+      g, probe_factory(6),
+      [] { return std::make_unique<SynchronousScheduler>(2); }, {},
+      StopWhen::kQuiescent, 100000, nullptr, &plan);
+  EXPECT_GT(a.stats.drops, 0u);
+  EXPECT_GT(a.stats.duplicates, 0u);
+  EXPECT_GT(a.stats.batch_pushes, 0u);
+
+  // The window alone: every drop it counts is a deferred, re-emitted copy.
+  LinkFaultPlan window_only;
+  window_only.windows = plan.windows;
+  const auto w = expect_engines_agree(
+      g, probe_factory(6),
+      [] { return std::make_unique<SynchronousScheduler>(2); }, {},
+      StopWhen::kQuiescent, 100000, nullptr, &window_only);
+  EXPECT_GT(w.stats.drops, 0u);
+  EXPECT_EQ(w.stats.deliveries, 8u * 6u * 7u);  // nothing lost for good
+}
+
+TEST(EngineDifferential, FaultedRandomRingPerReceiver) {
+  // Per-receiver delays: kept copies are pushed one at a time.
+  const auto g = net::make_ring(12);
+  const LinkFaultPlan plan = drop_dup_window_plan();
+  std::uint64_t drops = 0;
+  std::uint64_t duplicates = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto a = expect_engines_agree(
+        g, probe_factory(6),
+        [&] { return std::make_unique<UniformRandomScheduler>(9, seed); }, {},
+        StopWhen::kQuiescent, 100000, nullptr, &plan);
+    drops += a.stats.drops;
+    duplicates += a.stats.duplicates;
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(duplicates, 0u);
+}
+
+TEST(EngineDifferential, LateScriptedUniformSlotSpillsPastTheWheel) {
+  // The script is written after construction, so the wheel was sized from
+  // the empty script's fack() = 1 (16 buckets). Sender 0's first broadcast
+  // is one uniform fan-out landing at t = 200: push_batch has to spill it
+  // to the overflow heap. With the plan installed the spilled batch is the
+  // kept subset only.
+  const auto g = net::make_clique(8);
+  const LinkFaultPlan plan = drop_dup_window_plan();
+  const std::vector<const LinkFaultPlan*> plans{nullptr, &plan};
+  for (const LinkFaultPlan* faults : plans) {
+    const auto run_one = [&](auto net_tag) {
+      using Net = typename decltype(net_tag)::type;
+      ScriptedScheduler sched;
+      return run_traced<Net>(
+          g, probe_factory(3), sched, {}, StopWhen::kQuiescent, 100000,
+          nullptr, [&sched] { sched.script_uniform(0, 0, 250, 200); }, faults);
+    };
+    const auto a = run_one(std::type_identity<Network>{});
+    const auto b = run_one(std::type_identity<ReferenceNetwork>{});
+    expect_equal(a, b);
+    EXPECT_GT(a.stats.deliveries, 0u);
+    EXPECT_GT(a.stats.overflow_pushes, 0u);
+    EXPECT_EQ(a.stats.wheel_span, 16u);
+    EXPECT_GE(a.end_time, 200u);
+  }
 }
 
 // --- determinism ---------------------------------------------------------
@@ -548,47 +643,6 @@ TEST(EngineAllocation, WheelResizeMidRunThenSteadyStateIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady state after a wheel resize allocated";
   EXPECT_GT(net.stats().deliveries, 30000u);
-}
-
-TEST(EngineReuse, ResetZeroesStatsAndReplaysFaultedRunBitForBit) {
-  // Network::reset() returns the engine to its pre-run state for another
-  // experiment: fresh processes, zeroed EngineStats — including the
-  // link-fault drop/duplicate counters — while the installed LinkFaultPlan
-  // carries over. With a stateless scheduler the re-run must then be an
-  // exact replay: same fault decisions (they hash broadcast ids, which
-  // restart), same counters, same digest-relevant stats.
-  const auto g = net::make_ring(10);
-  SynchronousScheduler sched(2);
-  const auto factory = [](NodeId) { return std::make_unique<SteadyPinger>(); };
-  Network net(g, factory, sched);
-  LinkFaultPlan plan;
-  plan.seed = 0xFA017;
-  plan.drop_rate_bp = 900;
-  plan.dup_rate_bp = 400;
-  plan.windows.push_back(DropWindow{0, 1, 5, 60});
-  net.set_link_faults(plan);
-
-  net.run(StopWhen::kQuiescent, 400);
-  const EngineStats first = net.stats();
-  EXPECT_GT(first.drops, 0u);
-  EXPECT_GT(first.duplicates, 0u);
-  EXPECT_GT(first.deliveries, 0u);
-
-  net.reset(factory);
-  EXPECT_EQ(net.stats().drops, 0u);
-  EXPECT_EQ(net.stats().duplicates, 0u);
-  EXPECT_EQ(net.stats().deliveries, 0u);
-  EXPECT_EQ(net.stats().broadcasts, 0u);
-  EXPECT_EQ(net.stats().acks, 0u);
-
-  net.run(StopWhen::kQuiescent, 400);
-  const EngineStats second = net.stats();
-  EXPECT_EQ(second.drops, first.drops);
-  EXPECT_EQ(second.duplicates, first.duplicates);
-  EXPECT_EQ(second.deliveries, first.deliveries);
-  EXPECT_EQ(second.broadcasts, first.broadcasts);
-  EXPECT_EQ(second.acks, first.acks);
-  EXPECT_EQ(second.wheel_pushes, first.wheel_pushes);
 }
 
 TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {

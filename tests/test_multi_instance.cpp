@@ -13,7 +13,7 @@
 //     pinned by the fuzz soak; this extends it to >= 2 instances).
 // Plus the completion hook: it fires exactly once after each event that
 // completes one or more instances (a decide, a crash, a vacuous
-// add_instance), never after reset(), while the post-event hook keeps
+// add_instance), never outside a run, while the post-event hook keeps
 // firing on every event.
 #include <gtest/gtest.h>
 
@@ -342,7 +342,7 @@ TEST(CompletionHook, InstanceAddedWithEveryNodeCrashedCompletesVacuously) {
   EXPECT_EQ(hooks.events, events_pushed(net));
 }
 
-TEST(CompletionHook, ResetForgetsAnUnreportedCompletion) {
+TEST(CompletionHook, InstanceAddedAfterTheRunCompletesWithoutFiring) {
   const std::size_t n = 2;
   const net::Graph graph = net::make_clique(n);
   SynchronousScheduler sched(1);
@@ -357,15 +357,7 @@ TEST(CompletionHook, ResetForgetsAnUnreportedCompletion) {
   // Added after the run with every node crashed: complete, not reported.
   const InstanceId late = net.add_instance(testutil::probe_factory(1));
   ASSERT_TRUE(net.instance_all_decided(late));
-
-  // Never-deciding processes, so nothing completes in the second run.
-  net.reset(testutil::probe_factory(1));
-  hooks.events = 0;
-  hooks.fired_at.clear();
-  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
-  EXPECT_GT(hooks.events, 0u);
-  EXPECT_TRUE(hooks.fired_at.empty());
-  EXPECT_EQ(hooks.events, events_pushed(net));
+  EXPECT_EQ(hooks.fired_at.size(), 1u);
 }
 
 }  // namespace
