@@ -147,15 +147,16 @@ BENCHMARK(BM_RefEngineContention)->Arg(16)->Arg(64);
 
 /// Broadcast fan-out on a dense clique under lock-step delays: every
 /// broadcast takes the SoA dense fast path (uniform schedule -> bulk
-/// receiver copy -> CalendarQueue::push_batch into one bucket), so this
+/// receiver copy -> one CalendarQueue::push_run entry), so this
 /// isolates the struct-of-arrays delivery fan-out against the reference
 /// engine's per-pair walk.
 /// Rounds per node for the clique fan-out benches: one clique round is
-/// Theta(n^2) deliveries (a 4096-clique sync round is ~16.7M events and
-/// ~670MB of transient queue), so the large args trim the per-node round
-/// count to keep one iteration in benchmark time. The per-delivery cost is
-/// what is measured; items/sec normalizes across the args. The small args
-/// keep the historical 50 so their baseline rows stay comparable.
+/// Theta(n^2) deliveries (a 4096-clique sync round is ~16.7M deliveries;
+/// its n^2 pending slots take ~65 MB), so the large args trim the per-node
+/// round count to keep one iteration in benchmark time. The per-delivery
+/// cost is what is measured; items/sec normalizes across the args. The
+/// small args keep the historical 50 so their baseline rows stay
+/// comparable.
 std::size_t fanout_rounds(std::size_t n) {
   return n >= 2048 ? 2 : n >= 1024 ? 8 : 50;
 }

@@ -179,6 +179,10 @@ class ReplicatedLog {
   [[nodiscard]] const LogServiceStats& stats() const { return stats_; }
   [[nodiscard]] const KvStateMachine& state_machine() const { return kv_; }
   [[nodiscard]] const mac::Network& network() const { return net_; }
+  /// For installing observers and link faults on the service's network
+  /// before drive(): a trace digest, a post-event hook, a LinkFaultPlan.
+  /// drive() owns the completion hook.
+  [[nodiscard]] mac::Network& network() { return net_; }
   /// The instance that decided (or was deciding) slot `slot` — a recovered
   /// slot reports its relaunched full-paxos instance. Retired instances
   /// keep their decisions readable, so post-run oracles

@@ -15,19 +15,25 @@
 //     Global push order has monotonically increasing `seq`, so plain
 //     appends keep each lane seq-sorted; popping lane 0 (deliveries), then
 //     lane 1 (acks), then lane 2 (crashes) realizes the (t, kind, seq)
-//     ordering contract exactly. Lane vectors are reused, never freed: when
-//     a bucket drains, its warmed lanes move to a spare pool and the next
-//     bucket to become occupied adopts them, so steady-state operation
-//     allocates nothing and a ring only ever warms as many lanes as it has
-//     simultaneously occupied buckets.
-//   * `push_batch` is the fan-out fast path: when a broadcast schedule is
-//     uniform, all of its kept deliver events share one tick, so the engine
-//     hands the queue a per-event fill callback and the queue reserves a
-//     contiguous span in that bucket's lane once and fills it in place —
-//     one bounds check and one bucket lookup for the whole fan-out. A tick
-//     beyond the wheel window spills the events to the overflow heap one
-//     push at a time, so the wheel-or-heap choice lives only here;
-//     `batch_reservations` counts the in-wheel reservations alone.
+//     ordering contract exactly (a run entry covers a seq range no other
+//     entry overlaps, so lanes stay sorted by first seq). Lane vectors are
+//     reused, never freed: when a bucket drains, its warmed lanes move to
+//     a spare pool and the next bucket to become occupied adopts them, so
+//     steady-state operation allocates nothing and a ring only ever warms
+//     as many lanes as it has simultaneously occupied buckets.
+//   * `push_run` is the fan-out fast path: when a broadcast schedule is
+//     uniform, all of its kept deliver copies share one tick and take
+//     consecutive seqs, so the engine hands the queue the first copy and
+//     a count and the queue stores ONE run-length lane entry (Event::run)
+//     for all of them. `pop` hands a run out one copy per call by
+//     advancing the head entry's seq and run in place, so the pop stream
+//     is exactly that of per-copy pushes; `discard_run` drops the rest of
+//     a just-popped run in one step (the engine's retired-instance fast
+//     path). Every counter — size, peak, wheel pushes, bucket counts —
+//     stays in copy units. A tick beyond the wheel window spills the
+//     copies to the overflow heap one push at a time, so the wheel-or-heap
+//     choice lives only here and overflow entries are always single
+//     copies; `batch_reservations` counts the in-wheel runs alone.
 //   * `occupancy_` is a bitmap over buckets; finding the next non-empty
 //     tick is a word-wise circular scan from the cursor.
 //   * Events with t >= base_ + W go to `overflow_`, a (t, kind, seq)
@@ -118,8 +124,10 @@ class CalendarQueue {
   /// Disables the self-resize (A/B benching of the overflow-heap fallback).
   void set_resize_enabled(bool enabled) { resize_enabled_ = enabled; }
 
+  /// Pushes one copy (`e.run` must be 1; runs go through push_run).
   void push(const Event& e) {
     AMAC_EXPECTS(e.t >= base_);
+    AMAC_EXPECTS(e.run == 1);
     ++size_;
     if (size_ > peak_) peak_ = size_;
     // Wrap-free window test (e.t >= base_ holds): base_ + wheel_span()
@@ -132,47 +140,28 @@ class CalendarQueue {
     }
   }
 
-  /// Fan-out fast path: pushes `count` events of `kind` at tick `t`, each
-  /// produced by one call `fill()` returning the Event, in ascending seq
-  /// order (globally newer than every event already pushed; the engine's
-  /// push counter guarantees this). In the wheel window the events are
-  /// written in place into one contiguous reservation of the bucket lane
-  /// (one bounds check, one bucket lookup, lane stays seq-sorted); beyond
-  /// it each goes through push(), so the overflow heap and its resize
-  /// pressure see exactly the per-event stream. `fill` must not touch the
-  /// queue. A zero count is a no-op.
-  template <typename Fill>
-  void push_batch(Time t, EventKind kind, std::size_t count, Fill&& fill) {
+  /// Fan-out fast path: queues `count` copies of `first` at seqs
+  /// first.seq .. first.seq+count-1 (globally newer than every event
+  /// already pushed; the engine's push counter guarantees this). In the
+  /// wheel window the copies are ONE run-length lane entry — one bucket
+  /// lookup and one 48-byte write for the whole fan-out — while every
+  /// counter (size, peak, wheel pushes) still moves by `count`; beyond it
+  /// each copy goes through push(), so the overflow heap and its resize
+  /// pressure see exactly the per-copy stream. `first.run` is ignored. A
+  /// zero count is a no-op.
+  void push_run(const Event& first, std::size_t count) {
     if (count == 0) return;
-    AMAC_EXPECTS(t >= base_);
-    if (t - base_ >= wheel_span()) {
-      for (std::size_t i = 0; i < count; ++i) push(fill());
+    AMAC_EXPECTS(first.t >= base_);
+    if (first.t - base_ >= wheel_span()) {
+      Event copy = first;
+      copy.run = 1;
+      for (std::size_t i = 0; i < count; ++i, ++copy.seq) push(copy);
       return;
     }
-    Bucket& b = buckets_[t & mask_];
-    if (b.count == 0) {
-      b.tick = t;
-      set_occupied(t & mask_);
-    } else {
-      AMAC_ENSURES(b.tick == t);
-    }
-    auto& lane = b.lane[static_cast<std::size_t>(kind)];
-    if (lane.capacity() == 0) warm_lane(lane);
-    const std::size_t offset = lane.size();
-    if (lane.capacity() < offset + count) {
-      // Geometric growth: an exact-size reserve would defeat the vector's
-      // doubling and turn repeated same-tick batch reservations quadratic.
-      lane.reserve(
-          std::max({2 * lane.capacity(), offset + count, kMinLaneCapacity}));
-    }
-    lane.resize(offset + count);
-    for (std::size_t i = offset; i < offset + count; ++i) {
-      lane[i] = fill();
-      AMAC_CHECK_ENSURES(lane[i].t == t && lane[i].kind == kind);
-      AMAC_CHECK_ENSURES(i == 0 || lane[i - 1].seq < lane[i].seq);
-    }
-    b.count += count;
-    wheel_count_ += count;
+    Event entry = first;
+    entry.run = static_cast<std::uint32_t>(count);
+    AMAC_EXPECTS(entry.run == count);
+    wheel_insert(entry);
     size_ += count;
     if (size_ > peak_) peak_ = size_;
     wheel_pushes_ += count;
@@ -187,41 +176,21 @@ class CalendarQueue {
     return base_;
   }
 
-  /// Pops the (t, kind, seq)-minimal event. Requires !empty().
+  /// Pops the (t, kind, seq)-minimal copy. Requires !empty(). A run entry
+  /// hands out one copy per call, advancing its seq and run in place; the
+  /// returned event's `run` is the count its entry held, itself included.
   Event pop() {
     AMAC_EXPECTS(size_ > 0);
     position_cursor();
-    Bucket& b = buckets_[base_ & mask_];
-    AMAC_ENSURES(b.count > 0 && b.tick == base_);
-    Event e;
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      auto& lane = b.lane[k];
-      if (b.head[k] < lane.size()) {
-        e = lane[b.head[k]++];
-        break;
-      }
-    }
-    --b.count;
-    --wheel_count_;
-    --size_;
-    if (b.count == 0) {
-      // Warmed lane storage circulates through the spare pool instead of
-      // staying pinned to this bucket: the next bucket to become occupied
-      // (often a different ring slot entirely, e.g. right after a resize)
-      // adopts it, so a revolution of the ring needs only as many warmed
-      // lanes as there are simultaneously occupied buckets.
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        auto& lane = b.lane[k];
-        if (lane.capacity() != 0) {
-          lane.clear();
-          park_spare(std::move(lane));
-          lane = std::vector<Event>();
-        }
-        b.head[k] = 0;
-      }
-      clear_occupied(base_ & mask_);
-    }
-    return e;
+    return take(1);
+  }
+
+  /// Drops the `n` copies that directly follow the one just popped — the
+  /// rest of its run, or a prefix of it — without handing them out.
+  /// Requires the previous call to have been pop() and its event's
+  /// `run` > n.
+  void discard_run(std::size_t n) {
+    if (n != 0) static_cast<void>(take(n));
   }
 
  private:
@@ -288,6 +257,47 @@ class CalendarQueue {
     occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
   }
 
+  /// Takes the first `n` copies of the cursor bucket's head entry (the
+  /// minimal one) and returns the entry as it stood. When the bucket
+  /// drains, its warmed lane storage circulates through the spare pool
+  /// instead of staying pinned to it: the next bucket to become occupied
+  /// (often a different ring slot entirely, e.g. right after a resize)
+  /// adopts it, so a revolution of the ring needs only as many warmed
+  /// lanes as there are simultaneously occupied buckets.
+  Event take(std::size_t n) {
+    Bucket& b = buckets_[base_ & mask_];
+    AMAC_ENSURES(b.count >= n && b.tick == base_);
+    std::size_t k = 0;
+    while (b.head[k] == b.lane[k].size()) {
+      ++k;
+      AMAC_ENSURES(k < kLanes);
+    }
+    Event& head = b.lane[k][b.head[k]];
+    const Event taken = head;
+    AMAC_EXPECTS(head.run >= n);
+    head.seq += n;
+    head.run -= static_cast<std::uint32_t>(n);
+    if (head.run == 0) ++b.head[k];
+    b.count -= n;
+    wheel_count_ -= n;
+    size_ -= n;
+    if (b.count == 0) {
+      for (k = 0; k < kLanes; ++k) {
+        auto& lane = b.lane[k];
+        if (lane.capacity() != 0) {
+          lane.clear();
+          park_spare(std::move(lane));
+          lane = std::vector<Event>();
+        }
+        b.head[k] = 0;
+      }
+      clear_occupied(base_ & mask_);
+    }
+    return taken;
+  }
+
+  /// Places `e` (a single copy or a run entry) in its bucket lane; the
+  /// bucket and wheel counts grow by its copy count.
   void wheel_insert(const Event& e) {
     Bucket& b = buckets_[e.t & mask_];
     if (b.count == 0) {
@@ -300,7 +310,11 @@ class CalendarQueue {
     }
     auto& lane = b.lane[static_cast<std::size_t>(e.kind)];
     if (lane.capacity() == 0) warm_lane(lane);
+    // Run entries cover disjoint seq ranges (a run's seqs are taken in one
+    // fan-out), so comparing first seqs orders whole entries.
     if (lane.empty() || lane.back().seq < e.seq) {
+      AMAC_CHECK_ENSURES(lane.empty() ||
+                         lane.back().seq + lane.back().run <= e.seq);
       lane.push_back(e);  // the hot path: pushes arrive in seq order
     } else {
       // Overflow migration may slot an older-seq event behind newer ones.
@@ -309,8 +323,8 @@ class CalendarQueue {
       while (it != lane.end() && it->seq < e.seq) ++it;
       lane.insert(it, e);
     }
-    ++b.count;
-    ++wheel_count_;
+    b.count += e.run;
+    wheel_count_ += e.run;
   }
 
   void overflow_push(const Event& e) {
@@ -346,7 +360,8 @@ class CalendarQueue {
     occupancy_.assign((want + 63) / 64, 0);
     wheel_count_ = 0;
     // Carry the old wheel over. Each old bucket holds one tick and lanes
-    // are seq-sorted past head, so re-inserting in lane order appends.
+    // are seq-sorted past head, so re-inserting in lane order appends; a
+    // half-consumed run entry carries its advanced seq and remaining run.
     // Each bucket's warmed lane storage is recycled through the spare pool
     // right after its events are carried across: the larger ring's buckets
     // adopt it on first use instead of re-warming a revolution of fresh

@@ -152,7 +152,8 @@ std::size_t Network::in_flight_from(NodeId sender,
   const std::uint32_t slot = instances_[instance].nodes[sender].flight_slot;
   if (slot == kNoFlight) return 0;
   // Live (non-tombstoned) pending entries; tracks pending occupancy exactly
-  // because each entry is retired by exactly one popped deliver event.
+  // because each entry is retired by exactly one deliver copy, popped or
+  // discarded with the rest of its run.
   return flights_[slot].undrained_events;
 }
 
@@ -333,16 +334,18 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     // at their original ticks, then deferred copies, then duplicates —
     // schedule index order within each group — then best-effort copies.
     if (sched.uniform) {
-      // Dense fast path: every kept copy shares one tick, so the queue
-      // reserves the bucket lane once and the copies fill it in place.
+      // Dense fast path: every kept copy shares one tick and takes the next
+      // seq, so the kept subset is one run-length queue entry; a popped
+      // copy finds its receiver in its pending slot.
       AMAC_ENSURES(fanout == 0 || (sched.uniform_delay >= 1 &&
                                    sched.uniform_delay <= sched.ack_delay));
-      const Time t = now_ + sched.uniform_delay;
-      std::size_t i = 0;
-      events_.push_batch(t, EventKind::kDeliver, kept, [&] {
-        while (!is_kept(i)) ++i;
-        return copy(sched.receivers[i++], t);
-      });
+      e.t = now_ + sched.uniform_delay;
+      e.seq = next_seq_;
+      for (std::size_t i = 0; i < fanout; ++i) {
+        if (is_kept(i)) flight.pending.push_back(sched.receivers[i]);
+      }
+      next_seq_ += kept;
+      events_.push_run(e, kept);
     } else {
       for (std::size_t i = 0; i < fanout; ++i) {
         const Time delay = sched.delays[i];
@@ -428,8 +431,7 @@ void Network::process_event(const Event& e) {
         // O(1) retire: the seq-derived slot (see Flight) is tombstoned in
         // place — erase-by-find here made clique rounds O(n^3) overall.
         const auto idx = static_cast<std::size_t>(e.seq - flight.first_seq);
-        AMAC_ENSURES(idx < flight.pending.size() &&
-                     flight.pending[idx] == e.node);
+        AMAC_ENSURES(e.node != kNoNode);  // read from pending[idx]: live
         flight.pending[idx] = kNoNode;
         drained = --flight.undrained_events == 0;
         payload_slot = flight.payload_slot;
@@ -450,6 +452,28 @@ void Network::process_event(const Event& e) {
         NodeContext ctx(*this, e.node, e.instance);
         const Packet packet{e.sender, pool_.at(payload_slot), e.reliable};
         process->on_receive(packet, ctx);
+      } else if (inst.retired && e.run > 1 && !post_event_hook_) {
+        // The rest of this copy's run is bookkeeping too (same retired
+        // instance, same tick) and, its seqs being consecutive, would pop
+        // next: drop it in one step instead of copy by copy. A post-event
+        // hook may read in-flight state between copies, so it keeps the
+        // per-copy path.
+        const std::size_t rest = e.run - 1;
+        Flight& flight = flights_[slot];
+        Event copy = e;
+        for (std::size_t k = 1; k <= rest; ++k) {
+          ++copy.seq;
+          NodeId& pending = flight.pending[copy.seq - flight.first_seq];
+          AMAC_ENSURES(pending != kNoNode);
+          copy.node = pending;
+          pending = kNoNode;
+          if (trace_enabled_) trace_event(copy);
+        }
+        AMAC_ENSURES(flight.undrained_events >= rest);
+        flight.undrained_events -= rest;
+        drained = flight.undrained_events == 0;
+        events_.discard_run(rest);
+        stats_.discarded_copies += rest;
       }
       if (drained) release_flight(slot);
       return;
@@ -500,9 +524,17 @@ RunResult Network::run(StopWhen until, Time max_time) {
   while (!events_.empty()) {
     if (condition_met()) return finish(true);
     if (events_.next_time() > max_time) return finish(condition_met());
-    const Event e = events_.pop();
+    Event e = events_.pop();
     AMAC_ENSURES(e.t >= now_);
     now_ = e.t;
+    if (e.kind == EventKind::kDeliver) {
+      // A run entry names no receiver per copy: each copy's receiver is
+      // its seq-derived pending slot (see Flight).
+      const Flight& flight = flights_[e.flight_slot];
+      const auto idx = static_cast<std::size_t>(e.seq - flight.first_seq);
+      AMAC_ENSURES(idx < flight.pending.size());
+      e.node = flight.pending[idx];
+    }
     if (trace_enabled_) trace_event(e);
     process_event(e);
     if (post_event_hook_) post_event_hook_(*this);

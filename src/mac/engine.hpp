@@ -45,13 +45,26 @@
 // SoA broadcast fan-out. BroadcastSchedule is struct-of-arrays: parallel
 // receivers[] / delays[] written by every scheduler into the engine's
 // scratch, plus a dense uniform form (receivers[] + one shared delay) for
-// lock-step schedulers. start_broadcast emits every copy of a broadcast
-// through one helper that takes the next seq and the next pending slot;
-// in the uniform case the kept copies all share one tick, so the engine
-// hands them to CalendarQueue::push_batch as a fill callback and the queue
-// reserves the bucket lane once and fills it in place — no per-event
-// bucket lookup. Whether a tick lies in the wheel or spills to the
-// overflow heap is the queue's decision alone, batch or not.
+// lock-step schedulers. start_broadcast gives every copy of a broadcast
+// the next seq and the next pending slot. In the uniform case the kept
+// copies all share one tick, so they become ONE run-length queue entry
+// (CalendarQueue::push_run, Event::run): the receivers go into the
+// flight's pending vector, the queue stores a single 48-byte record, and
+// a copy popped from the run finds its receiver at its seq-derived
+// pending slot. Whether a tick lies in the wheel or spills to the overflow
+// heap is the queue's decision alone, run or not.
+//
+// Retired runs. On a lock-step clique most relay copies land on slots
+// the replicated log has already retired. When a popped copy's instance
+// is retired and its run still holds more copies, the engine drops the
+// rest of the run in one step (CalendarQueue::discard_run): it tombstones
+// their pending slots, drains the flight, and folds each copy into the
+// trace digest exactly as a pop would. Nothing else can pop between
+// consecutive seqs of one (tick, kind), and every callback's broadcast
+// lands at least one tick later, so pop order, trace, peak_events and
+// every other EngineStats field are unchanged; only discarded_copies
+// tells the paths apart. A post-event hook may observe in-flight state
+// between copies, so with one installed every copy is popped.
 //
 // Payload pool. A broadcast copies its payload into a reusable PayloadPool
 // slot (payload_pool.hpp); deliver events carry the owning flight's slot
@@ -78,21 +91,21 @@
 // link_faults.hpp) partitions every reliable fan-out at broadcast time by
 // calling the plan's pure hash decision per (broadcast_id, sender,
 // receiver): copies are kept, deferred past a transient outage window,
-// permanently dropped, or duplicated at a bounded extra delay. An
-// unfaulted fan-out is the same pipeline with every copy kept and no
-// per-copy decision. Emission order is canonical and engine-independent —
-// kept copies at their original ticks first (a uniform schedule's kept
-// subset is one push_batch), then deferred copies, then duplicates, each
-// group in schedule index order, then best-effort overlay copies — and
-// the ack is stretched to the latest emitted arrival so the layer's
-// "receive before the sender's ack" guarantee survives deferral and
-// duplication (permanent losses are the one guarantee the plan is allowed
-// to break). Dropped copies consume no event seq and no flight
-// bookkeeping; a fan-out whose copies are all lost acquires no flight at
-// all. The drops/duplicates counters are identical across engines (they
-// are decided, not raced), so differential fingerprints may include them;
-// with an empty plan every byte of engine state and trace is identical to
-// a fault-free build, which the pinned fuzz-corpus digest pins down.
+// permanently dropped, or duplicated at a bounded extra delay. An unfaulted
+// fan-out is the same pipeline with every copy kept and no per-copy
+// decision. Emission order is canonical and engine-independent — kept copies
+// at their original ticks first (a uniform schedule's kept subset is one
+// push_run entry), then deferred copies, then duplicates, each group in
+// schedule index order, then best-effort overlay copies — and the ack is
+// stretched to the latest emitted arrival so the layer's "receive before the
+// sender's ack" guarantee survives deferral and duplication (permanent
+// losses are the one guarantee the plan is allowed to break). Dropped copies
+// consume no event seq and no flight bookkeeping; a fan-out whose copies are
+// all lost acquires no flight at all. The drops/duplicates counters are
+// identical across engines (they are decided, not raced), so differential
+// fingerprints may include them; with an empty plan every byte of engine
+// state and trace is identical to a fault-free build, which the pinned
+// fuzz-corpus digest pins down.
 //
 // Instance multiplexing (consensus as a service). One Network can host
 // multiple concurrent PROTOCOL INSTANCES — numbered slots of a replicated
@@ -148,13 +161,13 @@
 //     erase-by-find made each delivery O(fan-out), i.e. a whole clique
 //     round O(n^3) in total — at n=4096 that term alone dwarfed the
 //     simulation.
-//   * Queue traffic is already flat: a uniform fan-out is one push_batch
-//     bucket reservation filled in place (sequential writes into one lane
-//     vector — the cache-friendly regime), and pops walk the same lane
-//     sequentially. Peak queue memory is the real n=4096 cost: a clique
-//     sync round holds ~n^2 deliver events (~670 MB transient at
-//     n=4096), so big-clique benches are calendar-only and sized to few
-//     rounds.
+//   * Queue traffic is flat and small: a uniform fan-out is one
+//     push_run entry, so a clique sync round queues n run entries (plus
+//     n acks) and n^2 4-byte pending slots, not n^2 48-byte events. One
+//     round of a 4096-clique (every node broadcasting once at t=0) raises
+//     peak RSS by ~65 MB, almost all of it pending slots, where one event
+//     per copy took ~830 MB (x86-64, -O2 build); peak_events still counts
+//     the ~16.7M copies.
 //   * Capacity warms once. Flight slots, pending vectors, pool slots, and
 //     lane storage all recycle; after the first large fan-out the steady
 //     state allocates nothing at any n (allocation-counting test covers a
@@ -195,12 +208,15 @@ struct Decision {
 
 /// Aggregate accounting across a run.
 ///
-/// The wheel_* and batch_pushes fields describe the calendar queue only
-/// (always 0 on ReferenceNetwork, which has no wheel); differential
-/// fingerprints and cross-engine equality checks must not include them.
-/// They are, however, exactly the run-shape features the fuzzer's
-/// CoverageSignature consumes (fuzz/fuzzer.hpp): which queue path a
-/// scenario drove is the coverage signal that steers mutation.
+/// The wheel_*, batch_pushes and discarded_copies fields describe the
+/// calendar queue only (always 0 on ReferenceNetwork, which has no wheel);
+/// differential fingerprints and cross-engine equality checks must not
+/// include them. The wheel_* and batch_pushes fields are, however, exactly
+/// the run-shape features the fuzzer's CoverageSignature consumes
+/// (fuzz/fuzzer.hpp): which queue path a scenario drove is the coverage
+/// signal that steers mutation. Every queue counter is in copy units: a
+/// run-length entry of k copies counts k wheel pushes and k toward
+/// peak_events, exactly as k separate events would.
 struct EngineStats {
   std::uint64_t broadcasts = 0;
   std::uint64_t dropped_busy = 0;  ///< broadcasts discarded while busy
@@ -212,8 +228,12 @@ struct EngineStats {
   std::uint64_t wheel_pushes = 0;     ///< events placed directly in the wheel
   std::uint64_t overflow_pushes = 0;  ///< events spilled to the overflow heap
   std::uint64_t wheel_resizes = 0;    ///< self-resize rebuilds that ran
-  std::uint64_t batch_pushes = 0;     ///< uniform fan-outs that took the
-                                      ///< push_batch bucket reservation
+  std::uint64_t batch_pushes = 0;     ///< uniform fan-outs queued in the
+                                      ///< wheel as one push_run entry
+  /// Deliver copies of a retired instance dropped with the rest of their
+  /// run-length entry (CalendarQueue::discard_run) instead of being popped
+  /// one by one. Counted within wheel_pushes; never a delivery.
+  std::uint64_t discarded_copies = 0;
   std::size_t wheel_span = 0;         ///< final wheel size in buckets
   /// Link-fault accounting (link_faults.hpp). Unlike the wheel_* fields
   /// these are decided by the plan's pure hash, not by queue internals, so
@@ -417,9 +437,12 @@ class Network {
   /// not stored: within one start_broadcast every deliver event takes a
   /// consecutive seq in exactly pending-append order (drops consume no seq,
   /// the ack's seq comes after), so event e owns pending[e.seq - first_seq].
+  /// A uniform fan-out's copies share one run-length queue entry that names
+  /// no receivers: a popped copy reads its receiver from its slot.
   /// `undrained_events` counts live (non-tombstoned) entries — the two
   /// counters move in lockstep because every pending entry is retired by
-  /// exactly one popped deliver event.
+  /// exactly one deliver copy, popped or discarded with the rest of its
+  /// run once its instance has retired.
   struct Flight {
     NodeId sender = kNoNode;
     std::uint32_t payload_slot = 0;
@@ -427,7 +450,7 @@ class Network {
     std::uint64_t first_seq = 0;          ///< seq of the first deliver event
     InstanceId instance = 0;              ///< owning protocol instance
     std::vector<NodeId> pending;          ///< receivers; kNoNode = delivered
-    std::size_t undrained_events = 0;     ///< deliver events not yet popped
+    std::size_t undrained_events = 0;     ///< copies not yet popped/dropped
   };
 
   class NodeContext;  // Context implementation bound to one (node, instance)

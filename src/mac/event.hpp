@@ -38,7 +38,15 @@ struct Event {
   InstanceId instance = 0;
   EventKind kind = EventKind::kDeliver;
   bool reliable = true;                   ///< deliver: edge class
+  /// Copies this record stands for, with seqs seq .. seq+run-1 (calendar
+  /// queue run-length entries, see CalendarQueue::push_run). A popped
+  /// event is always one copy; its `run` says how many copies its entry
+  /// still held, counting itself.
+  std::uint32_t run = 1;
 };
+
+// `run` lives in what was tail padding: the record stays one 48-byte value.
+static_assert(sizeof(Event) == 48);
 
 /// True when `a` must pop strictly after `b` (min-heap comparator).
 [[nodiscard]] constexpr bool event_after(const Event& a, const Event& b) {

@@ -241,8 +241,8 @@ class ScriptedScheduler final : public Scheduler {
               std::vector<std::pair<NodeId, Time>> delays);
 
   /// Scripts the `index`-th broadcast of `sender` with ONE shared delay for
-  /// every receiver — the dense uniform form (the engine batch-reserves the
-  /// calendar bucket for it, so scripted timelines exercise the push_batch
+  /// every receiver — the dense uniform form (the engine queues it as one
+  /// run-length calendar entry, so scripted timelines exercise the push_run
   /// path). Requires 1 <= receive_delay <= ack_delay.
   void script_uniform(NodeId sender, std::size_t index, Time ack_delay,
                       Time receive_delay);

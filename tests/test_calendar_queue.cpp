@@ -10,8 +10,8 @@
 //   * self-resize under load (sustained overflow pressure rebuilds the
 //     wheel mid-interleaving; order must be oracle-identical across the
 //     rebuild) and the disabled-resize fallback;
-//   * the batch push fast path (push_batch + in-place fill vs per-event
-//     pushes);
+//   * the run-length fan-out path (push_run vs per-copy pushes, runs half
+//     consumed across a resize, discard_run);
 //   * FIFO tie-break at equal timestamps (seq order within a kind, kind
 //     lanes at one tick).
 #include <gtest/gtest.h>
@@ -178,46 +178,49 @@ TEST(CalendarQueueProperty, DisabledResizeStaysOnOverflowHeapAndCorrect) {
   }
 }
 
-TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
-  // Same stream pushed via push_batch into one queue and per-event into
+TEST(CalendarQueueProperty, RunPushMatchesPerCopyPushes) {
+  // Same stream pushed via push_run into one queue and copy by copy into
   // another: identical pop order, both match the oracle, and the two agree
-  // on which events took the wheel and which the overflow heap.
+  // on which copies took the wheel and which the overflow heap, on resizes
+  // and on the peak size. Pops interleave with pushes, so runs are often
+  // half consumed when the next push (or a resize) arrives.
   util::Rng rng(0xBA7C4);
   for (int trial = 0; trial < 10; ++trial) {
-    CalendarQueue batched(8);
+    CalendarQueue runs(8);
     CalendarQueue plain(8);
     Oracle ref;
     std::uint64_t seq = 0;
     Time now = 0;
     for (int step = 0; step < 1500; ++step) {
-      if (!batched.empty() && rng.chance(0.45)) {
-        const Event a = batched.pop();
+      if (!runs.empty() && rng.chance(0.45)) {
+        const Event a = runs.pop();
         const Event b = plain.pop();
         expect_same_event(a, b);
         expect_same_event(a, ref.top());
+        ASSERT_GE(a.run, 1u);
         ref.pop();
         now = a.t;
       } else {
-        // A uniform fan-out: `count` events sharing one tick and kind,
-        // consecutive seq values.
+        // A uniform fan-out: `count` copies sharing one tick and kind,
+        // consecutive seq values. Beyond the window the run spills to the
+        // overflow heap copy by copy.
         const std::size_t count = rng.uniform(1, 6);
         Event e;
         e.t = now + (rng.chance(0.1) ? rng.uniform(500, 900)
                                      : rng.uniform(0, 12));
         e.kind = static_cast<EventKind>(rng.uniform(0, 2));
-        // Beyond the window the batch spills to the overflow heap itself.
-        NodeId node = 0;
-        batched.push_batch(e.t, e.kind, count, [&] {
+        e.seq = seq;
+        runs.push_run(e, count);
+        for (std::size_t i = 0; i < count; ++i) {
           e.seq = seq++;
-          e.node = node++;
           plain.push(e);
           ref.push(e);
-          return e;
-        });
+        }
       }
+      ASSERT_EQ(runs.size(), plain.size());
     }
-    while (!batched.empty()) {
-      const Event a = batched.pop();
+    while (!runs.empty()) {
+      const Event a = runs.pop();
       const Event b = plain.pop();
       expect_same_event(a, b);
       expect_same_event(a, ref.top());
@@ -225,43 +228,168 @@ TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
     }
     EXPECT_TRUE(plain.empty());
     EXPECT_TRUE(ref.empty());
-    EXPECT_EQ(batched.wheel_pushes(), plain.wheel_pushes());
-    EXPECT_EQ(batched.overflow_pushes(), plain.overflow_pushes());
-    EXPECT_EQ(batched.resizes(), plain.resizes());
-    EXPECT_GT(batched.batch_reservations(), 0u);
+    EXPECT_EQ(runs.wheel_pushes(), plain.wheel_pushes());
+    EXPECT_EQ(runs.overflow_pushes(), plain.overflow_pushes());
+    EXPECT_EQ(runs.resizes(), plain.resizes());
+    EXPECT_EQ(runs.peak_size(), plain.peak_size());
+    EXPECT_GT(runs.batch_reservations(), 0u);
   }
 }
 
 // --- deterministic corner cases ------------------------------------------
 
-TEST(CalendarQueueProperty, BatchBeyondTheWheelSpillsToOverflow) {
-  // A 16-bucket wheel: a batch at tick 5 is one in-wheel reservation, a
-  // batch at tick 100 spills event by event to the overflow heap (no
-  // reservation counted), and a zero-count batch never calls its fill.
+/// Queues `count` deliver copies at tick `t` as one run taking the next
+/// seqs, mirroring each copy into the oracle.
+void push_run_at(CalendarQueue& q, Oracle& ref, std::uint64_t& seq, Time t,
+                 std::size_t count) {
+  Event e;
+  e.t = t;
+  e.seq = seq;
+  q.push_run(e, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    e.seq = seq++;
+    ref.push(e);
+  }
+}
+
+TEST(CalendarQueueProperty, RunBeyondTheWheelSpillsToOverflow) {
+  // A 16-bucket wheel: a run at tick 5 is one in-wheel entry, a run at
+  // tick 100 spills copy by copy to the overflow heap (no reservation
+  // counted), and a zero-count run queues nothing.
   CalendarQueue q(4);
   ASSERT_EQ(q.span(), 16u);
   Oracle ref;
   std::uint64_t seq = 0;
-  const auto batch = [&](Time t, std::size_t count) {
-    q.push_batch(t, EventKind::kDeliver, count, [&] {
-      Event e;
-      e.t = t;
-      e.seq = seq++;
-      ref.push(e);
-      return e;
-    });
-  };
-  batch(5, 3);
+  push_run_at(q, ref, seq, 5, 3);
   EXPECT_EQ(q.batch_reservations(), 1u);
   EXPECT_EQ(q.wheel_pushes(), 3u);
-  batch(100, 4);
+  push_run_at(q, ref, seq, 100, 4);
   EXPECT_EQ(q.batch_reservations(), 1u);
   EXPECT_EQ(q.overflow_pushes(), 4u);
-  batch(7, 0);
+  push_run_at(q, ref, seq, 7, 0);
   EXPECT_EQ(seq, 7u);
   EXPECT_EQ(q.batch_reservations(), 1u);
   EXPECT_EQ(q.size(), 7u);
+  EXPECT_EQ(q.peak_size(), 7u);
+  // The in-wheel run hands out its copies one per pop, each reporting the
+  // copies its entry still held; spilled copies are single entries.
+  for (const std::uint32_t left : {3u, 2u, 1u}) {
+    const Event got = q.pop();
+    expect_same_event(got, ref.top());
+    ref.pop();
+    EXPECT_EQ(got.run, left);
+  }
+  EXPECT_EQ(q.pop().run, 1u);
+  ref.pop();
   drain_and_compare(q, ref);
+}
+
+TEST(CalendarQueueProperty, HalfConsumedRunSurvivesResizeBesideMigration) {
+  // A run half popped at the cursor tick when sustained overflow pressure
+  // rebuilds the wheel: the carry-over must move its remaining copies (not
+  // the whole run, not just one) and keep their seqs. In the same rebuild
+  // an overflow copy pushed early at tick 20 — whose tick the cursor came
+  // within reach of without migrating it — joins a bucket that already
+  // holds a newer run at tick 20, so it must be inserted ahead of it.
+  CalendarQueue q(4);
+  ASSERT_EQ(q.span(), 16u);
+  Oracle ref;
+  std::uint64_t seq = 0;
+  Event early;
+  early.t = 20;
+  early.seq = seq++;  // 20 - 0 >= 16: overflow
+  q.push(early);
+  ref.push(early);
+  push_run_at(q, ref, seq, 5, 4);  // seqs 1..4
+  for (const std::uint64_t want : {1u, 2u}) {
+    const Event got = q.pop();
+    expect_same_event(got, ref.top());
+    ref.pop();
+    ASSERT_EQ(got.seq, want);
+  }
+  push_run_at(q, ref, seq, 20, 3);  // seqs 5..7; 20 - 5 < 16: wheel
+  EXPECT_EQ(q.overflow_pushes(), 1u);
+  EXPECT_EQ(q.batch_reservations(), 2u);
+  // With the early copy, 32 resizable overflow pushes trip the rebuild.
+  for (Time i = 0; i < 31; ++i) {
+    Event far;
+    far.t = 105 + i;
+    far.seq = seq++;
+    q.push(far);
+    ref.push(far);
+  }
+  ASSERT_EQ(q.resizes(), 1u);
+  EXPECT_GT(q.span(), 16u);
+  EXPECT_EQ(q.size(), 2u + 1u + 3u + 31u);
+  EXPECT_EQ(q.wheel_pushes(), 4u + 3u);
+  EXPECT_EQ(q.overflow_pushes(), 1u + 31u);
+  // Remaining copies of the first run, then the migrated early copy, then
+  // the second run.
+  const std::pair<std::uint64_t, std::uint32_t> want[] = {
+      {3, 2}, {4, 1}, {0, 1}, {5, 3}, {6, 2}, {7, 1}};
+  for (const auto& [s, left] : want) {
+    const Event got = q.pop();
+    expect_same_event(got, ref.top());
+    ref.pop();
+    ASSERT_EQ(got.seq, s);
+    EXPECT_EQ(got.run, left);
+  }
+  drain_and_compare(q, ref);
+}
+
+TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndRecyclesDrainedLanes) {
+  CalendarQueue q(4);
+  Oracle ref;
+  std::uint64_t seq = 0;
+  push_run_at(q, ref, seq, 3, 6);  // seqs 0..5
+  Event ack;
+  ack.t = 3;
+  ack.kind = EventKind::kAck;
+  ack.seq = seq++;  // seq 6, the tick's ack lane
+  q.push(ack);
+  push_run_at(q, ref, seq, 4, 3);  // seqs 7..9
+  ASSERT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.spare_lane_count(), 0u);
+
+  // Part of a run: the next pop continues right after the dropped copies.
+  Event got = q.pop();
+  EXPECT_EQ(got.seq, 0u);
+  EXPECT_EQ(got.run, 6u);
+  q.discard_run(2);  // seqs 1, 2
+  EXPECT_EQ(q.size(), 7u);
+  got = q.pop();
+  EXPECT_EQ(got.seq, 3u);
+  EXPECT_EQ(got.run, 3u);
+  // The rest of a run: the deliver lane empties but the tick's ack keeps
+  // the bucket occupied, so nothing is recycled yet.
+  q.discard_run(2);  // seqs 4, 5
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.spare_lane_count(), 0u);
+  EXPECT_EQ(q.next_time(), 3u);
+  got = q.pop();
+  EXPECT_EQ(got.kind, EventKind::kAck);
+  EXPECT_EQ(got.seq, 6u);
+  // Tick 3 drained by a pop: its deliver and ack lanes park as spares.
+  EXPECT_EQ(q.spare_lane_count(), 2u);
+
+  // A discard that drains its bucket recycles the lane the same way.
+  got = q.pop();
+  EXPECT_EQ(got.seq, 7u);
+  q.discard_run(0);  // no-op
+  EXPECT_EQ(q.size(), 2u);
+  q.discard_run(2);  // seqs 8, 9
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.spare_lane_count(), 3u);
+  // Counters stay in copy units; a discard never lowers the peak.
+  EXPECT_EQ(q.peak_size(), 10u);
+  EXPECT_EQ(q.wheel_pushes(), 10u);
+
+  // The next occupied bucket adopts a parked lane, and the queue keeps
+  // ordering correctly after the drained ticks.
+  Oracle fresh;
+  push_run_at(q, fresh, seq, 9, 2);
+  EXPECT_EQ(q.spare_lane_count(), 2u);
+  drain_and_compare(q, fresh);
 }
 
 TEST(CalendarQueueProperty, WheelWrapAroundManyRevolutions) {

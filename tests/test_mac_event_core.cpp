@@ -321,7 +321,7 @@ LinkFaultPlan drop_dup_window_plan() {
 
 TEST(EngineDifferential, FaultedSynchronousCliqueUniformBatch) {
   // Synchronous rounds give uniform schedules, so the kept subset of each
-  // fan-out is one push_batch while deferred copies and duplicates take
+  // fan-out is one push_run entry while deferred copies and duplicates take
   // per-event pushes behind it.
   const auto g = net::make_clique(8);
   const LinkFaultPlan plan = drop_dup_window_plan();
@@ -365,8 +365,8 @@ TEST(EngineDifferential, FaultedRandomRingPerReceiver) {
 TEST(EngineDifferential, LateScriptedUniformSlotSpillsPastTheWheel) {
   // The script is written after construction, so the wheel was sized from
   // the empty script's fack() = 1 (16 buckets). Sender 0's first broadcast
-  // is one uniform fan-out landing at t = 200: push_batch has to spill it
-  // to the overflow heap. With the plan installed the spilled batch is the
+  // is one uniform fan-out landing at t = 200: push_run has to spill it
+  // to the overflow heap. With the plan installed the spilled run is the
   // kept subset only.
   const auto g = net::make_clique(8);
   const LinkFaultPlan plan = drop_dup_window_plan();
@@ -582,10 +582,11 @@ TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
 
 TEST(EngineAllocation, SoAUniformFanoutBatchPathAllocatesNothing) {
   // Dense clique + MaxDelayScheduler: every broadcast takes the SoA dense
-  // fast path (uniform schedule -> CalendarQueue::push_batch, bulk pending
-  // copy). After warm-up the whole fan-out cycle must be allocation-free,
-  // and every delivery must have been pushed through the wheel (batch
-  // reservations count as wheel pushes; nothing spills to the heap).
+  // fast path (uniform schedule -> one CalendarQueue::push_run entry, bulk
+  // pending copy). After warm-up the whole fan-out cycle must be
+  // allocation-free, and every delivery must have been pushed through the
+  // wheel (a run counts its copies as wheel pushes; nothing spills to the
+  // heap).
   const auto g = net::make_clique(12);
   MaxDelayScheduler sched(4);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },

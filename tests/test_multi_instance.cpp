@@ -14,7 +14,10 @@
 // Plus the completion hook: it fires exactly once after each event that
 // completes one or more instances (a decide, a crash, a vacuous
 // add_instance), never outside a run, while the post-event hook keeps
-// firing on every event.
+// firing on every event. And the retired-run fast path: a replicated log
+// whose retired slots' relay copies are dropped a run at a time
+// (CalendarQueue::discard_run) must be indistinguishable from the same
+// service popping every copy (forced by a no-op post-event hook).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,6 +25,7 @@
 #include "core/commit_flood.hpp"
 #include "core/wpaxos/wpaxos.hpp"
 #include "helpers.hpp"
+#include "log/replicated_log.hpp"
 #include "mac/engine.hpp"
 #include "mac/reference_engine.hpp"
 #include "mac/schedulers.hpp"
@@ -358,6 +362,186 @@ TEST(CompletionHook, InstanceAddedAfterTheRunCompletesWithoutFiring) {
   const InstanceId late = net.add_instance(testutil::probe_factory(1));
   ASSERT_TRUE(net.instance_all_decided(late));
   EXPECT_EQ(hooks.fired_at.size(), 1u);
+}
+
+// --- retired runs: bulk discard vs per-copy pops --------------------------
+
+/// Everything one replicated-log run exposes about its network.
+struct ServiceRecord {
+  std::uint64_t trace = 0;
+  EngineStats stats;
+  std::vector<InstanceStats> instances;
+  std::vector<Decision> decisions;  ///< instance-major, n per instance
+  bool complete = false;
+  Time end_time = 0;
+};
+
+/// Drives a 16-clique replicated log (batch 8, lease 64, window 4) with
+/// the trace digest on. `per_copy` installs a no-op post-event hook, which
+/// keeps the engine on the per-copy path for retired runs.
+template <typename MakeScheduler>
+ServiceRecord drive_log(MakeScheduler make_scheduler,
+                        const LinkFaultPlan& faults, bool per_copy) {
+  constexpr std::size_t n = 16;
+  const net::Graph graph = net::make_clique(n);
+  const auto scheduler = make_scheduler();
+  const log::Workload workload(0x5E1F, 4000);
+  log::LogConfig config;
+  config.batch_size = 8;
+  config.lease_slots = 64;
+  config.window = 4;
+  log::ReplicatedLog service(graph, *scheduler, workload, config);
+  Network& net = service.network();
+  net.enable_trace_digest();
+  net.set_link_faults(faults);
+  if (per_copy) net.set_post_event_hook([](Network&) {});
+  const log::LogServiceStats& st = service.drive(Time{1} << 30);
+
+  ServiceRecord r;
+  r.trace = net.trace_digest();
+  r.stats = net.stats();
+  r.complete = st.complete;
+  r.end_time = st.end_time;
+  for (InstanceId i = 0; i < net.instance_count(); ++i) {
+    r.instances.push_back(net.instance_stats(i));
+    for (NodeId u = 0; u < n; ++u) r.decisions.push_back(net.decision(u, i));
+  }
+  return r;
+}
+
+/// Every EngineStats field but discarded_copies, which names the path.
+void expect_same_engine_stats(const EngineStats& a, const EngineStats& b) {
+  EXPECT_EQ(a.broadcasts, b.broadcasts);
+  EXPECT_EQ(a.dropped_busy, b.dropped_busy);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.acks, b.acks);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.max_payload_bytes, b.max_payload_bytes);
+  EXPECT_EQ(a.peak_events, b.peak_events);
+  EXPECT_EQ(a.wheel_pushes, b.wheel_pushes);
+  EXPECT_EQ(a.overflow_pushes, b.overflow_pushes);
+  EXPECT_EQ(a.wheel_resizes, b.wheel_resizes);
+  EXPECT_EQ(a.batch_pushes, b.batch_pushes);
+  EXPECT_EQ(a.wheel_span, b.wheel_span);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.duplicates, b.duplicates);
+}
+
+void expect_same_instance_stats(const InstanceStats& a,
+                                const InstanceStats& b, InstanceId i) {
+  EXPECT_TRUE(TrafficStats(a) == TrafficStats(b)) << "instance " << i;
+  EXPECT_EQ(a.drops, b.drops) << "instance " << i;
+  EXPECT_EQ(a.duplicates, b.duplicates) << "instance " << i;
+  EXPECT_EQ(a.live_pool_slots, b.live_pool_slots) << "instance " << i;
+  EXPECT_EQ(a.peak_pool_slots, b.peak_pool_slots) << "instance " << i;
+  EXPECT_EQ(a.live_pool_bytes, b.live_pool_bytes) << "instance " << i;
+  EXPECT_EQ(a.peak_pool_bytes, b.peak_pool_bytes) << "instance " << i;
+}
+
+/// Runs the service both ways and demands identical observables; returns
+/// the bulk run's record.
+template <typename MakeScheduler>
+ServiceRecord expect_bulk_matches_per_copy(MakeScheduler make_scheduler,
+                                           const LinkFaultPlan& faults) {
+  const ServiceRecord bulk = drive_log(make_scheduler, faults, false);
+  const ServiceRecord copies = drive_log(make_scheduler, faults, true);
+  EXPECT_EQ(bulk.trace, copies.trace);
+  expect_same_engine_stats(bulk.stats, copies.stats);
+  EXPECT_EQ(copies.stats.discarded_copies, 0u);
+  EXPECT_EQ(bulk.complete, copies.complete);
+  EXPECT_EQ(bulk.end_time, copies.end_time);
+  EXPECT_EQ(bulk.instances.size(), copies.instances.size());
+  EXPECT_EQ(bulk.decisions.size(), copies.decisions.size());
+  if (bulk.instances.size() != copies.instances.size() ||
+      bulk.decisions.size() != copies.decisions.size()) {
+    return bulk;
+  }
+  for (InstanceId i = 0; i < bulk.instances.size(); ++i) {
+    expect_same_instance_stats(bulk.instances[i], copies.instances[i], i);
+    // Quiescent at the end: every flight drained, discarded runs included.
+    EXPECT_EQ(bulk.instances[i].live_pool_slots, 0u) << "instance " << i;
+  }
+  for (std::size_t k = 0; k < bulk.decisions.size(); ++k) {
+    EXPECT_EQ(bulk.decisions[k].decided, copies.decisions[k].decided) << k;
+    EXPECT_EQ(bulk.decisions[k].value, copies.decisions[k].value) << k;
+    EXPECT_EQ(bulk.decisions[k].time, copies.decisions[k].time) << k;
+  }
+  return bulk;
+}
+
+TEST(RetiredRuns, LockStepLogDiscardsInBulkLikePerCopyPops) {
+  const ServiceRecord bulk = expect_bulk_matches_per_copy(
+      [] { return std::make_unique<SynchronousScheduler>(1); },
+      LinkFaultPlan{});
+  EXPECT_TRUE(bulk.complete);
+  // Most of a lock-step clique's relay copies land on retired slots.
+  EXPECT_GT(bulk.stats.discarded_copies, bulk.stats.deliveries);
+}
+
+TEST(RetiredRuns, FaultedLogKeepsDeferredCopiesPastADiscardedRun) {
+  // Drops thin the kept runs; deferred copies (the window) and duplicates
+  // of a retired flight are single queue entries that land after its run
+  // was discarded, and must still drain the flight.
+  LinkFaultPlan plan;
+  plan.seed = 0xFA017;
+  plan.drop_rate_bp = 500;
+  plan.dup_rate_bp = 1500;
+  plan.windows.push_back(DropWindow{15, 3, 10, 200});
+  const ServiceRecord bulk = expect_bulk_matches_per_copy(
+      [] { return std::make_unique<SynchronousScheduler>(1); }, plan);
+  EXPECT_TRUE(bulk.complete);
+  EXPECT_GT(bulk.stats.drops, 0u);
+  EXPECT_GT(bulk.stats.duplicates, 0u);
+  EXPECT_GT(bulk.stats.discarded_copies, 0u);
+}
+
+TEST(RetiredRuns, RandomDelaysHaveNoRunsToDiscard) {
+  // The control: per-receiver delays queue every copy on its own, so both
+  // paths pop every copy.
+  const ServiceRecord bulk = expect_bulk_matches_per_copy(
+      [] { return std::make_unique<UniformRandomScheduler>(4, 0x5EED); },
+      LinkFaultPlan{});
+  EXPECT_TRUE(bulk.complete);
+  EXPECT_EQ(bulk.stats.batch_pushes, 0u);
+  EXPECT_EQ(bulk.stats.discarded_copies, 0u);
+}
+
+TEST(RetiredRuns, DiscardedCopiesLeaveTheInFlightSet) {
+  // A CommitFlood slot on a lock-step 8-clique, retired as soon as every
+  // node has decided (t=1), while every follower's relay run is still
+  // queued for t=2. Node 3's relay copy to node 5 is deferred to t=50, so
+  // node 3's flight outlives its discarded run. Between ticks, the copies
+  // for_each_in_flight visits must be exactly the ones in_flight_from
+  // counts: a discarded copy is gone from both.
+  const std::size_t n = 8;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  Network net(graph, commit_flood_factory(/*leader=*/0, 7), sched);
+  LinkFaultPlan plan;
+  plan.windows.push_back(DropWindow{3, 5, 0, 50});
+  net.set_link_faults(plan);
+
+  bool retired = false;
+  for (Time t = 0;; ++t) {
+    const bool quiescent = net.run(StopWhen::kQuiescent, t).condition_met;
+    if (!retired && net.instance_all_decided(0)) {
+      net.retire_instance(0);
+      retired = true;
+    }
+    std::size_t visited = 0;
+    net.for_each_in_flight(
+        [&](NodeId, NodeId, const util::Buffer&) { ++visited; });
+    std::size_t counted = 0;
+    for (NodeId u = 0; u < n; ++u) counted += net.in_flight_from(u, 0);
+    ASSERT_EQ(visited, counted) << "t=" << t;
+    if (t >= 2 && t < 50) {
+      EXPECT_EQ(visited, 1u) << "t=" << t;
+    }
+    if (quiescent) break;
+  }
+  ASSERT_TRUE(retired);
+  EXPECT_GT(net.stats().discarded_copies, 0u);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
 }
 
 }  // namespace
