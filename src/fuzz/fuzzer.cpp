@@ -19,26 +19,12 @@ namespace amac::fuzz {
 
 namespace {
 
-/// Raw observations from one engine execution; fingerprint covers every
-/// field plus per-node decisions, so two observations are behaviorally
-/// identical iff their fingerprints match (up to hash collision).
-struct Observation {
-  verify::ConsensusVerdict verdict;
-  mac::EngineStats stats;
-  mac::ProtocolStats protocol;
-  mac::Time end_time = 0;
-  bool condition_met = false;
-  std::uint64_t trace_digest = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t monitor_checks = 0;
-  bool monitor_violated = false;
-  std::string monitor_report;
-  std::size_t mid_flight_crashes = 0;
-};
-
+/// Runs and judges one instance scenario on one engine. The fingerprint
+/// covers the trace, verdict, stats and per-node decisions, so two runs
+/// are behaviorally identical iff their fingerprints match (up to hash
+/// collision).
 template <typename Net>
-Observation run_on_engine(const Scenario& s, bool with_monitor,
-                          bool collect_protocol = false) {
+RunReport run_on_engine(const Scenario& s) {
   BuiltScenario b = build_scenario(s);
   const std::size_t count = b.graph.node_count();
   Net net(b.graph, b.factory, *b.scheduler);
@@ -51,7 +37,7 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
   // construction, so the held deliveries must take the overflow-heap path.
   if (s.late_holds) apply_holds(s, b);
 
-  Observation obs;
+  RunReport r;
   // The Lemma 4.2 monitor reads calendar-engine internals; differential
   // replays on the reference engine skip it (it observes, never steers, so
   // its absence cannot change the reference run).
@@ -61,8 +47,7 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
     // eventually arrives exactly once); a non-empty fault plan deliberately
     // breaks that, so the monitor stands down rather than reporting
     // injected loss as a conservation bug.
-    if (with_monitor && s.algorithm == harness::Algorithm::kWPaxos &&
-        b.faults.empty()) {
+    if (s.algorithm == harness::Algorithm::kWPaxos && b.faults.empty()) {
       monitor.emplace(b.ids);
     }
   }
@@ -77,7 +62,7 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
             // A crash with copies still pending exercises the non-atomic
             // broadcast cancellation path (some neighbors receive, some
             // never do).
-            if (n.in_flight_from(u) > 0) ++obs.mid_flight_crashes;
+            if (n.in_flight_from(u) > 0) ++r.mid_flight_crashes;
           }
         }
       }
@@ -88,44 +73,39 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
   }
 
   const auto result = net.run(mac::StopWhen::kAllDecided, s.horizon);
-  obs.verdict = verify::check_consensus(net, b.inputs);
-  obs.stats = net.stats();
+  r.verdict = verify::check_consensus(net, b.inputs);
+  r.stats = net.stats();
   // Protocol stats are a post-run const read of process observables, so
-  // collecting them cannot perturb the run (the determinism regression
-  // pins digests equal with collection on and off). Reference-engine
-  // replays skip it: the protocol dimension never enters fingerprints.
+  // collecting them cannot perturb the run. Reference-engine replays skip
+  // it: the protocol dimension never enters fingerprints.
   if constexpr (std::is_same_v<Net, mac::Network>) {
-    if (collect_protocol) obs.protocol = harness::collect_protocol_stats(net);
+    r.protocol = harness::collect_protocol_stats(net);
   }
-  obs.end_time = result.end_time;
-  obs.condition_met = result.condition_met;
-  obs.trace_digest = net.trace_digest();
-  if (monitor.has_value()) {
-    obs.monitor_checks = monitor->checks_performed();
-    obs.monitor_violated = monitor->violated();
-    obs.monitor_report = monitor->report();
-  }
+  r.end_time = result.end_time;
+  r.condition_met = result.condition_met;
+  r.trace_digest = net.trace_digest();
+  if (monitor.has_value()) r.monitor_checks = monitor->checks_performed();
 
   util::Hasher h;
-  h.mix_u64(obs.trace_digest);
-  obs.verdict.digest(h);
-  h.mix_u64(obs.stats.broadcasts);
-  h.mix_u64(obs.stats.dropped_busy);
-  h.mix_u64(obs.stats.deliveries);
-  h.mix_u64(obs.stats.acks);
-  h.mix_u64(obs.stats.payload_bytes);
-  h.mix_u64(obs.stats.max_payload_bytes);
-  h.mix_u64(obs.stats.peak_events);
+  h.mix_u64(r.trace_digest);
+  r.verdict.digest(h);
+  h.mix_u64(r.stats.broadcasts);
+  h.mix_u64(r.stats.dropped_busy);
+  h.mix_u64(r.stats.deliveries);
+  h.mix_u64(r.stats.acks);
+  h.mix_u64(r.stats.payload_bytes);
+  h.mix_u64(r.stats.max_payload_bytes);
+  h.mix_u64(r.stats.peak_events);
   // Fault counters join the fingerprint only when the plan inflicted any:
   // fault-free runs keep the exact pre-fault fingerprint (the pinned
   // 504-corpus digest depends on this), while faulted differential pairs
   // must agree on the injected loss too.
-  if (obs.stats.drops != 0 || obs.stats.duplicates != 0) {
-    h.mix_u64(obs.stats.drops);
-    h.mix_u64(obs.stats.duplicates);
+  if (r.stats.drops != 0 || r.stats.duplicates != 0) {
+    h.mix_u64(r.stats.drops);
+    h.mix_u64(r.stats.duplicates);
   }
-  h.mix_u64(obs.end_time);
-  h.mix_bool(obs.condition_met);
+  h.mix_u64(r.end_time);
+  h.mix_bool(r.condition_met);
   for (NodeId u = 0; u < count; ++u) {
     const auto& d = net.decision(u);
     h.mix_bool(d.decided);
@@ -133,8 +113,25 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
     h.mix_u64(d.time);
     h.mix_bool(net.crashed(u));
   }
-  obs.fingerprint = h.digest();
-  return obs;
+  r.fingerprint = h.digest();
+
+  if (!r.verdict.agreement) {
+    r.failure = FailureKind::kAgreement;
+    r.detail = "agreement violated: " + r.verdict.summary();
+  } else if (!r.verdict.validity) {
+    r.failure = FailureKind::kValidity;
+    r.detail = "validity violated: " + r.verdict.summary();
+  } else if (monitor.has_value() && monitor->violated()) {
+    r.failure = FailureKind::kInvariant;
+    r.detail = monitor->report();
+  } else if (termination_expected(s) && !r.condition_met) {
+    r.failure = FailureKind::kTermination;
+    std::ostringstream os;
+    os << "termination expected but run stopped at t=" << r.end_time
+       << " (horizon " << s.horizon << "): " << r.verdict.summary();
+    r.detail = os.str();
+  }
+  return r;
 }
 
 /// Runs a log-service scenario (s.log_ops > 0): a log::ReplicatedLog over
@@ -250,47 +247,16 @@ RunReport run_scenario(const Scenario& s, const RunOptions& options) {
   // must not request it — run_soak_shard skips and counts those).
   if (s.log_ops > 0) return run_log_scenario(s);
 
-  const Observation obs = run_on_engine<mac::Network>(
-      s, options.with_monitor, options.collect_protocol_stats);
-
-  RunReport r;
-  r.verdict = obs.verdict;
-  r.stats = obs.stats;
-  r.protocol = obs.protocol;
-  r.end_time = obs.end_time;
-  r.condition_met = obs.condition_met;
-  r.trace_digest = obs.trace_digest;
-  r.fingerprint = obs.fingerprint;
-  r.monitor_checks = obs.monitor_checks;
-  r.mid_flight_crashes = obs.mid_flight_crashes;
-
-  if (!obs.verdict.agreement) {
-    r.failure = FailureKind::kAgreement;
-    r.detail = "agreement violated: " + obs.verdict.summary();
-  } else if (!obs.verdict.validity) {
-    r.failure = FailureKind::kValidity;
-    r.detail = "validity violated: " + obs.verdict.summary();
-  } else if (obs.monitor_violated) {
-    r.failure = FailureKind::kInvariant;
-    r.detail = obs.monitor_report;
-  } else if (termination_expected(s) && !obs.condition_met) {
-    r.failure = FailureKind::kTermination;
-    std::ostringstream os;
-    os << "termination expected but run stopped at t=" << obs.end_time
-       << " (horizon " << s.horizon << "): " << obs.verdict.summary();
-    r.detail = os.str();
-  }
-
+  RunReport r = run_on_engine<mac::Network>(s);
   if (options.differential && r.failure == FailureKind::kNone) {
-    const Observation ref =
-        run_on_engine<mac::ReferenceNetwork>(s, /*with_monitor=*/false);
+    const RunReport ref = run_on_engine<mac::ReferenceNetwork>(s);
     r.differential_ran = true;
     r.reference_fingerprint = ref.fingerprint;
-    if (ref.fingerprint != obs.fingerprint) {
+    if (ref.fingerprint != r.fingerprint) {
       r.failure = FailureKind::kDifferential;
       std::ostringstream os;
       os << "engine divergence: calendar fingerprint " << std::hex
-         << obs.fingerprint << " (trace " << obs.trace_digest
+         << r.fingerprint << " (trace " << r.trace_digest
          << ") vs reference " << ref.fingerprint << " (trace "
          << ref.trace_digest << ")";
       r.detail = os.str();
@@ -530,12 +496,11 @@ namespace {
 }  // namespace
 
 ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
-                             const RunOptions& options,
-                             const ShrinkOptions& shrink) {
+                             std::size_t max_attempts) {
   AMAC_EXPECTS(kind != FailureKind::kNone);
   // Differential divergences need the differential replay to reproduce;
   // every other kind shrinks faster without it.
-  RunOptions run_options = options;
+  RunOptions run_options;
   run_options.differential = kind == FailureKind::kDifferential;
 
   ShrinkResult res;
@@ -548,7 +513,7 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
   /// with the same kind.
   const auto try_candidate =
       [&](const Scenario& cand) -> std::optional<RunReport> {
-    if (res.attempts >= shrink.max_attempts) return std::nullopt;
+    if (res.attempts >= max_attempts) return std::nullopt;
     ++res.attempts;
     RunReport rep = run_scenario(cand, run_options);
     if (rep.failure != kind) return std::nullopt;
@@ -565,7 +530,7 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
     bool reduced = false;
     mac::Time lo = floor;
     mac::Time hi = current;
-    while (lo < hi && res.attempts < shrink.max_attempts) {
+    while (lo < hi && res.attempts < max_attempts) {
       const mac::Time mid = lo + (hi - lo) / 2;
       Scenario cand = res.scenario;
       set(cand, mid);
@@ -584,12 +549,12 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
   };
 
   bool progress = true;
-  while (progress && res.attempts < shrink.max_attempts) {
+  while (progress && res.attempts < max_attempts) {
     progress = false;
 
     // Phase 1: greedy structural reduction (drop entries, shrink n/fack).
     bool improved = true;
-    while (improved && res.attempts < shrink.max_attempts) {
+    while (improved && res.attempts < max_attempts) {
       improved = false;
       for (const Scenario& cand : shrink_candidates(res.scenario)) {
         if (auto rep = try_candidate(cand)) {
@@ -600,10 +565,9 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
           progress = true;
           break;  // restart the candidate scan from the smaller scenario
         }
-        if (res.attempts >= shrink.max_attempts) break;
+        if (res.attempts >= max_attempts) break;
       }
     }
-    if (!shrink.minimize_values) break;
 
     // Phase 2: schedule-space value minimization over what survived.
     // Value edits never change entry counts, so indexing by position is
@@ -720,17 +684,11 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
   out.first_index = shard.first_index;
   out.fingerprints.reserve(shard.count);
   SoakResult& result = out.local;
-  util::Hasher corpus_hash;
   CoverageCorpus corpus(options.corpus_max);
   // Pre-seeded bases carry no observed signature yet (sig_key 0, hits 0):
   // rarity weighting treats them as maximally rare, so a resumed nightly
   // frontier is mutated first (every shard resumes from the full frontier).
   for (const Scenario& s : options.initial_corpus) corpus.admit(s);
-  // Distinct projections of every observed signature: the engine-only
-  // (PR-4) space and the protocol-only space, reported separately so CI
-  // can assert the protocol dimension strictly refines engine coverage.
-  std::set<std::uint64_t>& engine_seen = out.engine_keys;
-  std::set<std::uint64_t>& protocol_seen = out.protocol_keys;
   // The mutation stream is salted off the shard's FIRST SEED, so mutant
   // interleaving is shard-local and a mutating soak is exactly
   // reproducible for a fixed (seed-base, count, jobs) triple. A
@@ -830,7 +788,6 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     if (diff_due && (diff_too_large || diff_log)) {
       ++result.differential_skipped;
     }
-    run_options.collect_protocol_stats = options.collect_protocol_stats;
     const RunReport report = run_scenario(s, run_options);
 
     ++result.runs;
@@ -851,19 +808,12 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     // Family membership, not promotion: mutants that entered via the
     // kLogService op and pre-seeded log corpus entries count too.
     if (s.log_ops > 0) ++result.log_scenarios;
-    corpus_hash.mix_u64(report.fingerprint);
     out.fingerprints.push_back(report.fingerprint);
 
     const CoverageSignature sig = coverage_signature(s, report);
-    if (engine_seen.insert(sig.engine_key()).second) {
-      ++result.coverage.engine_distinct;
-    }
-    if (protocol_seen.insert(sig.protocol_key()).second) {
-      ++result.coverage.protocol_distinct;
-    }
+    out.engine_keys.insert(sig.engine_key());
+    out.protocol_keys.insert(sig.protocol_key());
     if (corpus.observe(sig)) {
-      ++result.novel_runs;
-      note_signature(result.coverage, sig);
       out.signatures.emplace(sig.key(), sig);
       // Only clean runs become mutation bases: mutating a known violation
       // would just keep re-finding it.
@@ -876,10 +826,7 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
       failure.minimal = s;
       failure.report = report;
       if (options.shrink_failures) {
-        ShrinkOptions shrink;
-        shrink.max_attempts = options.max_shrink_attempts;
-        auto shrunk =
-            shrink_scenario(s, report.failure, run_options, shrink);
+        auto shrunk = shrink_scenario(s, report.failure);
         failure.minimal = std::move(shrunk.scenario);
         failure.report = std::move(shrunk.report);
       }
@@ -888,7 +835,6 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     if (options.on_scenario) options.on_scenario(i, s, report);
   }
   result.corpus = corpus.entries();
-  result.corpus_digest = corpus_hash.digest();
   return out;
 }
 
@@ -946,9 +892,6 @@ SoakResult merge_soak_shards(const SoakOptions& options,
       }
     }
   }
-  // novel_runs counts first-time signature keys; chronology doesn't matter
-  // — any partition observes each distinct key as novel exactly once.
-  out.novel_runs = signatures.size();
   out.coverage.engine_distinct = engine_keys.size();
   out.coverage.protocol_distinct = protocol_keys.size();
   out.engine_keys = std::move(engine_keys);

@@ -80,11 +80,10 @@
 // by their existence.
 //
 // Bounded-loss envelope rules (clamp_to_envelope): synchronous-only
-// algorithms get no faults at all; two-phase keeps only deferral faults
-// (zero drop rate, finite windows — permanent loss genuinely breaks its
-// agreement); wPAXOS never sees duplicate rates (acceptor responses carry
-// tallied counts with no dedup); flooding and Ben-Or take arbitrary loss
-// and duplication. Termination is demanded only of fault-free or
+// algorithms get no faults at all; the others keep deferral faults (finite
+// windows) always, and permanent loss and duplicate rates only where their
+// kEnvelopes row marks them safe (two-phase: no permanent loss; wPAXOS: no
+// duplicates). Termination is demanded only of fault-free or
 // deferral-only scenarios (rates zero, every window finite);
 // agreement/validity stay demanded ALWAYS. The Lemma 4.2 monitor assumes
 // reliable delivery, so it is gated off whenever the plan is non-empty.
@@ -131,8 +130,6 @@
 //   --corpus-out FILE   write the final corpus as spec lines (one per line)
 //   --corpus-in FILE    pre-seed the mutation corpus from such a file
 //                       (# and blank lines are skipped)
-//   --no-protocol-stats A/B switch: skip ProtocolStats collection (the
-//                       engine-only signature space; digests identical)
 //   --sig-version       print kSignatureSpaceVersion and exit
 //
 // The nightly lane (.github/workflows/nightly.yml) runs a long-horizon
@@ -193,10 +190,11 @@
 // AND mutator evolution.
 //
 // Extending coverage: a new algorithm joins by extending
-// harness::Algorithm + algorithm_factory and teaching generate_scenario its
-// envelope (topology/scheduler/crash constraints) plus clamp_to_envelope
-// the same constraints; a new scheduler joins via SchedulerKind +
-// build_scenario. Everything downstream — oracle, differential replay,
+// harness::Algorithm + algorithm_factory and adding its row to kEnvelopes
+// (fuzz/scenario.hpp: synchronous-only, single-hop, knows-D, multivalued,
+// crash envelope, loss and duplicate safety). The generator, the mutation
+// clamp, the termination oracle and the builders all read that row; a new
+// scheduler joins via SchedulerKind + build_scenario. Everything downstream — oracle, differential replay,
 // coverage signatures, mutation, shrinking, soak lane, repro specs — is
 // inherited. A new engine-path counter becomes a coverage dimension by
 // extending CoverageSignature and coverage_signature(); a new ALGORITHM
@@ -230,19 +228,13 @@ enum class FailureKind : std::uint8_t {
 
 struct RunOptions {
   bool differential = false;  ///< also replay on the reference engine
-  bool with_monitor = true;   ///< wPAXOS Lemma 4.2 monitor (wpaxos only)
-  /// Collect mac::ProtocolStats after the run (a post-run const read of
-  /// process observables — provably perturbation-free; the determinism
-  /// regression in tests/test_fuzz_smoke.cpp asserts digests are
-  /// bit-identical with this on and off).
-  bool collect_protocol_stats = true;
 };
 
 /// Everything observed from one scenario execution.
 struct RunReport {
   verify::ConsensusVerdict verdict;
   mac::EngineStats stats;
-  mac::ProtocolStats protocol;  ///< algorithm-level counters (when collected)
+  mac::ProtocolStats protocol;  ///< algorithm-level counters
   mac::Time end_time = 0;
   bool condition_met = false;
   std::uint64_t trace_digest = 0;  ///< engine event-trace digest
@@ -456,14 +448,6 @@ class CoverageCorpus {
 
 // ---- shrinking ----------------------------------------------------------
 
-struct ShrinkOptions {
-  std::size_t max_attempts = 150;  ///< total candidate re-runs
-  /// Phase 2 (schedule-space value minimization): binary-search each
-  /// surviving hold release and crash time toward 0 and fack toward 1.
-  /// On by default; off reproduces the PR-2 structural-only shrinker.
-  bool minimize_values = true;
-};
-
 struct ShrinkResult {
   Scenario scenario;           ///< the minimal still-failing scenario
   RunReport report;            ///< its failing report
@@ -474,17 +458,17 @@ struct ShrinkResult {
 /// Two-phase scenario minimization. Phase 1 (structural, greedy):
 /// repeatedly tries dropping crashes and holds, halving/decrementing n,
 /// and lowering the delay bound, keeping any transform after which the run
-/// still fails with the SAME FailureKind. Phase 2 (schedule-space, when
-/// ShrinkOptions::minimize_values): binary-searches each surviving hold
-/// release and crash time toward 0 and fack toward 1, so the minimal spec
-/// carries threshold values — for monotone failures, decrementing any
-/// minimized value makes the violation disappear. The phases alternate
-/// until a fixpoint or the attempt budget runs out.
-/// Requires run_scenario(s, options).failure == kind.
+/// still fails with the SAME FailureKind. Phase 2 (schedule-space):
+/// binary-searches each surviving hold release and crash time toward 0 and
+/// fack toward 1, so the minimal spec carries threshold values — for
+/// monotone failures, decrementing any minimized value makes the violation
+/// disappear. The phases alternate until a fixpoint or `max_attempts`
+/// candidate runs are spent. Candidates replay on the reference engine too
+/// exactly when `kind` is kDifferential. Requires run_scenario(s,
+/// {.differential = kind == kDifferential}).failure == kind.
 [[nodiscard]] ShrinkResult shrink_scenario(const Scenario& s,
                                            FailureKind kind,
-                                           const RunOptions& options = {},
-                                           const ShrinkOptions& shrink = {});
+                                           std::size_t max_attempts = 150);
 
 // ---- soak loop ----------------------------------------------------------
 
@@ -503,7 +487,6 @@ struct SoakOptions {
   /// engine (0 disables differential sampling).
   std::size_t differential_every = 7;
   bool shrink_failures = true;
-  std::size_t max_shrink_attempts = 150;
   /// Fraction of runs spent mutating coverage-corpus entries instead of
   /// generating from the seed stream. 0 (the default) disables mutation
   /// entirely and reproduces the PR-2/3 soak bit for bit — the pinned
@@ -512,10 +495,6 @@ struct SoakOptions {
   double mutate_ratio = 0.0;
   /// Bound on the mutation corpus (signature-novel scenarios kept).
   std::size_t corpus_max = 256;
-  /// Collect ProtocolStats per run (see RunOptions::collect_protocol_stats;
-  /// off reproduces the engine-only signature space for A/B assertions —
-  /// digests are bit-identical either way).
-  bool collect_protocol_stats = true;
   /// Soak-wide link-fault floors (--fault-rate / --dup-rate, fractions in
   /// [0, 1]): every scenario's drop/duplicate rate is raised to at least
   /// this much, then clamped back into its algorithm's bounded-loss
@@ -618,7 +597,6 @@ struct SoakResult {
   std::uint64_t duplicated_frames = 0;
   std::size_t faulted_scenarios = 0;
   std::size_t mutated_runs = 0;     ///< runs drawn from the mutation engine
-  std::size_t novel_runs = 0;       ///< runs with a never-seen signature
   std::size_t large_scenarios = 0;  ///< runs promoted to the large family
   std::size_t log_scenarios = 0;    ///< runs in the log-service family
                                     ///< (promoted, mutated, or pre-seeded)
@@ -694,8 +672,9 @@ struct ShardSoakResult {
   std::map<std::uint64_t, CoverageSignature> signatures;
   std::set<std::uint64_t> engine_keys;    ///< distinct engine projections
   std::set<std::uint64_t> protocol_keys;  ///< distinct protocol projections
-  /// Shard-local counters, failures, and mutation corpus (its coverage
-  /// table describes this shard alone; the merge recomputes the union).
+  /// Shard-local run counters, failures, and mutation corpus. Its coverage
+  /// table, key sets and corpus digest stay empty: merge_soak_shards
+  /// derives them from the fields above.
   SoakResult local;
 };
 

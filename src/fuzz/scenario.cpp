@@ -83,22 +83,6 @@ constexpr std::uint64_t kLogSalt = 0x10654A17;
   return net::Graph(1);
 }
 
-[[nodiscard]] bool needs_diameter(Algorithm a) {
-  return a == Algorithm::kAnonymous || a == Algorithm::kStability;
-}
-
-[[nodiscard]] bool synchronous_only(Algorithm a) {
-  // Theorems 3.3 / 3.9: outside the synchronous scheduler these algorithms
-  // genuinely violate agreement, so the generator never pairs them with an
-  // adversarial scheduler (hand-written specs still can, to reproduce the
-  // paper's counterexamples).
-  return a == Algorithm::kAnonymous || a == Algorithm::kStability;
-}
-
-[[nodiscard]] bool single_hop_only(Algorithm a) {
-  return a == Algorithm::kTwoPhase || a == Algorithm::kBenOr;
-}
-
 [[nodiscard]] std::string_view name_of(std::span<const std::string_view> names,
                                        auto value) {
   const auto i = static_cast<std::size_t>(value);
@@ -137,21 +121,13 @@ bool termination_expected(const Scenario& s) {
   for (const auto& w : s.faults) {
     if (w.until_tick == mac::kForever) return false;
   }
-  switch (s.algorithm) {
-    case Algorithm::kTwoPhase:
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-    case Algorithm::kAnonymous:
-    case Algorithm::kStability:
-      // Deterministic algorithms: Theorem 3.2 says one crash may already
-      // cost liveness, so the oracle demands termination only crash-free.
-      return s.crashes.empty();
-    case Algorithm::kBenOr:
-      // Randomized: lives up to its declared f (normalize keeps f < n/2).
-      return s.crashes.size() <= s.benor_f;
+  // Deterministic algorithms: Theorem 3.2 says one crash may already cost
+  // liveness, so the oracle demands termination only crash-free. Ben-Or is
+  // randomized and lives up to its declared f (normalize keeps f < n/2).
+  if (envelope(s.algorithm).crashes == CrashEnvelope::kUpToF) {
+    return s.crashes.size() <= s.benor_f;
   }
-  AMAC_ASSERT(false);
-  return false;
+  return s.crashes.empty();
 }
 
 void normalize_scenario(Scenario& s) {
@@ -231,7 +207,7 @@ void normalize_scenario(Scenario& s) {
     }
     s.fack = max_ack;
   }
-  if (s.algorithm == Algorithm::kBenOr) {
+  if (envelope(s.algorithm).crashes == CrashEnvelope::kUpToF) {
     const std::size_t max_f = (count - 1) / 2;
     s.benor_f = std::min(s.benor_f, max_f);
     if (s.crashes.size() > s.benor_f) s.crashes.resize(s.benor_f);
@@ -290,44 +266,36 @@ constexpr std::uint32_t kMaxMutatedLogLease = 32;
   }
 }
 
-[[nodiscard]] bool crashes_allowed(const Scenario& s) {
-  switch (s.algorithm) {
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-      return s.crashes.size() < kMaxMutatedCrashes;
-    case Algorithm::kBenOr:
-      return s.crashes.size() < s.benor_f;
-    default:
-      return false;  // crash-intolerant: mutants stay crash-free
+/// How many crashes a mutant may carry: none for crash-intolerant rows,
+/// the mutation cap for safety-only ones, and Ben-Or's declared f.
+[[nodiscard]] std::size_t crash_cap(const Scenario& s) {
+  switch (envelope(s.algorithm).crashes) {
+    case CrashEnvelope::kNone: return 0;
+    case CrashEnvelope::kSafetyOnly: return kMaxMutatedCrashes;
+    case CrashEnvelope::kUpToF: return s.benor_f;
   }
+  AMAC_ASSERT(false);
+  return 0;
 }
 
-// Link-fault envelope per algorithm. Faults only go where SAFETY survives
-// them (termination_expected separately withdraws the liveness demand on
-// lossy plans), so a faulted mutant violation is a real bug:
-//   * synchronous-only algorithms (Theorems 3.3/3.9) get no faults at all —
-//     under them any asynchrony is an expected counterexample;
-//   * two-phase loses agreement under permanent loss (a decided node's
-//     phase-1 and phase-2 messages can both vanish toward one witness, which
-//     then completes its witness wait on the other value), so it keeps only
-//     deferral faults: zero drop rate, finite windows;
-//   * wpaxos acceptor responses carry tallied counts with no dedup, so
-//     duplicate faults are withheld; loss is safe (monotone acceptor state
-//     plus quorum intersection);
-//   * flooding and Ben-Or tolerate arbitrary loss and duplication.
+// Link faults only go where SAFETY survives them (termination_expected
+// separately withdraws the liveness demand on lossy plans), so a faulted
+// mutant violation is a real bug. Synchronous-only rows get no faults at
+// all; the others take deferral faults always, and permanent loss and
+// duplicates as their kEnvelopes row says.
 [[nodiscard]] bool faults_allowed(const Scenario& s) {
   // The log service owns its Network and exposes no LinkFaultPlan seam, so
   // the log family carries no faults (clamp scrubs them; the gate here just
   // keeps fault ops from producing no-op mutants).
-  return !synchronous_only(s.algorithm) && s.log_ops == 0;
+  return !envelope(s.algorithm).synchronous_only && s.log_ops == 0;
 }
 
 [[nodiscard]] bool permanent_loss_allowed(const Scenario& s) {
-  return faults_allowed(s) && s.algorithm != Algorithm::kTwoPhase;
+  return faults_allowed(s) && envelope(s.algorithm).permanent_loss_safe;
 }
 
 [[nodiscard]] bool duplicates_allowed(const Scenario& s) {
-  return faults_allowed(s) && s.algorithm != Algorithm::kWPaxos;
+  return faults_allowed(s) && envelope(s.algorithm).duplicates_safe;
 }
 
 /// Applies `op` to `s` in place. Returns false when the op does not apply
@@ -379,7 +347,7 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
                                           rng.uniform(0, s.holds.size() - 1)));
       return true;
     case MutationOp::kAddCrash: {
-      if (!crashes_allowed(s)) return false;
+      if (s.crashes.size() >= crash_cap(s)) return false;
       CrashSpec c;
       c.node = static_cast<NodeId>(rng.uniform(0, s.n - 1));
       c.when = clamp_time(rng.uniform(1, 6 * s.fack + 2 * s.n), 1,
@@ -423,7 +391,9 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       // never get one either: scripts index a one-shot instance's
       // broadcasts, which means nothing to a slot sequence (clamp would
       // scrub it into a no-op mutant).
-      if (synchronous_only(s.algorithm) || s.log_ops > 0) return false;
+      if (envelope(s.algorithm).synchronous_only || s.log_ops > 0) {
+        return false;
+      }
       s.scheduler = SchedulerKind::kScripted;
       s.holds.clear();
       s.late_holds = false;
@@ -673,32 +643,20 @@ void clamp_to_envelope(Scenario& s) {
         std::clamp<std::uint32_t>(s.log_window, 1, kMaxMutatedLogWindow);
     s.log_lease = std::clamp<std::uint32_t>(s.log_lease, 1, kMaxMutatedLogLease);
   }
-  // Mirror generate_scenario's envelope: Theorem 3.3/3.9 algorithms are
-  // synchronous-only and crash-free; single-hop algorithms live on the
-  // clique; crashes only go where safety (or Ben-Or's f) covers them.
-  if (synchronous_only(s.algorithm)) {
-    s.scheduler = SchedulerKind::kSynchronous;
-    s.crashes.clear();
-  }
-  if (single_hop_only(s.algorithm)) {
+  // The algorithm's kEnvelopes row, as generate_scenario draws it.
+  const Envelope& env = envelope(s.algorithm);
+  if (env.synchronous_only) s.scheduler = SchedulerKind::kSynchronous;
+  if (env.single_hop) {
     s.topology = TopologyKind::kClique;
     s.aux = 0;
   }
-  switch (s.algorithm) {
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-      if (s.crashes.size() > kMaxMutatedCrashes) {
-        s.crashes.resize(kMaxMutatedCrashes);
-      }
-      break;
-    case Algorithm::kBenOr:
-      break;  // normalize_scenario enforces crashes <= f < n/2
-    default:
-      s.crashes.clear();  // crash-intolerant deterministic algorithms
+  // Ben-Or's cap is left to normalize_scenario, which first drops crashes
+  // on out-of-range nodes and then enforces crashes <= f < n/2.
+  if (env.crashes != CrashEnvelope::kUpToF &&
+      s.crashes.size() > crash_cap(s)) {
+    s.crashes.resize(crash_cap(s));
   }
-  const bool multi_ok = s.algorithm == Algorithm::kFlooding ||
-                        s.algorithm == Algorithm::kWPaxos;
-  if (!multi_ok && s.inputs == InputPattern::kMultivalued) {
+  if (!env.multivalued && s.inputs == InputPattern::kMultivalued) {
     s.inputs = InputPattern::kSplit;
   }
   s.fack = clamp_time(s.fack, 1, kMaxMutatedFack);
@@ -714,10 +672,9 @@ void clamp_to_envelope(Scenario& s) {
       delay = clamp_time(delay, 1, t.ack);
     }
   }
-  // Link faults stay inside each algorithm's bounded-loss envelope (see
-  // faults_allowed and friends above): synchronous-only algorithms get
-  // none, two-phase keeps only deferral faults (no permanent loss), wpaxos
-  // never sees duplicates, and rates/windows stay inside mutation bounds.
+  // Link faults stay inside the row's bounded-loss envelope (see
+  // faults_allowed and friends above), and rates/windows inside mutation
+  // bounds.
   if (!faults_allowed(s)) {
     s.drop_rate_bp = 0;
     s.dup_rate_bp = 0;
@@ -775,10 +732,11 @@ Scenario generate_scenario(std::uint64_t seed) {
   Scenario s;
   s.seed = seed;
   s.algorithm = static_cast<Algorithm>(rng.uniform(0, 5));
+  const Envelope& env = envelope(s.algorithm);
 
   // Topology: single-hop algorithms get the clique; the rest roam the
   // whole family.
-  if (single_hop_only(s.algorithm)) {
+  if (env.single_hop) {
     s.topology = TopologyKind::kClique;
   } else {
     s.topology =
@@ -812,7 +770,7 @@ Scenario generate_scenario(std::uint64_t seed) {
   // range is pinned to the GENERATED kinds (kScripted is mutation-only), so
   // adding scripted timelines did not move a single generated scenario —
   // the 504-corpus digest is bit-identical across that change.
-  if (synchronous_only(s.algorithm)) {
+  if (env.synchronous_only) {
     s.scheduler = SchedulerKind::kSynchronous;
   } else {
     s.scheduler = static_cast<SchedulerKind>(
@@ -837,11 +795,9 @@ Scenario generate_scenario(std::uint64_t seed) {
 
   // Inputs: binary patterns everywhere; multivalued only where the
   // algorithm supports general values.
-  const bool multi_ok = s.algorithm == Algorithm::kFlooding ||
-                        s.algorithm == Algorithm::kWPaxos;
   s.inputs = static_cast<InputPattern>(
-      rng.uniform(0, multi_ok ? kInputPatternCount - 1
-                              : kInputPatternCount - 2));
+      rng.uniform(0, env.multivalued ? kInputPatternCount - 1
+                                     : kInputPatternCount - 2));
   s.ids = rng.chance(0.5) ? IdAssignment::kPermuted : IdAssignment::kIdentity;
 
   // Crash schedule, inside each algorithm's envelope. Crash times target
@@ -855,19 +811,17 @@ Scenario generate_scenario(std::uint64_t seed) {
       s.crashes.push_back(c);
     }
   };
-  switch (s.algorithm) {
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-      // Safety-only territory: a third of the runs get crashes.
+  switch (env.crashes) {
+    case CrashEnvelope::kNone:
+      break;
+    case CrashEnvelope::kSafetyOnly:
+      // A third of the runs get crashes.
       if (rng.chance(0.33)) draw_crashes(rng.uniform(1, 2));
       break;
-    case Algorithm::kBenOr: {
+    case CrashEnvelope::kUpToF:
       s.benor_f = rng.uniform(0, (count - 1) / 2);
       if (s.benor_f > 0) draw_crashes(rng.uniform(0, s.benor_f));
       break;
-    }
-    default:
-      break;  // crash-intolerant: generator keeps them crash-free
   }
 
   normalize_scenario(s);
@@ -883,7 +837,7 @@ void promote_to_large(Scenario& s, std::uint32_t n) {
   // Theta(n^2) edges, and Ben-Or's coin convergence needs tiny n anyway.
   // Flooding accepts every topology, scheduler, crash set, and fault plan,
   // so it inherits the rest of the scenario unchanged.
-  if (single_hop_only(s.algorithm)) s.algorithm = Algorithm::kFlooding;
+  if (envelope(s.algorithm).single_hop) s.algorithm = Algorithm::kFlooding;
   // Liveness-checked wPAXOS cannot scale either: n concurrent proposers
   // duel, and convergence time at n >= 1024 has no bound a soak can wait
   // out (a promoted crash-free run would be held against its 1M-tick
@@ -1385,8 +1339,7 @@ BuiltScenario build_scenario(const Scenario& s) {
   params.ids = b.ids;
   params.benor_f = s.benor_f;
   params.seed = s.seed;
-  if (s.algorithm == harness::Algorithm::kAnonymous ||
-      s.algorithm == harness::Algorithm::kStability) {
+  if (envelope(s.algorithm).knows_diameter) {
     // Only the D-knowledge algorithms pay for this, and Graph::diameter is
     // double-sweep + iFUB (not all-pairs BFS), so a 4096-node build stays
     // sub-second — pinned by the wall-clock regression in test_net_graph.

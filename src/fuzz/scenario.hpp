@@ -13,8 +13,8 @@
 //
 // `generate_scenario(seed)` draws every dimension from a single util::Rng
 // stream and only emits combinations inside the algorithms' guarantee
-// envelopes (e.g. the Theorem 3.3/3.9 algorithms only ever get the
-// synchronous scheduler, crash schedules only go to crash-tolerant or
+// envelopes (kEnvelopes: e.g. the Theorem 3.3/3.9 algorithms only ever get
+// the synchronous scheduler, crash schedules only go to crash-tolerant or
 // safety-only-checked algorithms). Hand-written specs may step outside the
 // envelope — that is how the paper's own counterexample schedules are
 // reproduced with the same tooling (see tests/test_fuzz_regressions.cpp).
@@ -188,6 +188,90 @@ inline constexpr std::array<std::string_view, 2> kIdAssignmentNames = {
 [[nodiscard]] const char* input_pattern_name(InputPattern p);
 [[nodiscard]] const char* id_assignment_name(IdAssignment a);
 
+// ---- guarantee envelopes --------------------------------------------------
+//
+// What each algorithm's guarantees cover, one row per harness::Algorithm.
+// termination_expected, normalize_scenario, generate_scenario,
+// clamp_to_envelope, the mutation ops, promote_to_large and build_scenario
+// all read these rows, so a new algorithm joins the fuzzer with one row
+// plus its factory.
+
+/// Which crash schedules an algorithm's guarantees cover.
+enum class CrashEnvelope : std::uint8_t {
+  kNone,        ///< crash-intolerant: runs stay crash-free
+  kSafetyOnly,  ///< safe under crashes; live only crash-free (Theorem 3.2)
+  kUpToF,       ///< live with up to benor_f < n/2 crashes (randomized)
+};
+
+/// One row of kEnvelopes. Unlisted fields default to the narrowest
+/// envelope: any scheduler and topology, binary inputs, no crashes, and no
+/// loss or duplication beyond deferral.
+struct Envelope {
+  harness::Algorithm algorithm;
+  /// Theorems 3.3/3.9: under any other scheduler the algorithm genuinely
+  /// violates agreement, so such runs are counterexamples, not bugs. Such
+  /// rows take no link faults at all.
+  bool synchronous_only = false;
+  bool single_hop = false;      ///< clique only
+  bool knows_diameter = false;  ///< the factory takes the graph's diameter D
+  bool multivalued = false;     ///< general-value inputs, not just binary
+  CrashEnvelope crashes = CrashEnvelope::kNone;
+  // Which loss patterns must stay safe (Newport-Robinson, arXiv:1810.02848);
+  // termination_expected withdraws the liveness demand under either.
+  /// Agreement survives permanent loss (rate drops, kForever windows).
+  /// Two-phase does not: a decided node's phase-1 and phase-2 messages can
+  /// both vanish toward one witness, which then decides the other value.
+  bool permanent_loss_safe = false;
+  /// Agreement survives duplicated deliveries. wPAXOS does not: acceptor
+  /// responses carry tallied counts with no dedup.
+  bool duplicates_safe = false;
+};
+
+/// Rows in harness::Algorithm order (static_asserted below). The stability
+/// row roams every topology although core/stability.hpp claims correctness
+/// only on a standalone line L_D; that pairing is how the multihop
+/// agreement failure at seed 30047583 surfaced.
+inline constexpr std::array<Envelope, harness::kAlgorithmCount> kEnvelopes = {{
+    {.algorithm = harness::Algorithm::kTwoPhase,
+     .single_hop = true,
+     .duplicates_safe = true},
+    {.algorithm = harness::Algorithm::kFlooding,
+     .multivalued = true,
+     .crashes = CrashEnvelope::kSafetyOnly,
+     .permanent_loss_safe = true,
+     .duplicates_safe = true},
+    {.algorithm = harness::Algorithm::kWPaxos,
+     .multivalued = true,
+     .crashes = CrashEnvelope::kSafetyOnly,
+     .permanent_loss_safe = true},
+    {.algorithm = harness::Algorithm::kAnonymous,
+     .synchronous_only = true,
+     .knows_diameter = true},
+    {.algorithm = harness::Algorithm::kStability,
+     .synchronous_only = true,
+     .knows_diameter = true},
+    {.algorithm = harness::Algorithm::kBenOr,
+     .single_hop = true,
+     .crashes = CrashEnvelope::kUpToF,
+     .permanent_loss_safe = true,
+     .duplicates_safe = true},
+}};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kEnvelopes.size(); ++i) {
+        if (static_cast<std::size_t>(kEnvelopes[i].algorithm) != i) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kEnvelopes rows must follow harness::Algorithm order");
+
+[[nodiscard]] constexpr const Envelope& envelope(harness::Algorithm a) {
+  return kEnvelopes[static_cast<std::size_t>(a)];
+}
+
 // ---- generation ---------------------------------------------------------
 
 /// Deterministically expands `seed` into a scenario inside the guarantee
@@ -288,10 +372,10 @@ enum class MutationOp : std::uint8_t {
 };
 inline constexpr std::size_t kMutationOpCount = 25;
 
-/// Clamps a mutated scenario back inside its algorithm's guarantee
-/// envelope, mirroring generate_scenario's constraints (synchronous-only
-/// algorithms lose adversarial schedulers and crashes, single-hop
-/// algorithms return to the clique, value ranges are bounded), then
+/// Clamps a mutated scenario back inside its algorithm's kEnvelopes row
+/// (synchronous-only algorithms lose adversarial schedulers, single-hop
+/// algorithms return to the clique, crashes and link faults go only where
+/// the row covers them), bounds values to the mutation ranges, then
 /// normalizes and recomputes the horizon. Mutation applies this after
 /// every op; hand-written specs remain free to step outside the envelope.
 void clamp_to_envelope(Scenario& s);

@@ -78,16 +78,17 @@ namespace amac::harness {
 // (the fuzz generator, benches, tests) can quantify over "all algorithms"
 // instead of hand-listing factories. Each enumerator's model assumptions
 // (topology class, scheduler class, crash tolerance) are documented in the
-// algorithm's own header; fuzz::generate_scenario is the one place that
-// encodes which combinations the guarantees cover.
+// algorithm's own header; fuzz::kEnvelopes (fuzz/scenario.hpp) is the one
+// table that encodes which combinations the guarantees cover, one row per
+// enumerator.
 
 enum class Algorithm : std::uint8_t {
-  kTwoPhase = 0,   ///< single hop (clique), no crashes, any scheduler
-  kFlooding = 1,   ///< any connected graph, knows n, no crashes
-  kWPaxos = 2,     ///< any connected graph; safe always, live without crashes
-  kAnonymous = 3,  ///< synchronous scheduler only (Theorem 3.3 otherwise)
-  kStability = 4,  ///< synchronous scheduler only (Theorem 3.9 otherwise)
-  kBenOr = 5,      ///< clique; tolerates f < n/2 crashes (randomized)
+  kTwoPhase = 0,   ///< clique, no crashes; fuzz::kEnvelopes row 0
+  kFlooding = 1,   ///< any connected graph, knows n; kEnvelopes row 1
+  kWPaxos = 2,     ///< safe always, live without crashes; kEnvelopes row 2
+  kAnonymous = 3,  ///< synchronous only (Theorem 3.3); kEnvelopes row 3
+  kStability = 4,  ///< synchronous only (Theorem 3.9); kEnvelopes row 4
+  kBenOr = 5,      ///< clique, f < n/2 crashes; kEnvelopes row 5
 };
 
 inline constexpr std::size_t kAlgorithmCount = 6;
@@ -118,8 +119,7 @@ struct AlgorithmParams {
 
 /// Aggregates mac::ProtocolStats over every node of a (typically finished)
 /// network: depth fields max-merge, totals sum — see Process::protocol_stats.
-/// A pure const read, so collecting it can never perturb a run (the fuzz
-/// determinism regression pins this).
+/// A pure const read, so collecting it can never perturb a run.
 [[nodiscard]] mac::ProtocolStats collect_protocol_stats(
     const mac::Network& net);
 

@@ -25,19 +25,6 @@ namespace amac::util {
   return out;
 }
 
-/// Like parse_u64, but also accepts a 0x/0X-prefixed hexadecimal form
-/// (--expect-digest takes the fingerprint exactly as the soak prints it).
-[[nodiscard]] inline std::optional<std::uint64_t> parse_u64_any(
-    std::string_view v) {
-  if (v.size() > 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X')) {
-    std::uint64_t out = 0;
-    const char* end = v.data() + v.size();
-    const auto res = std::from_chars(v.data() + 2, end, out, 16);
-    if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
-    return out;
-  }
-  return parse_u64(v);
-}
 
 /// Parses a finite decimal floating-point value (fixed or scientific
 /// form). The whole string must parse, and inf/nan are rejected — a NaN

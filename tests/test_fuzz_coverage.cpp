@@ -180,31 +180,6 @@ TEST(FuzzSignature, RealRunsPopulateProtocolDimensionsPerAlgorithm) {
   EXPECT_TRUE(saw_flooding);
 }
 
-TEST(FuzzSignature, CollectionTogglePopulatesVsZeroes) {
-  // With collection off the protocol buckets are zero; with it on a
-  // terminating Ben-Or run has a nonzero round bucket. Either way the
-  // run's fingerprint is identical (the full pin lives in the smoke
-  // suite's determinism regression).
-  Scenario s;
-  bool found = false;
-  for (std::uint64_t seed = 1; seed <= 1000 && !found; ++seed) {
-    s = generate_scenario(seed);
-    found = s.algorithm == Algorithm::kBenOr && s.crashes.empty();
-  }
-  ASSERT_TRUE(found);
-  RunOptions with;
-  RunOptions without;
-  without.collect_protocol_stats = false;
-  const RunReport on = run_scenario(s, with);
-  const RunReport off = run_scenario(s, without);
-  EXPECT_EQ(on.fingerprint, off.fingerprint);
-  EXPECT_GE(on.protocol.max_round, 1u);
-  EXPECT_EQ(off.protocol.max_round, 0u);
-  EXPECT_EQ(coverage_signature(s, off).protocol_key(), 0u);
-  EXPECT_EQ(coverage_signature(s, on).engine_key(),
-            coverage_signature(s, off).engine_key());
-}
-
 TEST(FuzzCorpusRarity, HitsAreCountedPerSignature) {
   CoverageCorpus corpus(8);
   CoverageSignature common;

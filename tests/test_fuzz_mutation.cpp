@@ -1,5 +1,7 @@
 // Coverage-steered mutation fuzzing (tier-1 pins).
 //
+//   * every generated scenario is a clamp_to_envelope fixpoint, so the
+//     generator and the mutation clamp read one kEnvelopes row alike;
 //   * every mutant — including chains of mutants — survives the
 //     clamp_to_envelope round-trip: spec-exact (format/parse), inside its
 //     algorithm's guarantee envelope, and buildable;
@@ -227,6 +229,22 @@ TEST(FuzzMutation, MutantsRunCleanInsideTheirEnvelopes) {
     ++ran;
   }
   EXPECT_EQ(ran, 20u);
+}
+
+TEST(FuzzMutation, GeneratedScenariosAreClampFixpoints) {
+  // generate_scenario and clamp_to_envelope both derive their constraints
+  // from kEnvelopes; a row the generator honors but the clamp rewrites (or
+  // the reverse) shows up here as a generated scenario the clamp changes.
+  std::size_t outside = 0;
+  for (std::uint64_t seed = 1; seed <= 5000; ++seed) {
+    const Scenario s = generate_scenario(seed);
+    if (!inside_envelope(s)) {
+      ++outside;
+      ADD_FAILURE() << "seed " << seed << ": " << format_spec(s);
+      if (outside >= 5) break;
+    }
+  }
+  EXPECT_EQ(outside, 0u);
 }
 
 TEST(FuzzMutation, ScriptedTimelineMutantsStayInEnvelopeOver500Seeds) {
@@ -504,8 +522,6 @@ TEST(FuzzCoverage, MutatingSoakStrictlyWidensCoverage) {
   // The corpus digest folds every fingerprint, so the two soaks really ran
   // different scenario streams.
   EXPECT_NE(mutated_result.corpus_digest, pure_result.corpus_digest);
-  // Coverage summary bookkeeping is consistent.
-  EXPECT_EQ(mutated_result.coverage.distinct, mutated_result.novel_runs);
   EXPECT_LE(mutated_result.corpus.size(), mutating.corpus_max);
 }
 
@@ -537,10 +553,9 @@ TEST(FuzzShrinker, MinimizesHoldReleaseToExactThreshold) {
   ASSERT_TRUE(scenario.has_value());
   ASSERT_EQ(run_scenario(*scenario).failure, FailureKind::kAgreement);
 
-  ShrinkOptions options;
-  options.max_attempts = 400;  // room for both phases to reach fixpoint
-  const ShrinkResult shrunk = shrink_scenario(
-      *scenario, FailureKind::kAgreement, RunOptions{}, options);
+  // 400 attempts: room for both phases to reach fixpoint.
+  const ShrinkResult shrunk =
+      shrink_scenario(*scenario, FailureKind::kAgreement, 400);
   EXPECT_EQ(shrunk.report.failure, FailureKind::kAgreement);
   ASSERT_FALSE(shrunk.scenario.holds.empty());
 
@@ -564,26 +579,6 @@ TEST(FuzzShrinker, MinimizesHoldReleaseToExactThreshold) {
   const auto replayed = parse_spec(format_spec(shrunk.scenario));
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(run_scenario(*replayed).failure, FailureKind::kAgreement);
-}
-
-TEST(FuzzShrinker, ValueMinimizationCanBePinnedOff) {
-  // minimize_values = false reproduces the structural-only PR-2 shrinker
-  // (useful when a value sweep is too expensive for a huge repro).
-  const auto scenario = parse_spec(
-      "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=holdback:"
-      "fack=2:late=0:in=split:ids=identity:f=0:hz=1000000:holds=0@300");
-  ASSERT_TRUE(scenario.has_value());
-  ASSERT_EQ(run_scenario(*scenario).failure, FailureKind::kAgreement);
-
-  ShrinkOptions structural_only;
-  structural_only.minimize_values = false;
-  const ShrinkResult shrunk = shrink_scenario(
-      *scenario, FailureKind::kAgreement, RunOptions{}, structural_only);
-  EXPECT_EQ(shrunk.report.failure, FailureKind::kAgreement);
-  // fack can still fall (structural candidates halve it) but the hold
-  // release is untouched by the structural phase.
-  ASSERT_EQ(shrunk.scenario.holds.size(), 1u);
-  EXPECT_EQ(shrunk.scenario.holds[0].release, 300u);
 }
 
 }  // namespace

@@ -26,26 +26,12 @@ TEST(ParseU64, RejectsGarbageWholeOrTrailing) {
   EXPECT_FALSE(parse_u64("-1").has_value());
   EXPECT_FALSE(parse_u64("+1").has_value());
   EXPECT_FALSE(parse_u64("1e5").has_value());
-  EXPECT_FALSE(parse_u64("0x10").has_value());  // hex only via parse_u64_any
+  EXPECT_FALSE(parse_u64("0x10").has_value());  // decimal only
 }
 
 TEST(ParseU64, RejectsOverflow) {
   EXPECT_FALSE(parse_u64("18446744073709551616").has_value());  // 2^64
   EXPECT_FALSE(parse_u64("99999999999999999999999").has_value());
-}
-
-TEST(ParseU64Any, AcceptsHexWithPrefixAndDecimal) {
-  EXPECT_EQ(parse_u64_any("255"), 255u);
-  EXPECT_EQ(parse_u64_any("0xff"), 255u);
-  EXPECT_EQ(parse_u64_any("0XFF"), 255u);
-  EXPECT_EQ(parse_u64_any("0xfa43aa7e095f5b45"), 0xfa43aa7e095f5b45ull);
-}
-
-TEST(ParseU64Any, RejectsMalformedHex) {
-  EXPECT_FALSE(parse_u64_any("0x").has_value());
-  EXPECT_FALSE(parse_u64_any("0xzz").has_value());
-  EXPECT_FALSE(parse_u64_any("0x12g").has_value());
-  EXPECT_FALSE(parse_u64_any("x12").has_value());
 }
 
 TEST(ParseDouble, AcceptsFixedAndScientific) {
