@@ -23,12 +23,15 @@
 // minimal self-contained repro line is printed; paste it back via --replay
 // to reproduce the identical run. See fuzz/fuzzer.hpp for the full fuzzing
 // HOWTO.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "fuzz/corpus_io.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -46,22 +49,6 @@ struct CliOptions {
   bool corpus_strict = false;
   std::size_t progress_every = 0;
 };
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--count N] [--seed-base S] [--jobs J]\n"
-      "          [--differential-every K]\n"
-      "          [--mutate RATIO] [--fault-rate RATIO] [--dup-rate RATIO]\n"
-      "          [--large-every K] [--large-n N] [--log-every K]\n"
-      "          [--differential-max-n N]\n"
-      "          [--max-seconds S]\n"
-      "          [--corpus-out FILE] [--corpus-in FILE] [--corpus-strict]\n"
-      "          [--no-shrink] [--progress-every P]\n"
-      "          [--replay SPEC] [--sig-version]\n",
-      argv0);
-  return 2;
-}
 
 void print_report(const fuzz::Scenario& s, const fuzz::RunReport& r) {
   std::printf("scenario  %s\n", fuzz::format_spec(s).c_str());
@@ -332,145 +319,136 @@ int run_soak_cli(const CliOptions& cli) {
   return 0;
 }
 
+// ---- command line -------------------------------------------------------
+
+/// The option a CliOptions or SoakOptions member pointer names.
+template <typename T>
+T& field(CliOptions& c, T CliOptions::*m) { return c.*m; }
+template <typename T>
+T& field(CliOptions& c, T fuzz::SoakOptions::*m) { return c.soak.*m; }
+
+// Strict numeric parsing: a value that does not parse IN FULL is a usage
+// error — std::strtoull's silent garbage-to-0 once let "--count abc" soak
+// zero scenarios and exit green.
+template <auto Field, std::uint64_t kMin = 0>
+bool set_count(CliOptions& c, const char* v) {
+  const auto parsed = util::parse_u64(v);
+  if (!parsed || *parsed < kMin) return false;
+  auto& out = field(c, Field);
+  out = static_cast<std::remove_reference_t<decltype(out)>>(*parsed);
+  return true;
+}
+
+// A ratio in [0, 1]: a typo'd rate must never soak a silently-reliable
+// network and exit green.
+template <auto Field>
+bool set_ratio(CliOptions& c, const char* v) {
+  const auto parsed = util::parse_double(v);
+  if (!parsed || *parsed < 0.0 || *parsed > 1.0) return false;
+  field(c, Field) = *parsed;
+  return true;
+}
+
+template <auto Field>
+bool set_text(CliOptions& c, const char* v) {
+  field(c, Field) = v;
+  return true;
+}
+
+template <auto Field, bool kValue>
+bool set_switch(CliOptions& c, const char*) {
+  field(c, Field) = kValue;
+  return true;
+}
+
+/// One command-line flag. A flag with a metavar takes the next argument
+/// as its value; a switch (null metavar) is applied to "". `apply` stores
+/// the value and returns false when it is invalid.
+struct Flag {
+  const char* name;
+  const char* metavar;
+  bool (*apply)(CliOptions&, const char*);
+};
+
+using Soak = fuzz::SoakOptions;
+
+// Table order is usage order. --count 0 (a zero-scenario soak) and
+// --large-n 0 (promote to nothing) are always mistakes; --jobs 0 is
+// rejected rather than read as "auto", so garbage never silently changes
+// the parallelism and with it the mutant streams.
+constexpr Flag kFlags[] = {
+    {"--count", "N", set_count<&Soak::count, 1>},
+    {"--seed-base", "S", set_count<&Soak::seed_base>},
+    {"--jobs", "J", set_count<&Soak::jobs, 1>},
+    {"--differential-every", "K", set_count<&Soak::differential_every>},
+    {"--mutate", "RATIO", set_ratio<&Soak::mutate_ratio>},
+    {"--fault-rate", "RATIO", set_ratio<&Soak::fault_rate>},
+    {"--dup-rate", "RATIO", set_ratio<&Soak::dup_rate>},
+    {"--large-every", "K", set_count<&Soak::large_every>},
+    {"--large-n", "N", set_count<&Soak::large_n, 1>},
+    {"--log-every", "K", set_count<&Soak::log_every>},
+    {"--differential-max-n", "N", set_count<&Soak::differential_max_n>},
+    // A zero-second budget would skip the whole soak and exit green.
+    {"--max-seconds", "S",
+     [](CliOptions& c, const char* v) {
+       const auto parsed = util::parse_double(v);
+       if (!parsed || *parsed <= 0.0) return false;
+       c.soak.max_seconds = *parsed;
+       return true;
+     }},
+    {"--corpus-out", "FILE", set_text<&CliOptions::corpus_out>},
+    {"--corpus-in", "FILE", set_text<&CliOptions::corpus_in>},
+    {"--corpus-strict", nullptr, set_switch<&CliOptions::corpus_strict, true>},
+    {"--no-shrink", nullptr, set_switch<&Soak::shrink_failures, false>},
+    {"--progress-every", "P", set_count<&CliOptions::progress_every>},
+    {"--replay", "SPEC", set_text<&CliOptions::replay>},
+    // The nightly lane keys its persisted-corpus cache on this, so a
+    // signature-space bump starts a fresh frontier.
+    {"--sig-version", nullptr,
+     [](CliOptions&, const char*) {
+       std::printf("%u\n", fuzz::kSignatureSpaceVersion);
+       std::exit(0);
+       return true;
+     }},
+};
+
+int usage(const char* argv0) {
+  std::string text = std::string("usage: ") + argv0;
+  std::size_t line_start = 0;
+  for (const Flag& f : kFlags) {
+    const std::string item = std::string(" [") + f.name +
+                             (f.metavar ? std::string(" ") + f.metavar : "") +
+                             "]";
+    if (text.size() - line_start + item.size() > 72) {
+      line_start = text.size() + 1;
+      text += "\n         ";
+    }
+    text += item;
+  }
+  std::fprintf(stderr, "%s\n", text.c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  bool parse_error = false;
-  const auto fail_flag = [&](const std::string& flag, const char* value) {
-    std::fprintf(stderr, "error: invalid value for %s: '%s'\n", flag.c_str(),
-                 value == nullptr ? "(missing)" : value);
-    parse_error = true;
-  };
-  for (int i = 1; i < argc && !parse_error; ++i) {
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Strict numeric parsing: a flag whose value does not parse IN FULL
-    // (or is missing) is a usage error — std::strtoull's silent
-    // garbage-to-0 once let "--count abc" soak zero scenarios and exit
-    // green.
-    const auto take_u64 = [&](std::uint64_t& out) {
-      const char* v = next();
-      const auto parsed =
-          v ? util::parse_u64(v) : std::optional<std::uint64_t>{};
-      if (!parsed) {
-        fail_flag(arg, v);
-        return;
-      }
-      out = *parsed;
-    };
-    const auto take_size = [&](std::size_t& out) {
-      std::uint64_t v = 0;
-      take_u64(v);
-      if (!parse_error) out = static_cast<std::size_t>(v);
-    };
-    if (arg == "--count") {
-      take_size(cli.soak.count);
-      // A zero-scenario soak is always a command-line mistake (and used to
-      // underflow the "seeds S..S+count-1" summary line): exit 2, same as
-      // the strict-parse contract for garbage values.
-      if (!parse_error && cli.soak.count == 0) fail_flag(arg, "0");
-    } else if (arg == "--seed-base") {
-      take_u64(cli.soak.seed_base);
-    } else if (arg == "--jobs") {
-      // Worker threads for the sharded soak. 0 is rejected rather than
-      // treated as "auto": an unparsed garbage value must never silently
-      // change the parallelism (and with it the mutant streams).
-      take_size(cli.soak.jobs);
-      if (!parse_error && cli.soak.jobs == 0) fail_flag(arg, "0");
-    } else if (arg == "--differential-every") {
-      take_size(cli.soak.differential_every);
-    } else if (arg == "--differential-max-n") {
-      // Size cap for reference replays (0 = unlimited): scenarios larger
-      // than this still run and are property-checked on the calendar
-      // engine; only the O(n^2)-per-delivery reference A/B is skipped.
-      take_size(cli.soak.differential_max_n);
-    } else if (arg == "--large-every") {
-      // 0 (the default) disables large-topology promotion entirely.
-      take_size(cli.soak.large_every);
-    } else if (arg == "--large-n") {
-      take_size(cli.soak.large_n);
-      if (!parse_error && cli.soak.large_n == 0) fail_flag(arg, "0");
-    } else if (arg == "--log-every") {
-      // 0 (the default) disables log-service promotion entirely; the
-      // family can still enter via mutation or a pre-seeded corpus.
-      take_size(cli.soak.log_every);
-    } else if (arg == "--max-seconds") {
-      // Wall-clock budget. Strict like every rate flag, and 0 is rejected:
-      // a zero-second budget would skip the whole soak and exit green,
-      // which is only ever a typo (omit the flag for an unbounded soak).
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed <= 0.0) {
-        fail_flag(arg, v);
-      } else {
-        cli.soak.max_seconds = *parsed;
-      }
-    } else if (arg == "--no-shrink") {
-      cli.soak.shrink_failures = false;
-    } else if (arg == "--sig-version") {
-      // Machine-readable signature-space version: the nightly lane keys
-      // its persisted-corpus cache on this, so a signature-space bump
-      // starts a fresh frontier.
-      std::printf("%u\n", fuzz::kSignatureSpaceVersion);
-      return 0;
-    } else if (arg == "--progress-every") {
-      take_size(cli.progress_every);
-    } else if (arg == "--mutate") {
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
-        fail_flag(arg, v);
-      } else {
-        cli.soak.mutate_ratio = *parsed;
-      }
-    } else if (arg == "--fault-rate" || arg == "--dup-rate") {
-      // Link-fault floors share --mutate's strict contract: a ratio in
-      // [0, 1], parsed in full, or exit 2 (a typo'd rate must never soak a
-      // silently-reliable network and exit green).
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
-        fail_flag(arg, v);
-      } else if (arg == "--fault-rate") {
-        cli.soak.fault_rate = *parsed;
-      } else {
-        cli.soak.dup_rate = *parsed;
-      }
-    } else if (arg == "--corpus-out") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.corpus_out = v;
-      }
-    } else if (arg == "--corpus-in") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.corpus_in = v;
-      }
-    } else if (arg == "--corpus-strict") {
-      // All-or-nothing --corpus-in parsing (the pre-tolerance behavior):
-      // any malformed line fails the load. For hand-maintained corpora
-      // where a bad line means the file itself is wrong.
-      cli.corpus_strict = true;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.replay = v;
-      }
-    } else {
-      std::fprintf(stderr, "error: unknown flag: %s\n", arg.c_str());
-      parse_error = true;
+  for (int i = 1; i < argc; ++i) {
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return std::strcmp(f.name, argv[i]) == 0; });
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "error: unknown flag: %s\n", argv[i]);
+      return usage(argv[0]);
+    }
+    const char* value =
+        flag->metavar == nullptr ? "" : (i + 1 < argc ? argv[++i] : nullptr);
+    if (value == nullptr || !flag->apply(cli, value)) {
+      std::fprintf(stderr, "error: invalid value for %s: '%s'\n", flag->name,
+                   value == nullptr ? "(missing)" : value);
+      return usage(argv[0]);
     }
   }
-  if (parse_error) return usage(argv[0]);
   if (!cli.replay.empty()) return run_replay(cli);
   return run_soak_cli(cli);
 }

@@ -244,7 +244,7 @@ RunReport run_scenario(const Scenario& s, const RunOptions& options) {
   // The log-service family runs a whole replicated log, not a one-shot
   // instance; its report is synthesized from the service's own oracle plus
   // the log-prefix check, and differential replay never applies (callers
-  // must not request it — run_soak_shard skips and counts those).
+  // must not request it — the soak loop skips and counts those).
   if (s.log_ops > 0) return run_log_scenario(s);
 
   RunReport r = run_on_engine<mac::Network>(s);
@@ -355,7 +355,10 @@ CoverageSignature coverage_signature(const Scenario& s, const RunReport& r) {
 }
 
 bool CoverageCorpus::observe(const CoverageSignature& sig) {
-  return ++hits_[sig.key()] == 1;
+  const auto [it, novel] =
+      signatures_.try_emplace(sig.key(), SignatureRecord{sig, 0});
+  ++it->second.hits;
+  return novel;
 }
 
 void CoverageCorpus::admit(const Scenario& s, std::uint64_t sig_key) {
@@ -368,8 +371,8 @@ void CoverageCorpus::admit(const Scenario& s, std::uint64_t sig_key) {
 }
 
 std::uint64_t CoverageCorpus::hits(std::uint64_t sig_key) const {
-  const auto it = hits_.find(sig_key);
-  return it == hits_.end() ? 0 : it->second;
+  const auto it = signatures_.find(sig_key);
+  return it == signatures_.end() ? 0 : it->second.hits;
 }
 
 const Scenario& CoverageCorpus::select_base(util::Rng& rng) const {
@@ -640,8 +643,10 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
 
 namespace {
 
-/// Folds a novel signature into the distinct-signature breakdown table.
-void note_signature(CoverageSummary& cov, const CoverageSignature& sig) {
+/// Folds a distinct signature into the coverage table and both projection
+/// key sets.
+void note_signature(SoakResult& out, const CoverageSignature& sig) {
+  CoverageSummary& cov = out.coverage;
   ++cov.distinct;
   if (sig.scheduler < kSchedulerKindCount) ++cov.per_scheduler[sig.scheduler];
   if (sig.overflow_bucket > 0) ++cov.overflow_sigs;
@@ -653,38 +658,29 @@ void note_signature(CoverageSummary& cov, const CoverageSignature& sig) {
   if (sig.drop_bucket > 0 || sig.dup_bucket > 0) ++cov.fault_sigs;
   if (sig.size_bucket >= 6) ++cov.large_sigs;  // log4 bucket 6 <=> n >= 1024
   if (sig.flags & CoverageSignature::kLogService) ++cov.log_sigs;
+  out.engine_keys.insert(sig.engine_key());
+  out.protocol_keys.insert(sig.protocol_key());
 }
 
-}  // namespace
+/// What one shard hands the merge. `local` carries the run tallies and
+/// failures only; the merge derives coverage, key sets, corpus and digest
+/// from the other two fields.
+struct Shard {
+  SoakResult local;
+  std::vector<std::uint64_t> fingerprints;  ///< every run's, in seed order
+  CoverageCorpus corpus;  ///< distinct signatures + mutation bases
+};
 
-std::vector<SoakShard> partition_soak(std::size_t count, std::size_t jobs) {
-  std::vector<SoakShard> shards;
-  if (count == 0) return shards;
-  jobs = std::clamp<std::size_t>(jobs, 1, count);
-  // Contiguous blocks in ascending seed order, sizes differing by at most
-  // one: canonical merge order == shard order == seed order.
-  const std::size_t chunk = count / jobs;
-  const std::size_t rem = count % jobs;
-  std::size_t next = 0;
-  for (std::size_t k = 0; k < jobs; ++k) {
-    SoakShard shard;
-    shard.shard_index = k;
-    shard.first_index = next;
-    shard.count = chunk + (k < rem ? 1 : 0);
-    next += shard.count;
-    shards.push_back(shard);
-  }
-  return shards;
-}
-
-ShardSoakResult run_soak_shard(const SoakOptions& options,
-                               const SoakShard& shard) {
-  ShardSoakResult out;
-  out.shard_index = shard.shard_index;
-  out.first_index = shard.first_index;
-  out.fingerprints.reserve(shard.count);
+/// Runs global run indices [first, first + count) sequentially on the
+/// calling thread, with a private CoverageCorpus and a mutation RNG salted
+/// by the shard's first seed.
+Shard run_shard(const SoakOptions& options, std::size_t first,
+                std::size_t count) {
+  Shard out;
+  out.fingerprints.reserve(count);
   SoakResult& result = out.local;
-  CoverageCorpus corpus(options.corpus_max);
+  CoverageCorpus& corpus = out.corpus;
+  corpus = CoverageCorpus(options.corpus_max);
   // Pre-seeded bases carry no observed signature yet (sig_key 0, hits 0):
   // rarity weighting treats them as maximally rare, so a resumed nightly
   // frontier is mutated first (every shard resumes from the full frontier).
@@ -697,7 +693,7 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
   // run is bit-identical to the pre-mutation soak loop (the pinned
   // 504-corpus digest depends on this).
   util::Hasher mutate_seed;
-  mutate_seed.mix_u64(options.seed_base + shard.first_index);
+  mutate_seed.mix_u64(options.seed_base + first);
   mutate_seed.mix_u64(0x4D757461746F72ULL);  // "Mutator"
   util::Rng mutate_rng(mutate_seed.digest());
   // Wall-clock budget (--max-seconds): each shard measures from its OWN
@@ -710,10 +706,9 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(budgeted ? options.max_seconds : 0.0));
 
-  for (std::size_t i = shard.first_index;
-       i < shard.first_index + shard.count; ++i) {
+  for (std::size_t i = first; i < first + count; ++i) {
     if (budgeted && std::chrono::steady_clock::now() >= deadline) {
-      result.budget_skipped += shard.first_index + shard.count - i;
+      result.budget_skipped += first + count - i;
       break;
     }
     Scenario s;
@@ -810,14 +805,11 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     if (s.log_ops > 0) ++result.log_scenarios;
     out.fingerprints.push_back(report.fingerprint);
 
+    // Only clean runs become mutation bases: mutating a known violation
+    // would just keep re-finding it.
     const CoverageSignature sig = coverage_signature(s, report);
-    out.engine_keys.insert(sig.engine_key());
-    out.protocol_keys.insert(sig.protocol_key());
-    if (corpus.observe(sig)) {
-      out.signatures.emplace(sig.key(), sig);
-      // Only clean runs become mutation bases: mutating a known violation
-      // would just keep re-finding it.
-      if (report.failure == FailureKind::kNone) corpus.admit(s, sig.key());
+    if (corpus.observe(sig) && report.failure == FailureKind::kNone) {
+      corpus.admit(s, sig.key());
     }
 
     if (report.failure != FailureKind::kNone) {
@@ -834,27 +826,20 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     }
     if (options.on_scenario) options.on_scenario(i, s, report);
   }
-  result.corpus = corpus.entries();
   return out;
 }
 
-SoakResult merge_soak_shards(const SoakOptions& options,
-                             std::vector<ShardSoakResult> shards) {
-  // Canonical order is SHARD INDEX (== ascending seed ranges), never the
-  // order shards happened to finish or arrive in — the shuffle-merge test
-  // hands these in arbitrary orders and demands identical output.
-  std::sort(shards.begin(), shards.end(),
-            [](const ShardSoakResult& a, const ShardSoakResult& b) {
-              return a.shard_index < b.shard_index;
-            });
-
+/// Merges shards in vector order, which run_soak makes seed order:
+/// digests fold per-run fingerprints in seed order, signature maps merge as
+/// a union, tallies sum, failures concatenate, and the merged corpus keeps
+/// the newest corpus_max spec-deduplicated entries.
+SoakResult merge_shards(const SoakOptions& options,
+                        std::vector<Shard>& shards) {
   SoakResult out;
   util::Hasher digest_fold;
   std::map<std::uint64_t, CoverageSignature> signatures;
-  std::set<std::uint64_t> engine_keys;
-  std::set<std::uint64_t> protocol_keys;
   std::set<std::string> corpus_specs;  // dedupe (shards share pre-seeds)
-  for (ShardSoakResult& sh : shards) {
+  for (Shard& sh : shards) {
     SoakResult& loc = sh.local;
     out.runs += loc.runs;
     out.differential_runs += loc.differential_runs;
@@ -879,26 +864,24 @@ SoakResult merge_soak_shards(const SoakOptions& options,
     // same fold a sequential soak of the whole range performs, so the
     // merged digest of a mutation-free soak is bit-identical to jobs == 1.
     for (const std::uint64_t fp : sh.fingerprints) digest_fold.mix_u64(fp);
-    // Signature bookkeeping merges as unions: distinct-signature counts
-    // are partition-independent (a set union doesn't care which shard, or
-    // how many, saw a key first).
-    for (const auto& [key, sig] : sh.signatures) signatures.emplace(key, sig);
-    engine_keys.insert(sh.engine_keys.begin(), sh.engine_keys.end());
-    protocol_keys.insert(sh.protocol_keys.begin(), sh.protocol_keys.end());
+    // Signature maps merge as a union: distinct-signature counts are
+    // partition-independent (a union doesn't care which shard, or how many,
+    // saw a key first).
+    for (const auto& [key, rec] : sh.corpus.signatures()) {
+      signatures.emplace(key, rec.signature);
+    }
     for (SoakFailure& f : loc.failures) out.failures.push_back(std::move(f));
-    for (Scenario& s : loc.corpus) {
+    for (Scenario& s : sh.corpus.entries()) {
       if (corpus_specs.insert(format_spec(s)).second) {
         out.corpus.push_back(std::move(s));
       }
     }
   }
-  out.coverage.engine_distinct = engine_keys.size();
-  out.coverage.protocol_distinct = protocol_keys.size();
-  out.engine_keys = std::move(engine_keys);
-  out.protocol_keys = std::move(protocol_keys);
-  for (const auto& [key, sig] : signatures) {
-    note_signature(out.coverage, sig);
-  }
+  // Every run's engine and protocol keys are projections of a signature in
+  // the union, so one pass over it derives the whole coverage view.
+  for (const auto& [key, sig] : signatures) note_signature(out, sig);
+  out.coverage.engine_distinct = out.engine_keys.size();
+  out.coverage.protocol_distinct = out.protocol_keys.size();
   // Bound the merged corpus like the per-shard rings: keep the NEWEST
   // corpus_max entries (the frontier), dropping from the front.
   const std::size_t cap = options.corpus_max == 0 ? 1 : options.corpus_max;
@@ -911,13 +894,25 @@ SoakResult merge_soak_shards(const SoakOptions& options,
   return out;
 }
 
+}  // namespace
+
 SoakResult run_soak(const SoakOptions& options) {
-  const std::vector<SoakShard> shards =
-      partition_soak(options.count, options.jobs);
-  std::vector<ShardSoakResult> results(shards.size());
+  // Contiguous blocks in ascending seed order, sizes differing by at most
+  // one (earlier shards take the remainder); shard k lands in slot k, so
+  // the merge sees seed order whatever order the threads finish in.
+  std::vector<Shard> shards(
+      options.count == 0 ? 0 : std::clamp<std::size_t>(options.jobs, 1,
+                                                        options.count));
+  const auto run = [&shards, &options](std::size_t k,
+                                       const SoakOptions& shard_options) {
+    const std::size_t chunk = options.count / shards.size();
+    const std::size_t rem = options.count % shards.size();
+    shards[k] = run_shard(shard_options, k * chunk + std::min(k, rem),
+                          chunk + (k < rem ? 1 : 0));
+  };
   if (shards.size() <= 1) {
     // The historical sequential soak, on the calling thread.
-    if (!shards.empty()) results[0] = run_soak_shard(options, shards[0]);
+    if (!shards.empty()) run(0, options);
   } else {
     // One thread per shard; shards share no mutable state on the hot path.
     // Only the caller's progress callback is shared, so it is serialized.
@@ -935,13 +930,11 @@ SoakResult run_soak(const SoakOptions& options) {
     std::vector<std::thread> workers;
     workers.reserve(shards.size());
     for (std::size_t k = 0; k < shards.size(); ++k) {
-      workers.emplace_back([&threaded, &results, &shards, k] {
-        results[k] = run_soak_shard(threaded, shards[k]);
-      });
+      workers.emplace_back([&run, &threaded, k] { run(k, threaded); });
     }
     for (std::thread& w : workers) w.join();
   }
-  return merge_soak_shards(options, std::move(results));
+  return merge_shards(options, shards);
 }
 
 }  // namespace amac::fuzz

@@ -148,25 +148,27 @@
 // VALUES, not just the fewest entries: a hold at release=37 in a minimal
 // repro means 36 provably does not reproduce (for monotone failures).
 //
-// Sharded parallel soak: --jobs N partitions the seed range into N
-// contiguous per-shard seed streams and runs each shard on its own thread
-// with a PRIVATE Fuzzer state — its own CoverageCorpus, stats block, and
-// mutation RNG (salted by the shard's first seed, so shard 0 of a 1-job
-// soak reproduces the historical single-thread mutation stream exactly).
-// No mutable state is shared on the hot path; when every shard finishes,
-// the per-shard results are merged in CANONICAL SEED ORDER (shard index,
-// then run order within the shard — never completion order):
+// Sharded parallel soak: --jobs N splits the seed range into N contiguous
+// per-shard seed streams and runs each shard on its own thread with a
+// PRIVATE Fuzzer state — its own CoverageCorpus, stats block, and mutation
+// RNG (salted by the shard's first seed, so shard 0 of a 1-job soak
+// reproduces the historical single-thread mutation stream exactly). The
+// shards are internal to run_soak: each lands in the slot of its index, so
+// the merge walks them in CANONICAL SEED ORDER by construction, never in
+// completion order:
 //
 //   * the corpus digest folds every run fingerprint in seed order, so the
 //     merged digest is BIT-IDENTICAL to a single-threaded soak of the same
 //     range — `--jobs 4` on the pinned 504 corpus reports the same
 //     0x4bc22ec0b0a6e511 as `--jobs 1` (tests/test_fuzz_shard.cpp pins
 //     this, and the CI lanes assert it on every push);
-//   * distinct-signature coverage merges as a union of per-shard
-//     signature maps — set union is partition- and order-independent, so
-//     every distinct/engine/protocol count matches the sequential soak;
+//   * coverage merges as the union of the shards' CoverageCorpus signature
+//     maps, and one pass over that union derives the coverage table and
+//     both projection key sets — set union is partition- and
+//     order-independent, so every distinct/engine/protocol count matches
+//     the sequential soak;
 //   * per-algorithm/per-scheduler tallies and fault counters are sums;
-//     failures and repro lists concatenate in canonical order;
+//     failures concatenate in canonical order;
 //   * the merged mutation corpus concatenates shard corpora in canonical
 //     order (deduplicated by spec), keeping the newest corpus_max entries.
 //
@@ -390,7 +392,8 @@ struct CoverageSignature {
 
 /// Bounded corpus of signature-novel scenarios: the mutation engine's seed
 /// pool. `observe` records a signature (counting every hit, novel or not)
-/// and reports novelty; `admit` stores a scenario as a mutation base
+/// and reports novelty — the soak's one record of every distinct signature
+/// it reached; `admit` stores a scenario as a mutation base
 /// (ring-replacing the oldest when full, so the pool tracks the novelty
 /// frontier). Signature bookkeeping and scenario storage are split because
 /// only clean (non-violating) runs may become mutation bases — mutating a
@@ -407,6 +410,14 @@ struct CoverageSignature {
 /// at >= 2x their uniform share.
 class CoverageCorpus {
  public:
+  /// One distinct signature: the first struct observed with its key (key
+  /// equality implies struct equality, so first-seen is canonical) and how
+  /// often the key was observed.
+  struct SignatureRecord {
+    CoverageSignature signature;
+    std::uint64_t hits = 0;
+  };
+
   explicit CoverageCorpus(std::size_t max_entries = 256)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
@@ -431,7 +442,12 @@ class CoverageCorpus {
   }
   [[nodiscard]] std::vector<Scenario> entries() const;
   [[nodiscard]] std::size_t distinct_signatures() const {
-    return hits_.size();
+    return signatures_.size();
+  }
+  /// Every distinct signature observed, by key.
+  [[nodiscard]] const std::map<std::uint64_t, SignatureRecord>& signatures()
+      const {
+    return signatures_;
   }
 
  private:
@@ -443,7 +459,7 @@ class CoverageCorpus {
   std::size_t max_entries_;
   std::size_t next_replace_ = 0;
   std::vector<Entry> entries_;
-  std::map<std::uint64_t, std::uint64_t> hits_;  ///< sig key -> observations
+  std::map<std::uint64_t, SignatureRecord> signatures_;
 };
 
 // ---- shrinking ----------------------------------------------------------
@@ -635,64 +651,5 @@ struct SoakResult {
 /// per-shard results merged in canonical seed order — the merged corpus
 /// digest of a mutation-free soak is bit-identical to jobs == 1.
 [[nodiscard]] SoakResult run_soak(const SoakOptions& options);
-
-// ---- sharding (the parallel soak's building blocks) ---------------------
-//
-// run_soak == partition_soak -> run_soak_shard (one thread each) ->
-// merge_soak_shards. The pieces are public so the merge-determinism tests
-// can run shards individually and merge them in arbitrary completion
-// orders (tests/test_fuzz_shard.cpp).
-
-/// One contiguous slice of a soak's run-index range.
-struct SoakShard {
-  std::size_t shard_index = 0;  ///< canonical merge position
-  std::size_t first_index = 0;  ///< global run index of the first scenario
-  std::size_t count = 0;        ///< runs in this shard
-};
-
-/// Splits `count` runs into at most `jobs` contiguous shards in ascending
-/// seed order, sizes differing by at most one (earlier shards take the
-/// remainder). jobs is clamped to [1, count]; count == 0 yields no shards.
-[[nodiscard]] std::vector<SoakShard> partition_soak(std::size_t count,
-                                                    std::size_t jobs);
-
-/// Everything one shard observed, carrying both its local SoakResult and
-/// the raw material the canonical merge needs (per-run fingerprints in
-/// seed order, per-key signature structs and hit counts, projection key
-/// sets). Self-contained: two shards share no state, so shards may run on
-/// concurrent threads and merge in any completion order.
-struct ShardSoakResult {
-  std::size_t shard_index = 0;
-  std::size_t first_index = 0;
-  /// Fingerprint of every run, in seed order; the merged corpus digest is
-  /// the canonical-order fold of these across shards.
-  std::vector<std::uint64_t> fingerprints;
-  /// First-seen signature struct per distinct key (key equality implies
-  /// struct equality, so first-seen is canonical).
-  std::map<std::uint64_t, CoverageSignature> signatures;
-  std::set<std::uint64_t> engine_keys;    ///< distinct engine projections
-  std::set<std::uint64_t> protocol_keys;  ///< distinct protocol projections
-  /// Shard-local run counters, failures, and mutation corpus. Its coverage
-  /// table, key sets and corpus digest stay empty: merge_soak_shards
-  /// derives them from the fields above.
-  SoakResult local;
-};
-
-/// Runs one shard sequentially on the calling thread: scenarios for global
-/// run indices [shard.first_index, shard.first_index + shard.count), with
-/// a private CoverageCorpus and a mutation RNG salted by the shard's first
-/// seed. Shard 0 of a single-shard partition reproduces the historical
-/// sequential soak exactly.
-[[nodiscard]] ShardSoakResult run_soak_shard(const SoakOptions& options,
-                                             const SoakShard& shard);
-
-/// Merges per-shard results in canonical seed order (sorted by
-/// shard_index — completion/vector order is irrelevant, which the
-/// shuffle-merge test pins): digests fold per-run fingerprints in seed
-/// order, signature bookkeeping merges as map/set unions, tallies sum,
-/// failures concatenate, and the merged corpus keeps the newest
-/// corpus_max spec-deduplicated entries.
-[[nodiscard]] SoakResult merge_soak_shards(const SoakOptions& options,
-                                           std::vector<ShardSoakResult> shards);
 
 }  // namespace amac::fuzz

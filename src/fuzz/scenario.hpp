@@ -388,8 +388,8 @@ void clamp_to_envelope(Scenario& s);
 [[nodiscard]] bool inside_envelope(const Scenario& s);
 
 /// Applies one randomly chosen applicable mutation to a copy of `base`
-/// (`splice`, when non-null, is the second parent for kSpliceTransport)
-/// and returns the clamped, normalized mutant. Deterministic given the
+/// (`splice`, when non-null, is the second parent for kSpliceTransport and
+/// kSpliceFaultWindows) and returns the clamped, normalized mutant. Deterministic given the
 /// rng state. The mutant keeps `base`'s seed unless kReseed fires, so its
 /// derived streams (wiring, inputs, scheduler delays) stay pinned and the
 /// spec line replays it exactly.

@@ -162,16 +162,6 @@ mac::ProtocolStats collect_protocol_stats(const mac::Network& net) {
   return stats;
 }
 
-mac::ProtocolStats collect_protocol_stats(const mac::Network& net,
-                                          mac::InstanceId instance) {
-  mac::ProtocolStats stats;
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    if (net.crashed(u)) continue;  // mid-run instances skip crashed nodes
-    net.process(u, instance).protocol_stats(stats);
-  }
-  return stats;
-}
-
 Outcome run_consensus(const net::Graph& graph,
                       const mac::ProcessFactory& factory,
                       mac::Scheduler& scheduler,

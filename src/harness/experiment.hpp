@@ -123,13 +123,6 @@ struct AlgorithmParams {
 [[nodiscard]] mac::ProtocolStats collect_protocol_stats(
     const mac::Network& net);
 
-/// Per-instance variant for multiplexed runs (mac/engine.hpp, "Instance
-/// multiplexing"): aggregates over ONE instance's live processes. Crashed
-/// nodes are skipped — instances added mid-run never construct processes
-/// for already-crashed nodes. The instance must not be retired.
-[[nodiscard]] mac::ProtocolStats collect_protocol_stats(
-    const mac::Network& net, mac::InstanceId instance);
-
 // ---- runner -------------------------------------------------------------
 
 struct Outcome {

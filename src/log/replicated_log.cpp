@@ -43,7 +43,6 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
   // elective lease renewal; the rest of the initial window launches
   // pre-run.
   slots_[0].instance = 0;
-  slots_[0].launched = true;
   slots_[0].full_paxos = true;
   slots_[0].elective = true;
   ++stats_.slots_full_paxos;
@@ -107,7 +106,6 @@ void ReplicatedLog::launch_ready_slots() {
     rec.sole = static_cast<mac::Value>(slot);
     rec.elective = renewal;
     rec.instance = net_.add_instance(slot_factory(slot, mode, rec.sole));
-    rec.launched = true;
     rec.launched_at = net_.now();
     rec.full_paxos = mode != SlotMode::kLeased;
     if (rec.full_paxos) {

@@ -216,7 +216,6 @@ class ReplicatedLog {
     /// deliveries+broadcasts snapshot from the last recovery look: a
     /// full-paxos slot is only relaunched when this did not move.
     std::uint64_t progress = 0;
-    bool launched = false;
     bool decided = false;
     bool full_paxos = false;
     bool elective = false;

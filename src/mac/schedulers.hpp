@@ -225,8 +225,8 @@ class ScriptedScheduler final : public Scheduler {
  public:
   ScriptedScheduler() = default;
 
-  /// One scripted slot, as seen through the introspection API. The fuzzer's
-  /// timeline mutator reads these back to retime/swap/duplicate slots.
+  /// One scripted slot, as seen through the introspection API (tests read
+  /// these back; the fuzzer's timeline mutator edits Scenario::script).
   struct SlotView {
     NodeId sender = kNoNode;
     std::size_t index = 0;      ///< which broadcast of the sender
@@ -247,7 +247,7 @@ class ScriptedScheduler final : public Scheduler {
   void script_uniform(NodeId sender, std::size_t index, Time ack_delay,
                       Time receive_delay);
 
-  // --- introspection (tests, the fuzzer's timeline mutator) ---
+  // --- introspection (tests) ---
 
   [[nodiscard]] std::size_t slot_count() const { return script_.size(); }
   /// Every scripted slot in deterministic (sender, index) order.

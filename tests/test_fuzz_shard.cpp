@@ -1,16 +1,13 @@
-// Sharded parallel soak: partition, per-shard execution, and the
-// deterministic canonical-order merge (fuzz::partition_soak /
-// run_soak_shard / merge_soak_shards — the building blocks of
-// run_soak(jobs > 1)), plus the corpus file IO resilience contracts
-// (tolerant --corpus-in loading, atomic --corpus-out writes).
+// Sharded parallel soak (run_soak with jobs > 1), plus the corpus file IO
+// resilience contracts (tolerant --corpus-in loading, atomic --corpus-out
+// writes).
 //
-// The headline pin: a mutation-free sharded soak reports the SAME corpus
-// digest as the sequential soak of the same seed range — including the
-// pinned 504-corpus digest — and the merge does not care what order
-// shards complete in.
+// The headline pin: a mutation-free sharded soak reports the SAME result
+// as the sequential soak of the same seed range — every tally, every
+// coverage count, both key sets, the failures and the corpus digest
+// (including the pinned 504-corpus digest).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -22,100 +19,91 @@
 namespace amac::fuzz {
 namespace {
 
-TEST(FuzzShardPartition, CoversTheRunRangeContiguouslyInOrder) {
-  for (const std::size_t count : {1u, 2u, 7u, 504u, 1000u}) {
-    for (const std::size_t jobs : {1u, 2u, 3u, 4u, 16u, 2000u}) {
-      const auto shards = partition_soak(count, jobs);
-      ASSERT_EQ(shards.size(), std::min(jobs, count));
-      std::size_t next = 0;
-      for (std::size_t k = 0; k < shards.size(); ++k) {
-        EXPECT_EQ(shards[k].shard_index, k);
-        EXPECT_EQ(shards[k].first_index, next);
-        EXPECT_GE(shards[k].count, 1u);
-        // Sizes differ by at most one, remainder on the earlier shards.
-        EXPECT_LE(shards[k].count, count / shards.size() + 1);
-        next += shards[k].count;
-      }
-      EXPECT_EQ(next, count);
-    }
+/// Every SoakResult field except `corpus` (shard-local by design: each
+/// shard's ring keeps its own newest entries) must match.
+void expect_same_soak(const SoakResult& a, const SoakResult& b) {
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.differential_runs, b.differential_runs);
+  EXPECT_EQ(a.per_algorithm, b.per_algorithm);
+  EXPECT_EQ(a.crash_scenarios, b.crash_scenarios);
+  EXPECT_EQ(a.mid_flight_crash_scenarios, b.mid_flight_crash_scenarios);
+  EXPECT_EQ(a.wheel_events, b.wheel_events);
+  EXPECT_EQ(a.overflow_events, b.overflow_events);
+  EXPECT_EQ(a.overflow_scenarios, b.overflow_scenarios);
+  EXPECT_EQ(a.resized_scenarios, b.resized_scenarios);
+  EXPECT_EQ(a.dropped_frames, b.dropped_frames);
+  EXPECT_EQ(a.duplicated_frames, b.duplicated_frames);
+  EXPECT_EQ(a.faulted_scenarios, b.faulted_scenarios);
+  EXPECT_EQ(a.mutated_runs, b.mutated_runs);
+  EXPECT_EQ(a.large_scenarios, b.large_scenarios);
+  EXPECT_EQ(a.log_scenarios, b.log_scenarios);
+  EXPECT_EQ(a.differential_skipped, b.differential_skipped);
+  EXPECT_EQ(a.budget_skipped, b.budget_skipped);
+  const CoverageSummary& ca = a.coverage;
+  const CoverageSummary& cb = b.coverage;
+  EXPECT_EQ(ca.distinct, cb.distinct);
+  EXPECT_EQ(ca.engine_distinct, cb.engine_distinct);
+  EXPECT_EQ(ca.protocol_distinct, cb.protocol_distinct);
+  EXPECT_EQ(ca.per_scheduler, cb.per_scheduler);
+  EXPECT_EQ(ca.overflow_sigs, cb.overflow_sigs);
+  EXPECT_EQ(ca.resize_sigs, cb.resize_sigs);
+  EXPECT_EQ(ca.batch_sigs, cb.batch_sigs);
+  EXPECT_EQ(ca.crash_sigs, cb.crash_sigs);
+  EXPECT_EQ(ca.hold_sigs, cb.hold_sigs);
+  EXPECT_EQ(ca.protocol_sigs, cb.protocol_sigs);
+  EXPECT_EQ(ca.fault_sigs, cb.fault_sigs);
+  EXPECT_EQ(ca.large_sigs, cb.large_sigs);
+  EXPECT_EQ(ca.log_sigs, cb.log_sigs);
+  EXPECT_EQ(a.engine_keys, b.engine_keys);
+  EXPECT_EQ(a.protocol_keys, b.protocol_keys);
+  EXPECT_EQ(a.corpus_digest, b.corpus_digest);
+  ASSERT_EQ(a.failures.size(), b.failures.size());
+  for (std::size_t i = 0; i < a.failures.size(); ++i) {
+    EXPECT_EQ(format_spec(a.failures[i].scenario),
+              format_spec(b.failures[i].scenario));
+    EXPECT_EQ(format_spec(a.failures[i].minimal),
+              format_spec(b.failures[i].minimal));
   }
-  EXPECT_TRUE(partition_soak(0, 4).empty());
-  // jobs == 0 is clamped up to 1, never a crash or an empty partition.
-  ASSERT_EQ(partition_soak(10, 0).size(), 1u);
-  EXPECT_EQ(partition_soak(10, 0)[0].count, 10u);
 }
 
 TEST(FuzzShardMerge, PinnedCorpusDigestIsJobCountInvariant) {
-  // The acceptance pin: --jobs 4 on the 504-scenario corpus reports the
-  // exact digest --jobs 1 does — which is the historical sequential
-  // constant from test_fuzz_smoke.cpp. Every distinct-signature statistic
-  // is job-count-invariant too (signature sets merge as unions).
-  constexpr std::uint64_t kPinned504Digest = 0x4bc22ec0b0a6e511ULL;
+  // The acceptance pin: --jobs 4 reports the exact result --jobs 1 does,
+  // and --jobs 0 is clamped to one shard that still runs every scenario.
+  // The 504 digest is the historical sequential constant from
+  // test_fuzz_smoke.cpp; the second set turns on every family at once
+  // (differential sampling, fault floors, large and log-service
+  // promotion), so each coverage count and key set is exercised.
+  SoakOptions pinned;
+  pinned.seed_base = 1;
+  pinned.count = 504;
+  pinned.differential_every = 0;
+  SoakOptions families;
+  families.seed_base = 1;
+  families.count = 300;
+  families.differential_every = 7;
+  families.log_every = 40;
+  families.fault_rate = 0.05;
+  families.dup_rate = 0.02;
+  families.large_every = 75;
+  families.large_n = 1024;
 
-  SoakOptions options;
-  options.seed_base = 1;
-  options.count = 504;
-  options.differential_every = 0;
+  pinned.jobs = 1;
+  const SoakResult pinned_sequential = run_soak(pinned);
+  EXPECT_EQ(pinned_sequential.corpus_digest, 0x4bc22ec0b0a6e511ULL);
+  families.jobs = 1;
+  const SoakResult families_sequential = run_soak(families);
+  EXPECT_EQ(families_sequential.log_scenarios, 8u);
+  EXPECT_EQ(families_sequential.large_scenarios, 3u);
+  EXPECT_EQ(families_sequential.coverage.large_sigs, 2u);
+  EXPECT_EQ(families_sequential.coverage.fault_sigs, 160u);
+  EXPECT_EQ(families_sequential.corpus_digest, 0x7ee0cd88051b10a7ULL);
 
-  options.jobs = 1;
-  const SoakResult sequential = run_soak(options);
-  EXPECT_EQ(sequential.corpus_digest, kPinned504Digest);
-
-  options.jobs = 4;
-  const SoakResult sharded = run_soak(options);
-  EXPECT_EQ(sharded.corpus_digest, kPinned504Digest);
-
-  EXPECT_EQ(sharded.runs, sequential.runs);
-  EXPECT_EQ(sharded.per_algorithm, sequential.per_algorithm);
-  EXPECT_EQ(sharded.crash_scenarios, sequential.crash_scenarios);
-  EXPECT_EQ(sharded.wheel_events, sequential.wheel_events);
-  EXPECT_EQ(sharded.overflow_events, sequential.overflow_events);
-  EXPECT_EQ(sharded.coverage.distinct, sequential.coverage.distinct);
-  EXPECT_EQ(sharded.coverage.engine_distinct,
-            sequential.coverage.engine_distinct);
-  EXPECT_EQ(sharded.coverage.protocol_distinct,
-            sequential.coverage.protocol_distinct);
-  EXPECT_EQ(sharded.coverage.per_scheduler, sequential.coverage.per_scheduler);
-  EXPECT_EQ(sharded.failures.size(), sequential.failures.size());
-}
-
-TEST(FuzzShardMerge, IsCompletionOrderIndependent) {
-  // merge_soak_shards sorts by shard_index, so handing it the per-shard
-  // results in ANY vector order — completion order on real threads is
-  // nondeterministic — must give identical output, digest for digest and
-  // spec for spec.
-  SoakOptions options;
-  options.seed_base = 1;
-  options.count = 120;
-  options.differential_every = 0;
-
-  const auto shards = partition_soak(options.count, 4);
-  ASSERT_EQ(shards.size(), 4u);
-  std::vector<ShardSoakResult> in_order;
-  for (const auto& shard : shards) {
-    in_order.push_back(run_soak_shard(options, shard));
-  }
-
-  const SoakResult canonical = merge_soak_shards(options, in_order);
-  std::vector<std::vector<std::size_t>> permutations = {
-      {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
-  for (const auto& perm : permutations) {
-    std::vector<ShardSoakResult> shuffled;
-    for (const std::size_t k : perm) shuffled.push_back(in_order[k]);
-    const SoakResult merged = merge_soak_shards(options, shuffled);
-    EXPECT_EQ(merged.corpus_digest, canonical.corpus_digest);
-    EXPECT_EQ(merged.runs, canonical.runs);
-    EXPECT_EQ(merged.coverage.distinct, canonical.coverage.distinct);
-    ASSERT_EQ(merged.corpus.size(), canonical.corpus.size());
-    for (std::size_t i = 0; i < merged.corpus.size(); ++i) {
-      EXPECT_EQ(format_spec(merged.corpus[i]),
-                format_spec(canonical.corpus[i]));
-    }
-    ASSERT_EQ(merged.failures.size(), canonical.failures.size());
-    for (std::size_t i = 0; i < merged.failures.size(); ++i) {
-      EXPECT_EQ(format_spec(merged.failures[i].scenario),
-                format_spec(canonical.failures[i].scenario));
-    }
+  for (const std::size_t jobs : {0u, 4u}) {
+    SCOPED_TRACE(jobs);
+    pinned.jobs = jobs;
+    expect_same_soak(run_soak(pinned), pinned_sequential);
+    families.jobs = jobs;
+    expect_same_soak(run_soak(families), families_sequential);
   }
 }
 
