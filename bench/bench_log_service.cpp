@@ -69,14 +69,6 @@ struct RowResult {
   log::LogServiceStats stats;  // latency vectors cleared after folding
 };
 
-/// Decide-latency percentile in virtual ticks (nearest-rank).
-mac::Time percentile(std::vector<mac::Time> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const auto rank = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  return v[rank];
-}
-
 RowResult run_service(const std::string& name, std::size_t n,
                       std::size_t total_ops, const log::LogConfig& config) {
   const net::Graph graph = net::make_clique(n);
@@ -99,8 +91,10 @@ RowResult run_service(const std::string& name, std::size_t n,
     row.ns_per_op = wall_ns / static_cast<double>(stats.ops_applied);
     row.ops_per_sec = 1e9 * static_cast<double>(stats.ops_applied) / wall_ns;
   }
-  row.p50 = percentile(stats.decide_latency, 0.50);
-  row.p99 = percentile(stats.decide_latency, 0.99);
+  if (!stats.decide_latency.empty()) {
+    row.p50 = util::nearest_rank(stats.decide_latency, 0.50);
+    row.p99 = util::nearest_rank(stats.decide_latency, 0.99);
+  }
   if (stats.ops_applied > 0) {
     row.bytes_per_op = static_cast<double>(stats.payload_bytes) /
                        static_cast<double>(stats.ops_applied);
@@ -109,8 +103,8 @@ RowResult run_service(const std::string& name, std::size_t n,
   row.reads = stats.reads_served;
   if (stats.reads_served > 0) {
     row.reads_per_sec = 1e9 * static_cast<double>(stats.reads_served) / wall_ns;
-    row.read_p50 = percentile(stats.read_latency, 0.50);
-    row.read_p99 = percentile(stats.read_latency, 0.99);
+    row.read_p50 = util::nearest_rank(stats.read_latency, 0.50);
+    row.read_p99 = util::nearest_rank(stats.read_latency, 0.99);
   }
   row.stats.decide_latency.clear();
   row.stats.read_latency.clear();

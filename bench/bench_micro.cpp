@@ -25,8 +25,8 @@ namespace {
 using namespace amac;
 
 /// Minimal traffic generator: broadcasts `rounds` one-byte messages from a
-/// reused buffer (the engine's pool makes the steady-state cycle
-/// allocation-free; the process should not spoil that).
+/// reused buffer (the engine's recycled flight slots make the steady-state
+/// cycle allocation-free; the process should not spoil that).
 class Pinger final : public mac::Process {
  public:
   explicit Pinger(std::size_t rounds) : rounds_(rounds) {}

@@ -35,8 +35,6 @@ int main() {
       std::vector<Sched> schedulers;
       schedulers.push_back(
           {"synchronous", std::make_unique<mac::SynchronousScheduler>(fack)});
-      schedulers.push_back(
-          {"max-delay", std::make_unique<mac::MaxDelayScheduler>(fack)});
       schedulers.push_back({"random", std::make_unique<
                                           mac::UniformRandomScheduler>(
                                           fack, rng())});

@@ -36,7 +36,7 @@ void CommitFlood::relay(mac::Context& ctx) {
   if (!relay_pending_ || relayed_ || ctx.busy()) return;
   relayed_ = true;
   relay_pending_ = false;
-  // The engine copies the payload into its pool, so one scratch buffer per
+  // The engine copies the payload into its flight, so one scratch buffer per
   // thread (fuzz soak shards run on threads) serves every relay.
   thread_local util::Buffer scratch;
   util::Writer w(std::move(scratch));

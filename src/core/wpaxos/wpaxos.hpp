@@ -30,11 +30,11 @@
 // touch the heap once a node's tables have grown to their working size.
 // Received envelopes decode in place from the engine's payload view;
 // outgoing envelopes encode into two per-node scratch buffers that the
-// engine copies into its payload pool; the per-root (dist, parent) table is
-// one sorted flat map and the tree queue a vector, so each grows O(log n)
-// times per node instead of allocating per entry. The constructor allocates
-// nothing and no table is pre-sized: a node's footprint is what its run
-// fills. tests/test_wpaxos_allocs.cpp pins the whole-instance count.
+// engine copies into the broadcast's flight; the per-root (dist, parent)
+// table is one sorted flat map and the tree queue a vector, so each grows
+// O(log n) times per node instead of allocating per entry. The constructor
+// allocates nothing and no table is pre-sized: a node's footprint is what
+// its run fills. tests/test_wpaxos_allocs.cpp pins the whole-instance count.
 #pragma once
 
 #include <optional>

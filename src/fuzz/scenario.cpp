@@ -92,20 +92,8 @@ constexpr std::uint64_t kLogSalt = 0x10654A17;
 
 }  // namespace
 
-const char* topology_name(TopologyKind k) {
-  return name_of(kTopologyNames, k).data();
-}
-
 const char* scheduler_name(SchedulerKind k) {
   return name_of(kSchedulerNames, k).data();
-}
-
-const char* input_pattern_name(InputPattern p) {
-  return name_of(kInputPatternNames, p).data();
-}
-
-const char* id_assignment_name(IdAssignment a) {
-  return name_of(kIdAssignmentNames, a).data();
 }
 
 bool termination_expected(const Scenario& s) {
@@ -284,9 +272,10 @@ constexpr std::uint32_t kMaxMutatedLogLease = 32;
 // all; the others take deferral faults always, and permanent loss and
 // duplicates as their kEnvelopes row says.
 [[nodiscard]] bool faults_allowed(const Scenario& s) {
-  // The log service owns its Network and exposes no LinkFaultPlan seam, so
-  // the log family carries no faults (clamp scrubs them; the gate here just
-  // keeps fault ops from producing no-op mutants).
+  // The log family is fault-free by choice: ReplicatedLog::network() would
+  // take a LinkFaultPlan before drive(), but the family's runs never install
+  // one (clamp scrubs faults; the gate here just keeps fault ops from
+  // producing no-op mutants).
   return !envelope(s.algorithm).synchronous_only && s.log_ops == 0;
 }
 
@@ -613,9 +602,11 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
 
 void clamp_to_envelope(Scenario& s) {
   // Log-service family envelope (log_ops > 0): the service IS the wPAXOS
-  // renewal + leased CommitFlood stack, so the algorithm is pinned; it owns
-  // its Network, so per-broadcast scripts and LinkFaultPlans have no seam
-  // to thread through and are scrubbed. Crashes stay — a crash that takes
+  // renewal + leased CommitFlood stack, so the algorithm is pinned.
+  // Per-broadcast scripts index a one-shot instance's traffic, not a slot
+  // sequence, so they are scrubbed; link faults are scrubbed by choice (the
+  // family runs fault-free, though ReplicatedLog::network() could take a
+  // LinkFaultPlan before drive()). Crashes stay — a crash that takes
   // the lease holder is exactly the re-election/recovery coverage this
   // family exists for (the wPAXOS cap below still applies).
   if (s.log_ops > 0) {
@@ -1262,10 +1253,8 @@ BuiltScenario build_scenario(const Scenario& s) {
   const std::uint64_t sched_seed = sub_seed(s.seed, kSchedSalt);
   switch (s.scheduler) {
     case SchedulerKind::kSynchronous:
-      b.scheduler = std::make_unique<mac::SynchronousScheduler>(s.fack);
-      break;
     case SchedulerKind::kMaxDelay:
-      b.scheduler = std::make_unique<mac::MaxDelayScheduler>(s.fack);
+      b.scheduler = std::make_unique<mac::SynchronousScheduler>(s.fack);
       break;
     case SchedulerKind::kUniformRandom:
       b.scheduler =

@@ -52,7 +52,7 @@ inline constexpr std::size_t kTopologyKindCount = 10;
 
 enum class SchedulerKind : std::uint8_t {
   kSynchronous = 0,
-  kMaxDelay = 1,
+  kMaxDelay = 1,  ///< builds kSynchronous's scheduler: every delay is fack
   kUniformRandom = 2,
   kSkewed = 3,
   kContention = 4,
@@ -183,10 +183,7 @@ inline constexpr std::array<std::string_view, kInputPatternCount>
 inline constexpr std::array<std::string_view, 2> kIdAssignmentNames = {
     "identity", "perm"};
 
-[[nodiscard]] const char* topology_name(TopologyKind k);
 [[nodiscard]] const char* scheduler_name(SchedulerKind k);
-[[nodiscard]] const char* input_pattern_name(InputPattern p);
-[[nodiscard]] const char* id_assignment_name(IdAssignment a);
 
 // ---- guarantee envelopes --------------------------------------------------
 //
@@ -311,9 +308,11 @@ void promote_to_large(Scenario& s, std::uint32_t n);
 /// service knobs (ops/batch/window/lease) are drawn deterministically from
 /// the scenario's seed (own salt), then clamp_to_envelope applies the
 /// family's envelope — the algorithm becomes wPAXOS (the service IS wPAXOS
-/// renewals plus leased CommitFlood slots), scripted timelines and link
-/// faults are scrubbed (the service owns its Network; per-broadcast scripts
-/// index a one-shot instance's traffic, not a slot sequence), and crashes
+/// renewals plus leased CommitFlood slots), scripted timelines are scrubbed
+/// (per-broadcast scripts index a one-shot instance's traffic, not a slot
+/// sequence), link faults are scrubbed because the family runs fault-free
+/// by choice (ReplicatedLog::network() could take a LinkFaultPlan before
+/// drive(); the family never installs one), and crashes
 /// are kept — a crash that takes the lease holder is exactly the
 /// re-election/recovery coverage this family exists for. Deterministic in
 /// `s`; NOT called by generate_scenario (the pinned seed-only corpus digest

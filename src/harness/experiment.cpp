@@ -1,6 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 namespace amac::harness {
@@ -121,13 +120,6 @@ const char* algorithm_name(Algorithm a) {
   const auto i = static_cast<std::size_t>(a);
   AMAC_ASSERT(i < kAlgorithmNames.size());
   return kAlgorithmNames[i].data();
-}
-
-std::optional<Algorithm> algorithm_from_name(std::string_view name) {
-  const auto it =
-      std::find(kAlgorithmNames.begin(), kAlgorithmNames.end(), name);
-  if (it == kAlgorithmNames.end()) return std::nullopt;
-  return static_cast<Algorithm>(it - kAlgorithmNames.begin());
 }
 
 mac::ProcessFactory algorithm_factory(Algorithm algorithm,

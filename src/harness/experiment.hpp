@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -99,8 +98,6 @@ inline constexpr std::array<std::string_view, kAlgorithmCount> kAlgorithmNames =
     {"two_phase", "flooding", "wpaxos", "anonymous", "stability", "benor"};
 
 [[nodiscard]] const char* algorithm_name(Algorithm a);
-[[nodiscard]] std::optional<Algorithm> algorithm_from_name(
-    std::string_view name);
 
 /// Everything any algorithm's factory might need; unused fields are ignored
 /// per algorithm (e.g. `diameter` only matters to the D-knowledge ones).

@@ -167,10 +167,9 @@ void Network::for_each_in_flight(
       const std::uint32_t slot = inst.nodes[u].flight_slot;
       if (slot == kNoFlight) continue;
       const Flight& flight = flights_[slot];
-      const util::Buffer& payload = pool_.at(flight.payload_slot);
       for (const NodeId receiver : flight.pending) {
         if (receiver == kNoNode) continue;  // tombstone: already delivered
-        fn(u, receiver, payload);
+        fn(u, receiver, flight.payload);
       }
     }
   }
@@ -183,8 +182,7 @@ void Network::release_flight(std::uint32_t slot) {
   Instance& inst = instances_[flight.instance];
   AMAC_ENSURES(inst.stats.live_pool_slots > 0);
   --inst.stats.live_pool_slots;
-  inst.stats.live_pool_bytes -= pool_.at(flight.payload_slot).size();
-  pool_.release(flight.payload_slot);
+  inst.stats.live_pool_bytes -= flight.payload.size();
   AMAC_ENSURES(inst.nodes[flight.sender].flight_slot == slot);
   inst.nodes[flight.sender].flight_slot = kNoFlight;
   free_flights_.push_back(slot);
@@ -274,8 +272,8 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
   }
 
   if (emitted + best_effort.size() > 0) {
-    // Acquire a flight slot + pooled payload only when someone will hear
-    // the broadcast; pending/lane capacity is recycled across broadcasts.
+    // Acquire a flight slot only when someone will hear the broadcast; its
+    // payload, pending and lane capacity are recycled across broadcasts.
     // (An all-dropped fan-out must not acquire one: with no deliver events
     // left to drain it, the flight would leak.)
     std::uint32_t slot;
@@ -288,7 +286,7 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     }
     Flight& flight = flights_[slot];
     flight.sender = u;
-    flight.payload_slot = pool_.acquire(payload);
+    flight.payload.assign(payload.begin(), payload.end());
     flight.id = id;
     flight.instance = instance;
     // Deliver events take consecutive seqs from here in pending-append
@@ -394,7 +392,7 @@ void Network::trace_event(const Event& e) {
   trace_hasher_.mix_u64(e.sender);
   trace_hasher_.mix_u64(e.broadcast_id);
   if (e.kind == EventKind::kDeliver) {
-    trace_hasher_.mix_bytes(pool_.at(flights_[e.flight_slot].payload_slot));
+    trace_hasher_.mix_bytes(flights_[e.flight_slot].payload);
     trace_hasher_.mix_bool(e.reliable);
   }
 }
@@ -418,24 +416,17 @@ void Network::process_event(const Event& e) {
       return;
     }
     case EventKind::kDeliver: {
-      const std::uint32_t slot = e.flight_slot;
-      // The flight strictly outlives its deliver events, so the slot is
-      // live here; but the callback below may broadcast and grow flights_,
-      // so no Flight reference is held across it.
-      std::uint32_t payload_slot;
-      bool drained;
-      {
-        Flight& flight = flights_[slot];
-        AMAC_ENSURES(flight.id == e.broadcast_id);
-        AMAC_ENSURES(flight.instance == e.instance);
-        // O(1) retire: the seq-derived slot (see Flight) is tombstoned in
-        // place — erase-by-find here made clique rounds O(n^3) overall.
-        const auto idx = static_cast<std::size_t>(e.seq - flight.first_seq);
-        AMAC_ENSURES(e.node != kNoNode);  // read from pending[idx]: live
-        flight.pending[idx] = kNoNode;
-        drained = --flight.undrained_events == 0;
-        payload_slot = flight.payload_slot;
-      }
+      // The flight strictly outlives its deliver events, and flights_ is a
+      // deque: a callback's broadcast below may grow it, but never moves
+      // this flight or its payload.
+      Flight& flight = flights_[e.flight_slot];
+      AMAC_ENSURES(flight.id == e.broadcast_id);
+      AMAC_ENSURES(flight.instance == e.instance);
+      // O(1) retire: the seq-derived slot (see Flight) is tombstoned in
+      // place — erase-by-find here made clique rounds O(n^3) overall.
+      AMAC_ENSURES(e.node != kNoNode);  // read from its pending slot: live
+      flight.pending[e.seq - flight.first_seq] = kNoNode;
+      --flight.undrained_events;
 
       const auto& sender_st = nodes_[e.sender];
       // Cancelled if the sender crashed strictly before this delivery: the
@@ -444,13 +435,13 @@ void Network::process_event(const Event& e) {
           sender_st.crashed && sender_st.crash_time < e.t;
       Instance& inst = instances_[e.instance];
       // A retired instance's events are pure bookkeeping: the flight still
-      // drains (releasing its pool slot) but no callback or counter runs.
+      // drains (releasing its slot) but no callback or counter runs.
       Process* const process = inst.nodes[e.node].process.get();
       if (!cancelled && !nodes_[e.node].crashed && process != nullptr) {
         ++stats_.deliveries;
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
-        const Packet packet{e.sender, pool_.at(payload_slot), e.reliable};
+        const Packet packet{e.sender, flight.payload, e.reliable};
         process->on_receive(packet, ctx);
       } else if (inst.retired && e.run > 1 && !post_event_hook_) {
         // The rest of this copy's run is bookkeeping too (same retired
@@ -459,7 +450,6 @@ void Network::process_event(const Event& e) {
         // hook may read in-flight state between copies, so it keeps the
         // per-copy path.
         const std::size_t rest = e.run - 1;
-        Flight& flight = flights_[slot];
         Event copy = e;
         for (std::size_t k = 1; k <= rest; ++k) {
           ++copy.seq;
@@ -471,11 +461,10 @@ void Network::process_event(const Event& e) {
         }
         AMAC_ENSURES(flight.undrained_events >= rest);
         flight.undrained_events -= rest;
-        drained = flight.undrained_events == 0;
         events_.discard_run(rest);
         stats_.discarded_copies += rest;
       }
-      if (drained) release_flight(slot);
+      if (flight.undrained_events == 0) release_flight(e.flight_slot);
       return;
     }
     case EventKind::kAck: {

@@ -66,24 +66,25 @@
 // tells the paths apart. A post-event hook may observe in-flight state
 // between copies, so with one installed every copy is popped.
 //
-// Payload pool. A broadcast copies its payload into a reusable PayloadPool
-// slot (payload_pool.hpp); deliver events carry the owning flight's slot
-// index instead of a shared_ptr, and receivers get the bytes by reference.
-// Pool lifetime rule: the slot is owned by exactly one Flight and released
-// when the flight's last deliver event drains, so it outlives every event
-// that names it.
-//
-// Flat flights. Flight records live in a slot vector with a free list; the
-// broadcast id is only carried for assertions. Each (node, instance) pair
-// has at most one live flight (a node's instance is busy until its ack, and
-// the ack pops after the flight's last delivery), so the per-instance node
+// Flights own their payloads. A broadcast is one message (paper §2), so
+// it is one Flight record: a broadcast copies its payload into its flight's
+// Buffer (assign reuses the capacity the slot's earlier broadcasts grew),
+// deliver events carry the flight's slot index instead of a shared_ptr, and
+// receivers get the bytes by reference. Flight records live in a deque with
+// one free list; the broadcast id is only carried for assertions. A slot is
+// released when the flight's last deliver event drains, so it outlives
+// every event that names it, and the deque never moves a live flight when
+// a callback's own broadcast grows the table: a Packet's payload reference
+// stays valid for the whole on_receive. Each (node, instance) pair has at
+// most one live flight (a node's instance is busy until its ack, and the
+// ack pops after the flight's last delivery), so the per-instance node
 // state holds the sender's flight slot directly: in_flight_from is O(1) and
 // for_each_in_flight is O(active flights), not O(all flights ever).
 //
-// Zero-allocation steady state. After warm-up (pool slots, lane and scratch
-// capacities grown), the broadcast -> deliver -> ack cycle performs zero
-// heap allocations: the scheduler writes into the engine's scratch
-// BroadcastSchedule, payload bytes reuse pool-slot capacity, events are
+// Zero-allocation steady state. After warm-up (flight slots, lane and
+// scratch capacities grown), the broadcast -> deliver -> ack cycle performs
+// zero heap allocations: the scheduler writes into the engine's scratch
+// BroadcastSchedule, payload bytes reuse flight-slot capacity, events are
 // plain values in reused lanes, and Packet hands out references. Verified
 // by the allocation-counting test in tests/test_mac_event_core.cpp.
 //
@@ -123,16 +124,16 @@
 //     exactly like solo runs (pinned by tests/test_multi_instance.cpp
 //     under stateless schedulers and empty fault plans).
 //   * Shared substrate. The event queue, seq counter, broadcast-id counter,
-//     payload pool, and flight slots are shared — instances multiplex over
-//     one MAC layer rather than simulating parallel networks, so the
-//     service layer's costs (queue pressure, pool occupancy) are the real
-//     multiplexed costs. Per-instance InstanceStats track each instance's
-//     traffic and payload-pool footprint (live/peak slots and bytes).
+//     and flight slots are shared — instances multiplex over one MAC layer
+//     rather than simulating parallel networks, so the service layer's
+//     costs (queue pressure, flight occupancy) are the real multiplexed
+//     costs. Per-instance InstanceStats track each instance's traffic and
+//     the footprint of its live flights (live/peak slots and bytes).
 //   * Lifecycle. add_instance() may be called before or DURING a run (a
 //     replicated log launches pipelined slots as earlier slots decide);
 //     mid-run instances get their on_start callbacks at the current tick.
 //     retire_instance() destroys a finished instance's processes and
-//     returns its pool claims as its flights drain; events addressed to a
+//     releases its flight slots as they drain; events addressed to a
 //     retired instance are consumed as pure bookkeeping (no callbacks, no
 //     delivery/ack counters).
 //   * Completion hook. An instance COMPLETES when its undecided_alive
@@ -168,23 +169,23 @@
 //     peak RSS by ~65 MB, almost all of it pending slots, where one event
 //     per copy took ~830 MB (x86-64, -O2 build); peak_events still counts
 //     the ~16.7M copies.
-//   * Capacity warms once. Flight slots, pending vectors, pool slots, and
-//     lane storage all recycle; after the first large fan-out the steady
-//     state allocates nothing at any n (allocation-counting test covers a
-//     large-n warm-up explicitly).
+//   * Capacity warms once. Flight slots (pending vectors and payload
+//     buffers) and lane storage all recycle; after the first large fan-out
+//     the steady state allocates nothing at any n (allocation-counting test
+//     covers a large-n warm-up explicitly).
 //   * Degree-proportional work (the AMAC_CHECK has_edge scan per fan-out,
 //     Graph::neighbors iteration) stays per-copy O(log deg)/O(1) and is
 //     debug-gated where it isn't.
 // ---------------------------------------------------------------------------
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "mac/calendar_queue.hpp"
 #include "mac/event.hpp"
 #include "mac/link_faults.hpp"
-#include "mac/payload_pool.hpp"
 #include "mac/process.hpp"
 #include "mac/scheduler.hpp"
 #include "net/graph.hpp"
@@ -243,11 +244,12 @@ struct EngineStats {
 };
 
 /// Per-instance slice of the engine's accounting: the traffic one protocol
-/// instance generated plus its payload-pool footprint. Engine-independent
-/// (both engines count these identically), so multi-instance differential
-/// fingerprints may include them. The global EngineStats is NOT the sum of
-/// these views — queue-path fields (wheel_*, peak_events) are substrate-
-/// level and have no per-instance meaning.
+/// instance generated plus the footprint of its live flights. The traffic
+/// fields are engine-independent (both engines count them identically), so
+/// multi-instance differential fingerprints may include them; the *_pool_*
+/// flight fields stay 0 on ReferenceNetwork. The global EngineStats is NOT
+/// the sum of these views — queue-path fields (wheel_*, peak_events) are
+/// substrate-level and have no per-instance meaning.
 struct InstanceStats {
   std::uint64_t broadcasts = 0;
   std::uint64_t dropped_busy = 0;
@@ -257,8 +259,9 @@ struct InstanceStats {
   std::size_t max_payload_bytes = 0;
   std::uint64_t drops = 0;
   std::uint64_t duplicates = 0;
-  /// Payload-pool accounting: slots/bytes currently held by this
-  /// instance's live flights, and their high-water marks.
+  /// Flight accounting: flight slots, and the payload bytes they hold,
+  /// currently owned by this instance's live broadcasts, and their
+  /// high-water marks.
   std::size_t live_pool_slots = 0;
   std::size_t peak_pool_slots = 0;
   std::size_t live_pool_bytes = 0;
@@ -311,8 +314,8 @@ class Network {
   InstanceId add_instance(const ProcessFactory& factory);
 
   /// Destroys a finished instance's processes. Subsequent events addressed
-  /// to it are consumed as pure bookkeeping (flights still drain, pool
-  /// slots still release, busy flags still clear) with no callbacks and no
+  /// to it are consumed as pure bookkeeping (flights still drain and
+  /// release their slots, busy flags still clear) with no callbacks and no
   /// delivery/ack counters. Decisions and InstanceStats remain readable.
   void retire_instance(InstanceId instance);
 
@@ -401,9 +404,6 @@ class Network {
     return trace_hasher_.digest();
   }
 
-  /// Payload pool introspection (pool reuse/lifetime tests).
-  [[nodiscard]] const PayloadPool& payload_pool() const { return pool_; }
-
  private:
   /// Node-level state: crash status only — everything protocol-facing is
   /// per (instance, node).
@@ -428,7 +428,8 @@ class Network {
     bool retired = false;
   };
 
-  /// Bookkeeping for one broadcast's undelivered copies, in slot storage.
+  /// One broadcast in slot storage: its payload bytes and the bookkeeping
+  /// for its undelivered copies.
   ///
   /// `pending` is append-only while the flight is live: a delivered copy is
   /// tombstoned to kNoNode at its slot instead of erased, so the kDeliver
@@ -445,12 +446,12 @@ class Network {
   /// run once its instance has retired.
   struct Flight {
     NodeId sender = kNoNode;
-    std::uint32_t payload_slot = 0;
     std::uint64_t id = 0;                 ///< broadcast id (assertions)
     std::uint64_t first_seq = 0;          ///< seq of the first deliver event
     InstanceId instance = 0;              ///< owning protocol instance
     std::vector<NodeId> pending;          ///< receivers; kNoNode = delivered
     std::size_t undrained_events = 0;     ///< copies not yet popped/dropped
+    util::Buffer payload;                 ///< capacity recycled with the slot
   };
 
   class NodeContext;  // Context implementation bound to one (node, instance)
@@ -466,9 +467,8 @@ class Network {
   Scheduler* scheduler_;
   std::vector<NodeState> nodes_;
   std::vector<Instance> instances_;
-  std::vector<Flight> flights_;           ///< slot storage + free list
+  std::deque<Flight> flights_;  ///< slot storage: addresses never move
   std::vector<std::uint32_t> free_flights_;
-  PayloadPool pool_;
   CalendarQueue events_;
   BroadcastSchedule schedule_scratch_;
   std::vector<std::pair<NodeId, Time>> unreliable_scratch_;

@@ -28,9 +28,10 @@ class Context {
   virtual ~Context() = default;
 
   /// Acknowledged local broadcast. Discarded (with accounting) if a
-  /// broadcast is already outstanding. The engine copies the bytes into its
-  /// payload pool, so callers may reuse (or let die) their buffer freely —
-  /// a process that keeps a scratch buffer broadcasts without allocating.
+  /// broadcast is already outstanding. The engine copies the bytes into the
+  /// broadcast's flight, so callers may reuse (or let die) their buffer
+  /// freely — a process that keeps a scratch buffer broadcasts without
+  /// allocating.
   virtual void broadcast(const util::Buffer& payload) = 0;
 
   /// Irrevocable decision. A process may decide at most once.

@@ -16,8 +16,8 @@
 // add_instance / decision(u, i) / process(u, i) surface with the identical
 // seq-allocation and on_start order, so multi-instance runs stay
 // differential-testable (tests/test_multi_instance.cpp). Per-instance
-// InstanceStats cover the engine-independent traffic fields; the pool
-// footprint fields stay 0 here (this engine has no payload pool).
+// InstanceStats cover the engine-independent traffic fields; the flight
+// footprint fields (*_pool_*) stay 0 here (this engine does not track them).
 #pragma once
 
 #include <functional>

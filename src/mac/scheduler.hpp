@@ -32,7 +32,7 @@ namespace amac::mac {
 /// after the broadcast. Two forms share the type:
 ///   * dense/uniform — every receiver shares one delay (`uniform` set,
 ///     `delays` empty, `uniform_delay` holds the value). Schedulers that
-///     emit lock-step delays (synchronous rounds, max-delay) fill this form
+///     emit lock-step delays (synchronous rounds) fill this form
 ///     with a single bulk receiver copy, and the engine fans the broadcast
 ///     out through a batch push into one calendar-wheel bucket;
 ///   * per-receiver — `delays[i]` parallels `receivers[i]` (`uniform`

@@ -28,14 +28,6 @@ void SynchronousScheduler::schedule(NodeId /*sender*/, Time /*now*/,
   out.assign_uniform(neighbors, round_);
 }
 
-void MaxDelayScheduler::schedule(NodeId /*sender*/, Time /*now*/,
-                                 const std::vector<NodeId>& neighbors,
-                                 BroadcastSchedule& out) {
-  out.reset();
-  out.ack_delay = fack_;
-  out.assign_uniform(neighbors, fack_);
-}
-
 void UniformRandomScheduler::schedule(NodeId /*sender*/, Time /*now*/,
                                       const std::vector<NodeId>& neighbors,
                                       BroadcastSchedule& out) {

@@ -30,21 +30,6 @@ class SynchronousScheduler final : public Scheduler {
   Time round_;
 };
 
-/// Everything takes exactly F_ack: the straightforward worst-case scheduler.
-class MaxDelayScheduler final : public Scheduler {
- public:
-  explicit MaxDelayScheduler(Time fack) : fack_(fack) {
-    AMAC_EXPECTS(fack >= 1);
-  }
-
-  void schedule(NodeId sender, Time now, const std::vector<NodeId>& neighbors,
-                BroadcastSchedule& out) override;
-  [[nodiscard]] Time fack() const override { return fack_; }
-
- private:
-  Time fack_;
-};
-
 /// Fully random: each broadcast gets an ack delay uniform in [1, F_ack] and
 /// per-neighbor receive delays uniform in [1, ack delay]. Deterministic
 /// given the seed.
@@ -254,7 +239,6 @@ class ScriptedScheduler final : public Scheduler {
   [[nodiscard]] std::vector<SlotView> slots() const;
   /// How many broadcasts `sender` has issued so far (scripted or fallback).
   [[nodiscard]] std::size_t broadcasts_issued(NodeId sender) const;
-  [[nodiscard]] Time max_scripted_ack() const { return max_ack_; }
 
   void schedule(NodeId sender, Time now, const std::vector<NodeId>& neighbors,
                 BroadcastSchedule& out) override;

@@ -21,11 +21,13 @@ inline constexpr Time kForever = std::numeric_limits<Time>::max();
 /// in their payloads and never read `sender` (enforced by code review +
 /// the Figure 1 indistinguishability test, which would fail if they did).
 ///
-/// `payload` is a reference into the engine's payload pool (or the caller's
-/// buffer, for hand-driven contexts): a delivery hands the receiver a view,
-/// not a copy, so the hot delivery path performs no allocation. The
-/// reference is valid only for the duration of on_receive; a process that
-/// wants to keep the bytes copies them explicitly.
+/// `payload` is a reference into the broadcast's engine-owned flight (or the
+/// caller's buffer, for hand-driven contexts): a delivery hands the receiver
+/// a view, not a copy, so the hot delivery path performs no allocation. The
+/// reference is valid for the whole on_receive callback, including across
+/// the callback's own broadcasts (which may grow the engine's flight table
+/// but never move a live flight), and no longer; a process that wants to
+/// keep the bytes copies them explicitly.
 struct Packet {
   NodeId sender = kNoNode;
   const util::Buffer& payload;

@@ -44,7 +44,7 @@ TEST(Flooding, LineTimeGrowsLinearlyInN) {
   for (const std::size_t n : {8u, 16u, 32u}) {
     const auto g = net::make_line(n);
     const auto inputs = harness::inputs_alternating(n);
-    mac::MaxDelayScheduler sched(fack);
+    mac::SynchronousScheduler sched(fack);
     const auto outcome = harness::run_consensus(
         g, harness::flooding_factory(inputs, /*pairs=*/1), sched, inputs,
         1'000'000);
@@ -88,7 +88,7 @@ TEST(Flooding, LargerBatchesAreFaster) {
   mac::Time t_small = 0;
   mac::Time t_large = 0;
   for (const std::size_t pairs : {1u, 4u}) {
-    mac::MaxDelayScheduler sched(3);
+    mac::SynchronousScheduler sched(3);
     const auto outcome = harness::run_consensus(
         g, harness::flooding_factory(inputs, pairs), sched, inputs,
         1'000'000);

@@ -198,7 +198,7 @@ TEST(TwoPhase, DecisionTimeIndependentOfN) {
   for (const std::size_t n : {4u, 64u}) {
     const auto g = net::make_clique(n);
     const auto inputs = harness::inputs_alternating(n);
-    mac::MaxDelayScheduler sched(6);
+    mac::SynchronousScheduler sched(6);
     const auto outcome = harness::run_consensus(
         g, harness::two_phase_factory(inputs), sched, inputs, 10000);
     ASSERT_TRUE(outcome.verdict.ok());

@@ -75,8 +75,8 @@ TEST(FuzzLogPromotion, DeterministicAndInsideEnvelope) {
     const std::string context = format_spec(s);
     ASSERT_GT(s.log_ops, 0u) << context;
     // Family envelope: the service IS the wPAXOS renewal + leased
-    // CommitFlood stack, owns its Network (no fault/script seam), and
-    // keeps crashes (re-election coverage is the family's point).
+    // CommitFlood stack, runs without scripts and (by choice) fault-free,
+    // and keeps crashes (re-election coverage is the family's point).
     EXPECT_EQ(s.algorithm, Algorithm::kWPaxos) << context;
     EXPECT_NE(s.scheduler, SchedulerKind::kScripted) << context;
     // Contention's fack bound covers one instance's density; a pipelined

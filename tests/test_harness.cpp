@@ -54,7 +54,7 @@ TEST(Runner, ReportsStatsAndVerdict) {
 TEST(Runner, TimeoutYieldsNonTermination) {
   const auto g = net::make_line(30);
   const auto inputs = inputs_alternating(30);
-  mac::MaxDelayScheduler sched(10);
+  mac::SynchronousScheduler sched(10);
   // Far too little time for consensus on a 30-line.
   const auto outcome = run_consensus(
       g, wpaxos_factory(inputs, identity_ids(30)), sched, inputs, 20);

@@ -3,24 +3,15 @@
 // leased, pipelined, recovered, or re-elected.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
+#include "util/stats.hpp"
 
 namespace amac::log {
 namespace {
 
 constexpr std::uint64_t kSeed = 0xFEED5EED;
-
-/// Nearest-rank percentile over a copy (the bench uses the same rule).
-mac::Time percentile(std::vector<mac::Time> v, double p) {
-  EXPECT_FALSE(v.empty());
-  std::sort(v.begin(), v.end());
-  const auto rank = static_cast<std::size_t>(p * static_cast<double>(v.size()));
-  return v[std::min(rank, v.size() - 1)];
-}
 
 LogServiceStats drive_service(const net::Graph& graph,
                               const Workload& workload,
@@ -249,8 +240,8 @@ TEST(LogService, RecoveredSlotLatencyIncludesTheStall) {
               ns.decide_latency[slot]);  // stall included, same slot clean
   }
   EXPECT_TRUE(any_relaunched);
-  EXPECT_GT(percentile(cs.decide_latency, 0.99),
-            percentile(ns.decide_latency, 0.99));
+  EXPECT_GT(util::nearest_rank(cs.decide_latency, 0.99),
+            util::nearest_rank(ns.decide_latency, 0.99));
 }
 
 TEST(LogService, MultiRoundRecoveryCountsEachSlotOnce) {

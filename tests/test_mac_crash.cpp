@@ -37,7 +37,7 @@ TEST(Crash, MidBroadcastPartialDelivery) {
 
 TEST(Crash, CrashedNodeGetsNoCallbacks) {
   const auto g = net::make_clique(3);
-  MaxDelayScheduler sched(10);
+  SynchronousScheduler sched(10);
   Network net(g, probe_factory(5), sched);
   net.schedule_crash(CrashPlan{0, 3});
   net.run(StopWhen::kQuiescent, 10000);
@@ -49,7 +49,7 @@ TEST(Crash, CrashedNodeGetsNoCallbacks) {
 
 TEST(Crash, DeliveriesToCrashedNodeDropped) {
   const auto g = net::make_clique(2);
-  MaxDelayScheduler sched(10);
+  SynchronousScheduler sched(10);
   Network net(g, probe_factory(1), sched);
   net.schedule_crash(CrashPlan{1, 5});
   net.run(StopWhen::kQuiescent, 1000);

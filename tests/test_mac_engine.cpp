@@ -132,7 +132,7 @@ TEST(Engine, StatsCountBroadcastsAndDeliveries) {
 
 TEST(Engine, InFlightTracking) {
   const auto g = net::make_clique(3);
-  MaxDelayScheduler sched(10);
+  SynchronousScheduler sched(10);
   Network net(g, probe_factory(1), sched);
   net.run(StopWhen::kQuiescent, 5);  // mid-flight: deliveries due at t=10
   EXPECT_EQ(net.in_flight_from(0), 2u);

@@ -8,7 +8,8 @@
 //     topologies, crash plans, link-fault plans, and the unreliable
 //     overlay.
 //   * Determinism: same seed => bit-identical digests run-to-run.
-//   * Payload pool reuse and lifetime.
+//   * Flight-slot reuse, and payload lifetime while the flight table grows
+//     inside a callback.
 //   * Zero heap allocations in the steady-state broadcast->deliver->ack
 //     cycle (global operator new instrumented in this binary).
 #include <gtest/gtest.h>
@@ -414,54 +415,83 @@ TEST(EngineDeterminism, DifferentSeedDifferentDigest) {
   EXPECT_NE(once(1).trace, once(2).trace);
 }
 
-// --- payload pool reuse and lifetime ------------------------------------
+// --- flight slots: reuse and payload lifetime ---------------------------
 
-TEST(PayloadPool, AcquireReleaseReuse) {
-  PayloadPool pool;
-  const util::Buffer a{1, 2, 3};
-  const util::Buffer b{9};
-  const auto s0 = pool.acquire(a);
-  const auto s1 = pool.acquire(b);
-  EXPECT_NE(s0, s1);
-  EXPECT_EQ(pool.at(s0), a);
-  EXPECT_EQ(pool.at(s1), b);
-  EXPECT_EQ(pool.slot_count(), 2u);
-  EXPECT_EQ(pool.live_count(), 2u);
-  pool.release(s0);
-  EXPECT_EQ(pool.live_count(), 1u);
-  const auto s2 = pool.acquire(b);  // must recycle s0
-  EXPECT_EQ(s2, s0);
-  EXPECT_EQ(pool.at(s2), b);
-  EXPECT_EQ(pool.slot_count(), 2u);
-  EXPECT_EQ(pool.reuses(), 1u);
-  EXPECT_EQ(pool.acquires(), 3u);
-}
-
-TEST(PayloadPool, EngineRecyclesSlotsAcrossBroadcasts) {
+TEST(FlightSlots, EngineRecyclesSlotsAcrossBroadcasts) {
   // 3 nodes x 50 broadcasts each: at most one live flight per sender, so
-  // the pool should plateau at <= 3 slots and recycle for the rest.
+  // the flight table should plateau at <= 3 slots and recycle for the rest.
   const auto g = net::make_clique(3);
   SynchronousScheduler sched(1);
   Network net(g, probe_factory(50), sched);
   net.run(StopWhen::kQuiescent, 100000);
   EXPECT_EQ(net.stats().broadcasts, 150u);
-  EXPECT_LE(net.payload_pool().slot_count(), 3u);
-  EXPECT_EQ(net.payload_pool().acquires(), 150u);
-  EXPECT_GE(net.payload_pool().reuses(), 147u);
+  EXPECT_LE(net.instance_stats(0).peak_pool_slots, 3u);
   // Every flight drained: every slot returned.
-  EXPECT_EQ(net.payload_pool().live_count(), 0u);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
 }
 
-TEST(PayloadPool, SlotsHeldExactlyWhileInFlight) {
+TEST(FlightSlots, HeldExactlyWhileInFlight) {
   const auto g = net::make_clique(3);
-  MaxDelayScheduler sched(10);
+  SynchronousScheduler sched(10);
   Network net(g, probe_factory(1), sched);
   net.run(StopWhen::kQuiescent, 5);  // mid-flight: deliveries due at t=10
-  EXPECT_EQ(net.payload_pool().live_count(), 3u);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 3u);
   EXPECT_EQ(net.in_flight_from(0), 2u);
   net.run(StopWhen::kQuiescent, 1000);
-  EXPECT_EQ(net.payload_pool().live_count(), 0u);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
   EXPECT_EQ(net.in_flight_from(0), 0u);
+}
+
+/// Node 0 broadcasts `kOriginal` at start; every other node relays a
+/// different payload from inside its first on_receive, then re-reads the
+/// packet it is still handling.
+class RelayInCallback final : public Process {
+ public:
+  static inline const util::Buffer kOriginal = util::Buffer(24, 0x5A);
+
+  explicit RelayInCallback(NodeId id)
+      : id_(id), relay_(40, static_cast<std::uint8_t>(id)) {}
+
+  void on_start(Context& ctx) override {
+    if (id_ == 0) ctx.broadcast(kOriginal);
+  }
+  void on_receive(const Packet& packet, Context& ctx) override {
+    if (packet.sender != 0) return;
+    ctx.broadcast(relay_);  // may grow the engine's flight table
+    EXPECT_EQ(packet.payload, kOriginal) << "at node " << id_;
+    ++intact_reads;
+  }
+  void on_ack(Context&) override {}
+  std::unique_ptr<Process> clone() const override {
+    return std::make_unique<RelayInCallback>(*this);
+  }
+  void digest(util::Hasher& h) const override { h.mix_u64(id_); }
+
+  std::size_t intact_reads = 0;
+
+ private:
+  NodeId id_;
+  util::Buffer relay_;
+};
+
+TEST(FlightSlots, PayloadStaysValidWhileTableGrowsInCallback) {
+  // On a 64-clique the 63 receivers of node 0's broadcast each start a
+  // flight while node 0's is still live, so the table grows from 1 slot to
+  // 64 during callbacks that hold a reference to node 0's payload. A table
+  // that moved its flights would leave that reference dangling (the
+  // sanitizer lane reports it) or reading another broadcast's bytes.
+  const std::size_t n = 64;
+  const auto g = net::make_clique(n);
+  SynchronousScheduler sched(1);
+  Network net(g, [](NodeId u) { return std::make_unique<RelayInCallback>(u); },
+              sched);
+  net.run(StopWhen::kQuiescent, 1000);
+  EXPECT_EQ(net.instance_stats(0).peak_pool_slots, n);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
+  for (NodeId u = 1; u < n; ++u) {
+    EXPECT_EQ(dynamic_cast<RelayInCallback&>(net.process(u)).intact_reads, 1u)
+        << "at node " << u;
+  }
 }
 
 // --- zero-allocation steady state ---------------------------------------
@@ -531,7 +561,7 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingSynchronous) {
   SynchronousScheduler sched(1);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
               sched);
-  // Warm-up: grows pool slots, lane/pending/scratch capacities.
+  // Warm-up: grows flight slots, lane/pending/scratch capacities.
   net.run(StopWhen::kQuiescent, 50);
   const std::uint64_t before = g_alloc_count;
   net.run(StopWhen::kQuiescent, 2000);
@@ -562,7 +592,7 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingRandomDelays) {
 TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
   // Same zero-allocation contract at soak scale: a 32x32 torus (n = 1024,
   // degree 4) with every node re-broadcasting on ack. The warm-up run
-  // grows the payload pool, per-node pending arrays, and the circulating
+  // grows the flight slots, per-node pending arrays, and the circulating
   // lane set to their n=1024 high-water marks; after that, millions of
   // broadcast->deliver->ack cycles must not allocate once. Guards the
   // large-n hot path specifically: a per-delivery or per-retire
@@ -581,14 +611,14 @@ TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
 }
 
 TEST(EngineAllocation, SoAUniformFanoutBatchPathAllocatesNothing) {
-  // Dense clique + MaxDelayScheduler: every broadcast takes the SoA dense
+  // Dense clique + SynchronousScheduler: every broadcast takes the SoA dense
   // fast path (uniform schedule -> one CalendarQueue::push_run entry, bulk
   // pending copy). After warm-up the whole fan-out cycle must be
   // allocation-free, and every delivery must have been pushed through the
   // wheel (a run counts its copies as wheel pushes; nothing spills to the
   // heap).
   const auto g = net::make_clique(12);
-  MaxDelayScheduler sched(4);
+  SynchronousScheduler sched(4);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
               sched);
   net.run(StopWhen::kQuiescent, 100);

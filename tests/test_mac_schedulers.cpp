@@ -44,14 +44,6 @@ TEST(Schedulers, SynchronousEmitsDenseUniformForm) {
   EXPECT_EQ(s.receivers, kNeighbors);
 }
 
-TEST(Schedulers, MaxDelayAllAtFack) {
-  MaxDelayScheduler sched(7);
-  const auto s = sched.make_schedule(2, 0, kNeighbors);
-  EXPECT_EQ(s.ack_delay, 7u);
-  EXPECT_TRUE(s.uniform);
-  for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(s.delay(i), 7u);
-}
-
 TEST(Schedulers, UniformRandomWithinContract) {
   UniformRandomScheduler sched(16, 42);
   for (int i = 0; i < 200; ++i) {
@@ -355,7 +347,7 @@ TEST(Schedulers, ScriptedSlotIntrospection) {
   EXPECT_EQ(slots[2].sender, 2u);
   EXPECT_EQ(slots[2].index, 1u);
   EXPECT_EQ(slots[2].uniform_delay, 4u);
-  EXPECT_EQ(sched.max_scripted_ack(), 9u);
+  EXPECT_EQ(sched.fack(), 9u);
 
   EXPECT_EQ(sched.broadcasts_issued(0), 0u);
   (void)sched.make_schedule(0, 0, kNeighbors);

@@ -1,6 +1,6 @@
 // Instance-multiplexing isolation (design doc: "Instance multiplexing" in
-// mac/engine.hpp): instances share one Network — event queue, payload
-// pool, sequence numbers — but must not be able to OBSERVE each other.
+// mac/engine.hpp): instances share one Network — event queue, flight
+// slots, sequence numbers — but must not be able to OBSERVE each other.
 // Two pins:
 //   * interleaved-vs-solo: each instance of a multiplexed run produces
 //     bit-identical per-instance observables (decisions, process digests,
@@ -54,8 +54,9 @@ std::uint64_t process_digest(const Process& p) {
   return h.digest();
 }
 
-/// The engine-independent traffic fields of an instance's stats (the pool
-/// fields are engine-specific bookkeeping: zero on ReferenceNetwork).
+/// The engine-independent traffic fields of an instance's stats (the
+/// *_pool_* flight fields are engine-specific bookkeeping: zero on
+/// ReferenceNetwork).
 struct TrafficStats {
   std::uint64_t broadcasts, dropped_busy, deliveries, acks, payload_bytes;
   std::size_t max_payload_bytes;
@@ -184,7 +185,7 @@ TEST(MultiInstance, PoolAccountingDrainsPerInstance) {
     const InstanceStats& s = net.instance_stats(i);
     EXPECT_GT(s.broadcasts, 0u) << "instance " << i;
     EXPECT_GT(s.peak_pool_slots, 0u) << "instance " << i;
-    // Quiescent: every flight landed, so each instance's pool share is
+    // Quiescent: every flight landed, so each instance's flight share is
     // fully returned — leak detection per tenant, not just globally.
     EXPECT_EQ(s.live_pool_slots, 0u) << "instance " << i;
     EXPECT_EQ(s.live_pool_bytes, 0u) << "instance " << i;

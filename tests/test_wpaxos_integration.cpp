@@ -32,12 +32,12 @@ std::vector<TopoCase> topologies() {
 
 // Parameterized over (topology index, scheduler kind): every combination
 // is its own reported test case.
+// The values seed each case's rng, so they stay fixed.
 enum class SchedKind {
-  kSynchronous,
-  kRandom,
-  kSkewed,
-  kMaxDelay,
-  kContention
+  kSynchronous = 0,
+  kRandom = 1,
+  kSkewed = 2,
+  kContention = 4
 };
 
 class WPaxosTopoSweep
@@ -67,9 +67,6 @@ TEST_P(WPaxosTopoSweep, ConsensusHolds) {
       case SchedKind::kSkewed:
         sched = std::make_unique<mac::SkewedScheduler>(fack, rng());
         break;
-      case SchedKind::kMaxDelay:
-        sched = std::make_unique<mac::MaxDelayScheduler>(fack);
-        break;
       case SchedKind::kContention:
         sched = std::make_unique<mac::ContentionScheduler>(
             1, /*fack_bound=*/n + 4, rng());
@@ -89,7 +86,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SchedKind::kSynchronous,
                                          SchedKind::kRandom,
                                          SchedKind::kSkewed,
-                                         SchedKind::kMaxDelay,
                                          SchedKind::kContention)));
 
 TEST(WPaxosIntegration, UniformInputsDecideThatValue) {
