@@ -7,7 +7,9 @@
 //     one crash; Ben-Or, on the same clique with crashes injected across a
 //     grid of times and victims, decides every time;
 //   * round/time distribution vs n and crash count, mixed inputs.
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "core/benor.hpp"
 #include "harness/experiment.hpp"
@@ -61,8 +63,8 @@ int main() {
   for (const auto& [n, f] : {std::pair<std::size_t, std::size_t>{3, 1},
                              {5, 2}, {9, 4}, {15, 7}, {25, 12}}) {
     for (const std::size_t crashes : {std::size_t{0}, f}) {
-      util::Summary rounds;
-      util::Summary times;
+      std::vector<std::uint32_t> rounds;
+      std::vector<mac::Time> times;
       bool correct = true;
       const int kRuns = 40;
       for (int run = 0; run < kRuns; ++run) {
@@ -80,7 +82,7 @@ int main() {
         const auto result = net.run(mac::StopWhen::kAllDecided, 10'000'000);
         const auto verdict = verify::check_consensus(net, inputs);
         correct = correct && result.condition_met && verdict.ok();
-        times.add(static_cast<double>(verdict.last_decision));
+        times.push_back(verdict.last_decision);
         std::uint32_t max_round = 0;
         for (NodeId u = 0; u < n; ++u) {
           if (net.crashed(u)) continue;
@@ -88,18 +90,18 @@ int main() {
               max_round,
               dynamic_cast<const core::BenOr*>(&net.process(u))->round());
         }
-        rounds.add(max_round);
+        rounds.push_back(max_round);
       }
       if (!correct) all_expected = false;
       table.row()
           .cell(n)
           .cell(f)
           .cell(crashes)
-          .cell(static_cast<std::uint64_t>(rounds.count()))
-          .cell(rounds.mean())
-          .cell(rounds.max(), 0)
-          .cell(times.mean(), 1)
-          .cell(times.percentile(95), 1)
+          .cell(static_cast<std::uint64_t>(rounds.size()))
+          .cell(std::accumulate(rounds.begin(), rounds.end(), 0.0) / kRuns)
+          .cell(*std::max_element(rounds.begin(), rounds.end()))
+          .cell(std::accumulate(times.begin(), times.end(), 0.0) / kRuns, 1)
+          .cell(util::nearest_rank(times, 0.95))
           .cell(correct);
     }
   }

@@ -7,10 +7,9 @@ namespace amac::core {
 namespace {
 
 util::Buffer encode_pairs(
-    const std::deque<std::pair<std::uint64_t, mac::Value>>& outbox,
-    std::size_t limit) {
+    const std::deque<std::pair<std::uint64_t, mac::Value>>& outbox) {
   util::Writer w;
-  const std::size_t count = std::min(limit, outbox.size());
+  const std::size_t count = std::min(mac::kPairsPerMessage, outbox.size());
   w.put_uvarint(count);
   for (std::size_t i = 0; i < count; ++i) {
     w.put_uvarint(outbox[i].first);
@@ -22,12 +21,9 @@ util::Buffer encode_pairs(
 }  // namespace
 
 FloodingConsensus::FloodingConsensus(std::uint64_t id, std::size_t n,
-                                     mac::Value initial_value,
-                                     std::size_t pairs_per_message)
-    : id_(id), n_(n), value_(initial_value),
-      pairs_per_message_(pairs_per_message) {
+                                     mac::Value initial_value)
+    : id_(id), n_(n), value_(initial_value) {
   AMAC_EXPECTS(n >= 1);
-  AMAC_EXPECTS(pairs_per_message >= 1);
   AMAC_EXPECTS(initial_value >= 0);  // gather-all is value-agnostic
 }
 
@@ -64,8 +60,8 @@ void FloodingConsensus::on_ack(mac::Context& ctx) { maybe_send(ctx); }
 
 void FloodingConsensus::maybe_send(mac::Context& ctx) {
   if (ctx.busy() || outbox_.empty()) return;
-  util::Buffer payload = encode_pairs(outbox_, pairs_per_message_);
-  const std::size_t sent = std::min(pairs_per_message_, outbox_.size());
+  util::Buffer payload = encode_pairs(outbox_);
+  const std::size_t sent = std::min(mac::kPairsPerMessage, outbox_.size());
   outbox_.erase(outbox_.begin(),
                 outbox_.begin() + static_cast<std::ptrdiff_t>(sent));
   ctx.broadcast(std::move(payload));

@@ -4,7 +4,7 @@
 // algorithm" costs O(n * F_ack), because a bottleneck node may have to
 // forward Omega(n) (id, value) pairs while each message carries only O(1)
 // of them. This class is that baseline, built honestly: it knows n, floods
-// every (id, value) pair it learns at most `pairs_per_message` (constant)
+// every (id, value) pair it learns at most mac::kPairsPerMessage (constant)
 // per broadcast, and decides the value of the smallest id once all n pairs
 // are known. bench_crossover measures it against wPAXOS.
 #pragma once
@@ -19,10 +19,8 @@ namespace amac::core {
 
 class FloodingConsensus final : public mac::Process {
  public:
-  /// Knowledge: own unique id, n, initial value. `pairs_per_message` is the
-  /// model's constant-ids-per-message budget (paper §2); default 2.
-  FloodingConsensus(std::uint64_t id, std::size_t n, mac::Value initial_value,
-                    std::size_t pairs_per_message = 2);
+  /// Knowledge: own unique id, n, initial value.
+  FloodingConsensus(std::uint64_t id, std::size_t n, mac::Value initial_value);
 
   void on_start(mac::Context& ctx) override;
   void on_receive(const mac::Packet& packet, mac::Context& ctx) override;
@@ -41,7 +39,6 @@ class FloodingConsensus final : public mac::Process {
   std::uint64_t id_;
   std::size_t n_;
   mac::Value value_;
-  std::size_t pairs_per_message_;
 
   std::map<std::uint64_t, mac::Value> known_;
   std::deque<std::pair<std::uint64_t, mac::Value>> outbox_;

@@ -6,11 +6,8 @@ namespace amac::core {
 
 StabilityConsensus::StabilityConsensus(std::uint64_t id,
                                        std::uint32_t diameter,
-                                       mac::Value initial_value,
-                                       std::size_t pairs_per_message)
-    : id_(id), diameter_(diameter), value_(initial_value),
-      pairs_per_message_(pairs_per_message) {
-  AMAC_EXPECTS(pairs_per_message >= 1);
+                                       mac::Value initial_value)
+    : id_(id), diameter_(diameter), value_(initial_value) {
   AMAC_EXPECTS(initial_value == 0 || initial_value == 1);
 }
 
@@ -24,7 +21,7 @@ void StabilityConsensus::send_batch(mac::Context& ctx) {
   // Phases are paced by acks: a batch (possibly empty — a heartbeat that
   // keeps the quiet counter advancing) is broadcast each phase.
   util::Writer w;
-  const std::size_t count = std::min(pairs_per_message_, outbox_.size());
+  const std::size_t count = std::min(mac::kPairsPerMessage, outbox_.size());
   w.put_uvarint(count);
   for (std::size_t i = 0; i < count; ++i) {
     w.put_uvarint(outbox_[i].first);

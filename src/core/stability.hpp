@@ -2,11 +2,11 @@
 // Theorem 3.9 kills.
 //
 // Has unique ids and knows D but NOT n (the knowledge Theorem 3.9 allows).
-// Gather-and-stabilize: flood (id, value) pairs (constant pairs per
-// message), and decide the smallest known id's value after D+1 consecutive
-// acked phases in which nothing new was learned and nothing is left to
-// forward. Under the synchronous scheduler on a standalone line L_D this
-// is correct: quiet phases can only start after the far end's pair has
+// Gather-and-stabilize: flood (id, value) pairs (mac::kPairsPerMessage
+// per message), and decide the smallest known id's value after D+1
+// consecutive acked phases in which nothing new was learned and nothing is
+// left to forward. Under the synchronous scheduler on a standalone line L_D
+// this is correct: quiet phases can only start after the far end's pair has
 // crossed the line.
 //
 // bench_thm39_no_n runs it on Figure 2: standalone L_D (correct) vs the two
@@ -28,8 +28,7 @@ class StabilityConsensus final : public mac::Process {
  public:
   /// Knowledge: own unique id, diameter bound, initial value. No n.
   StabilityConsensus(std::uint64_t id, std::uint32_t diameter,
-                     mac::Value initial_value,
-                     std::size_t pairs_per_message = 2);
+                     mac::Value initial_value);
 
   void on_start(mac::Context& ctx) override;
   void on_receive(const mac::Packet& packet, mac::Context& ctx) override;
@@ -39,7 +38,6 @@ class StabilityConsensus final : public mac::Process {
   void protocol_stats(mac::ProtocolStats& out) const override;
 
   [[nodiscard]] std::size_t known_count() const { return known_.size(); }
-  [[nodiscard]] std::uint32_t quiet_phases() const { return quiet_; }
   [[nodiscard]] std::uint64_t quiet_resets() const { return quiet_resets_; }
 
  private:
@@ -48,7 +46,6 @@ class StabilityConsensus final : public mac::Process {
   std::uint64_t id_;
   std::uint32_t diameter_;
   mac::Value value_;
-  std::size_t pairs_per_message_;
 
   std::map<std::uint64_t, mac::Value> known_;
   std::deque<std::pair<std::uint64_t, mac::Value>> outbox_;

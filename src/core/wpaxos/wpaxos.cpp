@@ -49,7 +49,6 @@ WPaxos::WPaxos(std::uint64_t id, std::size_t n, mac::Value initial_value,
   // that b-bit values make messages O(b + log n) bits — doing better is
   // the open problem the paper states).
   AMAC_EXPECTS(initial_value >= 0);
-  AMAC_EXPECTS(cfg_.proposals_per_change >= 1);
 }
 
 void WPaxos::on_start(mac::Context& ctx) {
@@ -158,7 +157,7 @@ void WPaxos::tree_prioritize_leader() {
 
 void WPaxos::generate_new_proposal(mac::Context& ctx) {
   if (decided_) return;
-  attempts_left_ = cfg_.proposals_per_change;
+  attempts_left_ = kProposalsPerChange;
   start_proposal(ctx);
 }
 
@@ -224,10 +223,24 @@ void WPaxos::check_thresholds(mac::Context& ctx) {
     }
     return;
   }
-  if (2 * no_ > n_) {
-    // Rejected by a majority. The rejections carried the largest committed
-    // proposal number, so a retry (if the budget and leadership allow)
-    // uses a larger tag.
+  if (2 * (n_ - std::min<std::uint64_t>(no_, n_)) <= n_) {
+    // A yes-majority is out of reach: retry now. A majority of rejections
+    // would not do as the trigger: with even n a vote can split at
+    // yes = no = n/2, and with no change event left nothing would start
+    // another proposal. The rejections carried their acceptors' promises,
+    // so the retry (if the budget and leadership allow) uses a larger tag.
+    //
+    // Two attempts per change notification (§4.2) still suffice, although
+    // the retry may now fire before every response is in. It fires with
+    // no >= n/2, and yes >= 1: the proposer's own acceptor answers its
+    // proposal synchronously and always positively, because an acceptor
+    // only ever promises numbers whose tag max_tag_ has already absorbed.
+    // So a strict majority of acceptors has answered, each holding a
+    // promise of tag <= max_tag_, and the retry is numbered
+    // (max_tag_ + 1, id_), above all of them. After stabilization the
+    // leader is the only proposer, nothing raises those promises again,
+    // and that majority promises and then accepts the retry; the responses
+    // still missing are a minority and cannot block it.
     pphase_ = PropPhase::kIdle;
     if (omega_ == id_ && attempts_left_ > 0) start_proposal(ctx);
   }

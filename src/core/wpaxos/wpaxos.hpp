@@ -10,7 +10,7 @@
 //   * Change service (Algorithm 3): floods the freshest (timestamp, origin)
 //     change event; a node that believes itself leader generates a new
 //     proposal whenever its change queue is refreshed — and a proposer
-//     attempts at most `proposals_per_change` proposal numbers per
+//     attempts at most kProposalsPerChange proposal numbers per
 //     notification, which is what bounds proposals after stabilization.
 //   * Tree building (Algorithm 4): per-root Bellman-Ford (dist, parent)
 //     with the current leader's search messages prioritized, so the
@@ -47,6 +47,12 @@
 
 namespace amac::core::wpaxos {
 
+/// The paper's "up to 2 proposal numbers per change notification" (§4.2):
+/// after stabilization the first attempt may be rejected, and its
+/// rejections number the second above every promise (see
+/// WPaxos::check_thresholds).
+inline constexpr int kProposalsPerChange = 2;
+
 /// Feature switches. Defaults reproduce the paper's algorithm; turning a
 /// switch off reproduces the strawman that motivates the corresponding
 /// design choice (bench_ablations).
@@ -61,8 +67,6 @@ struct WPaxosConfig {
   /// Off = the leader re-proposes on every service event it observes
   /// (proposal storm).
   bool change_gating = true;
-  /// The paper's "up to 2 proposal numbers per change notification".
-  int proposals_per_change = 2;
   /// Record every positive acceptor response for the Lemma 4.2 monitor.
   bool track_responses = false;
   /// Dual-graph extension (the paper's open question): when true, the tree

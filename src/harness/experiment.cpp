@@ -60,13 +60,11 @@ mac::ProcessFactory two_phase_factory(std::vector<mac::Value> inputs,
   };
 }
 
-mac::ProcessFactory flooding_factory(std::vector<mac::Value> inputs,
-                                     std::size_t pairs_per_message) {
+mac::ProcessFactory flooding_factory(std::vector<mac::Value> inputs) {
   const std::size_t n = inputs.size();
-  return [inputs = std::move(inputs), n, pairs_per_message](NodeId u) {
+  return [inputs = std::move(inputs), n](NodeId u) {
     AMAC_EXPECTS(u < inputs.size());
-    return std::make_unique<core::FloodingConsensus>(u, n, inputs[u],
-                                                     pairs_per_message);
+    return std::make_unique<core::FloodingConsensus>(u, n, inputs[u]);
   };
 }
 
@@ -93,14 +91,13 @@ mac::ProcessFactory anonymous_factory(std::vector<mac::Value> inputs,
 
 mac::ProcessFactory stability_factory(std::vector<mac::Value> inputs,
                                       std::uint32_t diameter,
-                                      std::vector<std::uint64_t> ids,
-                                      std::size_t pairs_per_message) {
+                                      std::vector<std::uint64_t> ids) {
   AMAC_EXPECTS(inputs.size() == ids.size());
-  return [inputs = std::move(inputs), ids = std::move(ids), diameter,
-          pairs_per_message](NodeId u) {
+  return [inputs = std::move(inputs), ids = std::move(ids),
+          diameter](NodeId u) {
     AMAC_EXPECTS(u < inputs.size());
-    return std::make_unique<core::StabilityConsensus>(
-        ids[u], diameter, inputs[u], pairs_per_message);
+    return std::make_unique<core::StabilityConsensus>(ids[u], diameter,
+                                                      inputs[u]);
   };
 }
 

@@ -52,7 +52,7 @@ namespace amac::harness {
     std::vector<mac::Value> inputs, bool literal_r2_check = false);
 
 [[nodiscard]] mac::ProcessFactory flooding_factory(
-    std::vector<mac::Value> inputs, std::size_t pairs_per_message = 2);
+    std::vector<mac::Value> inputs);
 
 [[nodiscard]] mac::ProcessFactory wpaxos_factory(
     std::vector<mac::Value> inputs, std::vector<std::uint64_t> ids,
@@ -63,7 +63,7 @@ namespace amac::harness {
 
 [[nodiscard]] mac::ProcessFactory stability_factory(
     std::vector<mac::Value> inputs, std::uint32_t diameter,
-    std::vector<std::uint64_t> ids, std::size_t pairs_per_message = 2);
+    std::vector<std::uint64_t> ids);
 
 /// Ben-Or randomized consensus (crash-tolerant, f < n/2); per-node coin
 /// seeds are derived from `seed`.

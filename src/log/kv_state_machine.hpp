@@ -31,7 +31,6 @@ class KvStateMachine {
 
   /// Current value of `key` (0 if never written); table reads for tests.
   [[nodiscard]] std::uint32_t get(std::uint32_t key) const;
-  [[nodiscard]] std::size_t table_size() const { return kv_.size(); }
 
  private:
   std::unordered_map<std::uint32_t, std::uint32_t> kv_;

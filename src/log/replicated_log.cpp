@@ -33,19 +33,12 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
   }
 
   slots_.resize(total_slots_);
-  stats_.slots_total = total_slots_;
-  stats_.decide_latency.assign(total_slots_, 0);
-  stats_.relaunched_at.assign(total_slots_, 0);
-  stats_.leader = current_leader_;
-  stats_.lease_ok = true;
 
   // Slot 0 is instance 0 (built by the Network constructor) and always an
   // elective lease renewal; the rest of the initial window launches
   // pre-run.
   slots_[0].instance = 0;
   slots_[0].full_paxos = true;
-  slots_[0].elective = true;
-  ++stats_.slots_full_paxos;
   inflight_.push_back(0);
   next_launch_ = 1;
   launch_ready_slots();
@@ -104,15 +97,9 @@ void ReplicatedLog::launch_ready_slots() {
                                       : SlotMode::kForcedPaxos;
     SlotRecord& rec = slots_[slot];
     rec.sole = static_cast<mac::Value>(slot);
-    rec.elective = renewal;
     rec.instance = net_.add_instance(slot_factory(slot, mode, rec.sole));
     rec.launched_at = net_.now();
     rec.full_paxos = mode != SlotMode::kLeased;
-    if (rec.full_paxos) {
-      ++stats_.slots_full_paxos;
-    } else {
-      ++stats_.slots_leased;
-    }
     inflight_.push_back(slot);
     just_launched_ = true;
   }
@@ -155,33 +142,29 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
   SlotRecord& rec = slots_[slot];
   rec.decided = true;
   rec.decided_at = net_.now();
-  ++stats_.slots_decided;
-  // Latency is measured from the slot's FIRST launch: a recovered slot's
-  // stall is part of its decide latency (relaunched_at keeps the relaunch
-  // tick as a separate diagnostic).
-  stats_.decide_latency[slot] = rec.decided_at - rec.launched_at;
   read_bound_ = std::max(read_bound_, slot + 1);
 
   // Per-slot oracle: agreement + validity against the slot's proposable
   // inputs. Judged before retirement out of tidiness only — decisions
   // stay readable after retire_instance.
+  const bool elective = lease_renewal_slot(slot);
   std::vector<mac::Value>& inputs = oracle_inputs_;
   if (inputs.empty()) inputs.resize(n_);
   for (std::size_t u = 0; u < n_; ++u) {
-    inputs[u] = rec.elective ? encode_renewal(slot, static_cast<NodeId>(u))
-                             : rec.sole;
+    inputs[u] = elective ? encode_renewal(slot, static_cast<NodeId>(u))
+                         : rec.sole;
   }
   const auto verdict = verify::check_consensus(net_, rec.instance, inputs);
   bool value_ok = false;
   if (verdict.decision.has_value()) {
-    value_ok = rec.elective ? decode_batch(*verdict.decision) == slot
-                            : *verdict.decision == rec.sole;
+    value_ok = elective ? decode_batch(*verdict.decision) == slot
+                        : *verdict.decision == rec.sole;
   }
   if (!verdict.ok() || !value_ok) {
     ++stats_.oracle_failures;
   }
 
-  if (rec.elective && verdict.decision.has_value()) {
+  if (elective && verdict.decision.has_value()) {
     // The decided renewal value names the new lease holder. A value
     // carried across a recovery relaunch can still name a crashed winner;
     // leave the lease broken then and let the next renewal re-elect.
@@ -192,8 +175,6 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
       }
       current_leader_ = winner;
       lease_ok_ = true;
-      stats_.leader = current_leader_;
-      stats_.lease_ok = true;
     }
   }
 
@@ -204,9 +185,6 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
     submit_read(workload_.op(last - 1).key);
   }
 
-  const mac::InstanceStats& is = net_.instance_stats(rec.instance);
-  stats_.payload_bytes += is.payload_bytes;
-  stats_.broadcasts += is.broadcasts;
   net_.retire_instance(rec.instance);
 }
 
@@ -219,7 +197,6 @@ void ReplicatedLog::apply_ready_prefix() {
     for (std::size_t i = first; i < last; ++i) {
       kv_.apply(i, workload_.op(i));
     }
-    stats_.ops_applied += last - first;
     ++next_apply_;
   }
 }
@@ -230,7 +207,6 @@ std::size_t ReplicatedLog::submit_read(std::uint32_t key) {
   r.bound = read_bound_;
   r.issued_at = net_.now();
   reads_.push_back(r);
-  ++stats_.reads_issued;
   serve_ready_reads();
   return reads_.size() - 1;
 }
@@ -244,8 +220,6 @@ void ReplicatedLog::serve_ready_reads() {
     r.value = kv_.get(r.key);
     r.served_at = net_.now();
     r.served = true;
-    ++stats_.reads_served;
-    stats_.read_latency.push_back(r.served_at - r.issued_at);
     ++next_read_serve_;
   }
 }
@@ -257,7 +231,6 @@ void ReplicatedLog::recover_stalled_slots() {
   // still talk. The lease is broken from here until the next renewal slot
   // elects a live holder; slots launched in between take the slow path.
   lease_ok_ = false;
-  stats_.lease_ok = false;
   for (const std::size_t slot : inflight_) {
     SlotRecord& rec = slots_[slot];
     if (rec.full_paxos) {
@@ -289,26 +262,19 @@ void ReplicatedLog::recover_stalled_slots() {
       }
     }
     net_.retire_instance(rec.instance);
-    const SlotMode mode = (rec.elective && !have_decision)
+    const bool elective = lease_renewal_slot(slot);
+    const SlotMode mode = (elective && !have_decision)
                               ? SlotMode::kElective
                               : SlotMode::kForcedPaxos;
     rec.instance = net_.add_instance(slot_factory(slot, mode, forced));
-    if (!rec.elective) {
+    if (!elective) {
       rec.sole = forced;
     }
     rec.relaunched_at = net_.now();
-    stats_.relaunched_at[slot] = rec.relaunched_at;
     rec.progress_marked = false;
     rec.progress = 0;
-    if (!rec.full_paxos) {
-      rec.full_paxos = true;
-      --stats_.slots_leased;
-      ++stats_.slots_full_paxos;
-    }
-    if (!rec.recovered) {
-      rec.recovered = true;
-      ++stats_.slots_recovered;
-    }
+    rec.full_paxos = true;
+    rec.recovered = true;
     ++stats_.relaunches;
   }
 }
@@ -342,7 +308,41 @@ const LogServiceStats& ReplicatedLog::drive(mac::Time horizon) {
     if (recovery_rounds++ >= config_.max_recovery_rounds) break;
     recover_stalled_slots();
   }
+  derive_stats();
   return stats_;
+}
+
+void ReplicatedLog::derive_stats() {
+  LogServiceStats& s = stats_;
+  s.slots_total = total_slots_;
+  s.decide_latency.assign(total_slots_, 0);
+  s.relaunched_at.assign(total_slots_, 0);
+  // Slots launch in order, so [0, next_launch_) is every launched slot.
+  for (std::size_t slot = 0; slot < next_launch_; ++slot) {
+    const SlotRecord& rec = slots_[slot];
+    ++(rec.full_paxos ? s.slots_full_paxos : s.slots_leased);
+    if (rec.recovered) ++s.slots_recovered;
+    s.relaunched_at[slot] = rec.relaunched_at;
+    if (!rec.decided) continue;
+    ++s.slots_decided;
+    // Latency is measured from the slot's FIRST launch: a recovered slot's
+    // stall is part of its decide latency (relaunched_at keeps the relaunch
+    // tick as a separate diagnostic).
+    s.decide_latency[slot] = rec.decided_at - rec.launched_at;
+    // A decided slot's instance retired at its decide, so its traffic
+    // stopped counting there.
+    const mac::InstanceStats& is = net_.instance_stats(rec.instance);
+    s.payload_bytes += is.payload_bytes;
+    s.broadcasts += is.broadcasts;
+  }
+  s.ops_applied = kv_.applied();
+  s.reads_issued = reads_.size();
+  s.reads_served = next_read_serve_;  // reads serve in issue order
+  for (std::size_t i = 0; i < next_read_serve_; ++i) {
+    s.read_latency.push_back(reads_[i].served_at - reads_[i].issued_at);
+  }
+  s.leader = current_leader_;
+  s.lease_ok = lease_ok_;
 }
 
 }  // namespace amac::log

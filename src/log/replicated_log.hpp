@@ -39,6 +39,11 @@
 // `LogConfig::read_every` issues such reads from inside drive() at a
 // deterministic per-slot cadence (benches fold the latencies into p50/p99).
 //
+// Stats: drive() returns a LogServiceStats that is final. Each fact it
+// reports has one writer: slot counts, latencies and traffic come from the
+// slot records and their instances' ledgers, ops from the state machine,
+// reads from the read log, all derived once at drive()'s exit.
+//
 // Correctness: every decided slot is judged by the per-instance oracle
 // (verify::check_consensus(net, instance, inputs)) — per-slot agreement
 // and validity are what make a log of consensus instances a correct log.
@@ -95,7 +100,11 @@ struct ReadRecord {
   bool served = false;
 };
 
-/// Everything drive() observed, for benches and tests.
+/// Everything drive() observed, for benches and tests. The record is final
+/// when drive() returns. Only the event counts (relaunches, re_elections,
+/// oracle_failures) and the exit facts (end_time, complete,
+/// horizon_exhausted) are written as they happen; drive() derives the rest
+/// at its exit from the slot records, the state machine and the read log.
 struct LogServiceStats {
   std::size_t slots_total = 0;
   std::size_t slots_decided = 0;
@@ -168,7 +177,8 @@ class ReplicatedLog {
   ReplicatedLog& operator=(const ReplicatedLog&) = delete;
 
   /// Runs the service until every slot is decided and applied, the
-  /// virtual-time horizon is hit, or recovery gives up. Call once.
+  /// virtual-time horizon is hit, or recovery gives up. Call once; the
+  /// returned record is final.
   const LogServiceStats& drive(mac::Time horizon);
 
   /// Issues a leader read of `key`, bound to the latest decided slot;
@@ -176,7 +186,6 @@ class ReplicatedLog {
   /// bound. Returns the read's index into reads().
   std::size_t submit_read(std::uint32_t key);
 
-  [[nodiscard]] const LogServiceStats& stats() const { return stats_; }
   [[nodiscard]] const KvStateMachine& state_machine() const { return kv_; }
   [[nodiscard]] const mac::Network& network() const { return net_; }
   /// For installing observers and link faults on the service's network
@@ -212,14 +221,13 @@ class ReplicatedLog {
     mac::Time launched_at = 0;    ///< FIRST launch (decide-latency base)
     mac::Time relaunched_at = 0;  ///< last recovery relaunch (diagnostic)
     mac::Time decided_at = 0;
-    mac::Value sole = 0;  ///< the forced value when !elective
+    mac::Value sole = 0;  ///< the forced value of a non-renewal slot
     /// deliveries+broadcasts snapshot from the last recovery look: a
     /// full-paxos slot is only relaunched when this did not move.
     std::uint64_t progress = 0;
     bool decided = false;
     bool full_paxos = false;
-    bool elective = false;
-    bool recovered = false;        ///< already counted in slots_recovered
+    bool recovered = false;        ///< relaunched by recovery at least once
     bool progress_marked = false;  ///< had a recovery look already
   };
 
@@ -239,6 +247,9 @@ class ReplicatedLog {
   void serve_ready_reads();
   void launch_ready_slots();
   void recover_stalled_slots();
+  /// Fills every LogServiceStats field but the event counts and exit facts
+  /// from the slot records, the state machine and the read log.
+  void derive_stats();
 
   const Workload& workload_;
   LogConfig config_;

@@ -4,6 +4,23 @@
 
 namespace amac::mac {
 
+namespace {
+
+/// Folds `from` into `into`: sums, and the max for max_payload_bytes.
+void fold(TrafficStats& into, const TrafficStats& from) {
+  into.broadcasts += from.broadcasts;
+  into.dropped_busy += from.dropped_busy;
+  into.deliveries += from.deliveries;
+  into.acks += from.acks;
+  into.payload_bytes += from.payload_bytes;
+  into.max_payload_bytes =
+      std::max(into.max_payload_bytes, from.max_payload_bytes);
+  into.drops += from.drops;
+  into.duplicates += from.duplicates;
+}
+
+}  // namespace
+
 /// Context implementation handed to a process during a callback.
 class Network::NodeContext final : public Context {
  public:
@@ -21,8 +38,6 @@ class Network::NodeContext final : public Context {
     st.decision = Decision{true, v, net_->now_};
     AMAC_ENSURES(inst.undecided_alive > 0);
     if (--inst.undecided_alive == 0) net_->completed_ = true;
-    AMAC_ENSURES(net_->undecided_alive_ > 0);
-    --net_->undecided_alive_;
   }
 
   [[nodiscard]] bool busy() const override {
@@ -66,7 +81,6 @@ InstanceId Network::add_instance(const ProcessFactory& factory) {
     AMAC_ENSURES(inst.nodes[u].process != nullptr);
     ++inst.undecided_alive;
   }
-  undecided_alive_ += inst.undecided_alive;
   if (inst.undecided_alive == 0) completed_ = true;  // every node crashed
   instances_.push_back(std::move(inst));
   if (started_) {
@@ -87,8 +101,6 @@ void Network::retire_instance(InstanceId instance) {
   if (inst.retired) return;
   inst.retired = true;
   for (auto& node : inst.nodes) node.process.reset();
-  AMAC_ENSURES(undecided_alive_ >= inst.undecided_alive);
-  undecided_alive_ -= inst.undecided_alive;
   inst.undecided_alive = 0;
 }
 
@@ -138,7 +150,12 @@ const Process& Network::process(NodeId u, InstanceId instance) const {
   return *instances_[instance].nodes[u].process;
 }
 
-bool Network::all_alive_decided() const { return undecided_alive_ == 0; }
+bool Network::all_alive_decided() const {
+  return std::all_of(instances_.begin(), instances_.end(),
+                     [](const Instance& inst) {
+                       return inst.undecided_alive == 0;
+                     });
+}
 
 bool Network::instance_all_decided(InstanceId instance) const {
   AMAC_EXPECTS(instance < instances_.size());
@@ -197,18 +214,13 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     // Model rule: extra broadcasts while one is outstanding are discarded.
     // Busy is per (node, instance): each instance has its own logical MAC
     // channel, so instance A's outstanding broadcast never discards B's.
-    ++stats_.dropped_busy;
     ++inst.stats.dropped_busy;
     return;
   }
   st.busy = true;
   const std::uint64_t id = next_broadcast_id_++;
   st.current_broadcast = id;
-  ++stats_.broadcasts;
   ++inst.stats.broadcasts;
-  stats_.payload_bytes += payload.size();
-  stats_.max_payload_bytes = std::max(stats_.max_payload_bytes,
-                                      payload.size());
   inst.stats.payload_bytes += payload.size();
   inst.stats.max_payload_bytes = std::max(inst.stats.max_payload_bytes,
                                           payload.size());
@@ -249,7 +261,6 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
           faults_.decide(id, u, sched.receivers[i], arrival);
       fault_scratch_.push_back(d);
       if (!d.deliver) {
-        ++stats_.drops;
         ++inst.stats.drops;
         continue;
       }
@@ -257,13 +268,11 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
       if (d.deliver_at == arrival) {
         ++kept;
       } else {
-        ++stats_.drops;  // lost, retransmitted
-        ++inst.stats.drops;
+        ++inst.stats.drops;  // lost, retransmitted
       }
       latest = std::max(latest, d.deliver_at);
       if (d.duplicate) {
         ++emitted;
-        ++stats_.duplicates;
         ++inst.stats.duplicates;
         latest = std::max(latest, d.duplicate_at);
       }
@@ -410,8 +419,6 @@ void Network::process_event(const Event& e) {
         if (inst.retired || inst.nodes[e.node].decision.decided) continue;
         AMAC_ENSURES(inst.undecided_alive > 0);
         if (--inst.undecided_alive == 0) completed_ = true;
-        AMAC_ENSURES(undecided_alive_ > 0);
-        --undecided_alive_;
       }
       return;
     }
@@ -438,7 +445,6 @@ void Network::process_event(const Event& e) {
       // drains (releasing its slot) but no callback or counter runs.
       Process* const process = inst.nodes[e.node].process.get();
       if (!cancelled && !nodes_[e.node].crashed && process != nullptr) {
-        ++stats_.deliveries;
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
         const Packet packet{e.sender, flight.payload, e.reliable};
@@ -474,7 +480,6 @@ void Network::process_event(const Event& e) {
       AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
       st.busy = false;
       if (st.process == nullptr) return;  // retired mid-flight
-      ++stats_.acks;
       ++inst.stats.acks;
       NodeContext ctx(*this, e.node, e.instance);
       st.process->on_ack(ctx);
@@ -501,6 +506,9 @@ RunResult Network::run(StopWhen until, Time max_time) {
     return until == StopWhen::kAllDecided && all_alive_decided();
   };
   const auto finish = [&](bool met) {
+    TrafficStats& traffic = stats_;
+    traffic = TrafficStats{};
+    for (const Instance& inst : instances_) fold(traffic, inst.stats);
     stats_.peak_events = events_.peak_size();
     stats_.wheel_pushes = events_.wheel_pushes();
     stats_.overflow_pushes = events_.overflow_pushes();

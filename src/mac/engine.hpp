@@ -122,13 +122,18 @@
 //     MAC channel per node: instance A being busy never discards instance
 //     B's broadcast, which is what makes interleaved instances behave
 //     exactly like solo runs (pinned by tests/test_multi_instance.cpp
-//     under stateless schedulers and empty fault plans).
+//     under stateless schedulers and empty fault plans). The undecided-alive
+//     count is per instance and kept nowhere else: all_alive_decided()
+//     reads every instance's.
 //   * Shared substrate. The event queue, seq counter, broadcast-id counter,
 //     and flight slots are shared — instances multiplex over one MAC layer
 //     rather than simulating parallel networks, so the service layer's
 //     costs (queue pressure, flight occupancy) are the real multiplexed
-//     costs. Per-instance InstanceStats track each instance's traffic and
-//     the footprint of its live flights (live/peak slots and bytes).
+//     costs. Traffic is not shared: each broadcast, drop, delivery and ack
+//     is counted once, in its instance's InstanceStats, next to the
+//     footprint of that instance's live flights (live/peak slots and
+//     bytes). EngineStats' traffic fields are the fold over every
+//     instance, written when run() returns.
 //   * Lifecycle. add_instance() may be called before or DURING a run (a
 //     replicated log launches pipelined slots as earlier slots decide);
 //     mid-run instances get their on_start callbacks at the current tick.
@@ -207,7 +212,29 @@ struct Decision {
   Time time = 0;
 };
 
-/// Aggregate accounting across a run.
+/// The traffic ledger: what broadcasts, receives and acks (paper §2) cost.
+/// Every such event belongs to exactly one protocol instance, so the engine
+/// counts it once, in that instance's InstanceStats; EngineStats carries
+/// the fold over every instance. Both engines count these fields
+/// identically, and the link-fault ones are decided by the plan's pure hash,
+/// not by queue internals, so differential fingerprints may include all
+/// eight.
+struct TrafficStats {
+  std::uint64_t broadcasts = 0;
+  std::uint64_t dropped_busy = 0;  ///< broadcasts discarded while busy
+  std::uint64_t deliveries = 0;
+  std::uint64_t acks = 0;
+  std::uint64_t payload_bytes = 0;
+  std::size_t max_payload_bytes = 0;
+  std::uint64_t drops = 0;       ///< copies lost or deferred by the plan
+  std::uint64_t duplicates = 0;  ///< extra copies the plan scheduled
+
+  bool operator==(const TrafficStats&) const = default;
+};
+
+/// Aggregate accounting across a run. The traffic fields are the fold of
+/// every instance's ledger, retired and relaunched instances included;
+/// like the queue fields, they are written when run() returns.
 ///
 /// The wheel_*, batch_pushes and discarded_copies fields describe the
 /// calendar queue only (always 0 on ReferenceNetwork, which has no wheel);
@@ -218,13 +245,7 @@ struct Decision {
 /// signal that steers mutation. Every queue counter is in copy units: a
 /// run-length entry of k copies counts k wheel pushes and k toward
 /// peak_events, exactly as k separate events would.
-struct EngineStats {
-  std::uint64_t broadcasts = 0;
-  std::uint64_t dropped_busy = 0;  ///< broadcasts discarded while busy
-  std::uint64_t deliveries = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t max_payload_bytes = 0;
+struct EngineStats : TrafficStats {
   std::size_t peak_events = 0;  ///< high-water mark of queued events
   std::uint64_t wheel_pushes = 0;     ///< events placed directly in the wheel
   std::uint64_t overflow_pushes = 0;  ///< events spilled to the overflow heap
@@ -236,29 +257,15 @@ struct EngineStats {
   /// one by one. Counted within wheel_pushes; never a delivery.
   std::uint64_t discarded_copies = 0;
   std::size_t wheel_span = 0;         ///< final wheel size in buckets
-  /// Link-fault accounting (link_faults.hpp). Unlike the wheel_* fields
-  /// these are decided by the plan's pure hash, not by queue internals, so
-  /// they are identical across engines and safe to fingerprint.
-  std::uint64_t drops = 0;       ///< copies lost or deferred by the plan
-  std::uint64_t duplicates = 0;  ///< extra copies the plan scheduled
 };
 
 /// Per-instance slice of the engine's accounting: the traffic one protocol
-/// instance generated plus the footprint of its live flights. The traffic
-/// fields are engine-independent (both engines count them identically), so
-/// multi-instance differential fingerprints may include them; the *_pool_*
-/// flight fields stay 0 on ReferenceNetwork. The global EngineStats is NOT
-/// the sum of these views — queue-path fields (wheel_*, peak_events) are
-/// substrate-level and have no per-instance meaning.
-struct InstanceStats {
-  std::uint64_t broadcasts = 0;
-  std::uint64_t dropped_busy = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t max_payload_bytes = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t duplicates = 0;
+/// instance generated (the only place the engine counts it) plus the
+/// footprint of its live flights. The *_pool_* flight fields stay 0 on
+/// ReferenceNetwork. EngineStats' traffic fields are the sum of these
+/// views; its queue-path fields (wheel_*, peak_events) are substrate-level
+/// and have no per-instance meaning.
+struct InstanceStats : TrafficStats {
   /// Flight accounting: flight slots, and the payload bytes they hold,
   /// currently owned by this instance's live broadcasts, and their
   /// high-water marks.
@@ -355,6 +362,7 @@ class Network {
   }
   [[nodiscard]] const Decision& decision(NodeId u, InstanceId instance) const;
   [[nodiscard]] bool crashed(NodeId u) const;
+  /// As of the last run()'s return (the traffic fields are folded there).
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   [[nodiscard]] const InstanceStats& instance_stats(InstanceId instance) const;
   [[nodiscard]] const net::Graph& graph() const { return *graph_; }
@@ -477,7 +485,6 @@ class Network {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_broadcast_id_ = 1;
   Time now_ = 0;
-  std::size_t undecided_alive_ = 0;  ///< sum across live instances
   EngineStats stats_;
   std::function<void(Network&)> post_event_hook_;
   std::function<void(Network&)> completion_hook_;

@@ -1,6 +1,7 @@
 // Core value types of the abstract MAC layer model (paper §2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -37,6 +38,11 @@ struct Packet {
   /// are always true.
   bool reliable = true;
 };
+
+/// The model's O(1) ids per message (paper §2), as the gather-all
+/// algorithms spend it: each broadcast carries at most this many
+/// (id, value) pairs (core::FloodingConsensus, core::StabilityConsensus).
+inline constexpr std::size_t kPairsPerMessage = 2;
 
 /// Binary consensus value (paper §2 studies binary consensus).
 using Value = int;

@@ -1,4 +1,4 @@
-// Small descriptive-statistics helpers for the experiment harness.
+// The one percentile rule: nearest rank, shared by the benches and tests.
 #pragma once
 
 #include <algorithm>
@@ -25,32 +25,5 @@ template <typename T>
   std::nth_element(samples.begin(), nth, samples.end());
   return *nth;
 }
-
-/// Accumulates samples and reports summary statistics. Values are stored so
-/// exact percentiles are available; experiment sample counts are small.
-class Summary {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
-  /// Population standard deviation; 0 for fewer than 2 samples.
-  [[nodiscard]] double stddev() const;
-  /// Percentile by linear interpolation between the two closest ranks of
-  /// the sorted samples, p in [0,100] (nearest_rank above picks a sample).
-  [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] double median() const { return percentile(50.0); }
-  [[nodiscard]] double total() const { return sum_; }
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
-  double sum_ = 0.0;
-
-  void ensure_sorted() const;
-};
 
 }  // namespace amac::util

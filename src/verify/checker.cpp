@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mac/reference_engine.hpp"
-
 namespace amac::verify {
 
 std::string ConsensusVerdict::summary() const {
@@ -24,103 +22,6 @@ void ConsensusVerdict::digest(util::Hasher& h) const {
   h.mix_i64(decision.value_or(-1));
   h.mix_u64(first_decision);
   h.mix_u64(last_decision);
-}
-
-namespace {
-
-/// Shared implementation over any engine exposing node_count / crashed
-/// (mac::Network and mac::ReferenceNetwork); `decision_of` maps a node to
-/// the mac::Decision under judgment, which is how the same logic serves
-/// both the instance-0 legacy oracle and the per-instance one.
-template <typename Net, typename DecisionOf>
-ConsensusVerdict check_consensus_impl(const Net& net,
-                                      const std::vector<mac::Value>& inputs,
-                                      const DecisionOf& decision_of) {
-  AMAC_EXPECTS(inputs.size() == net.node_count());
-  ConsensusVerdict v;
-  v.termination = true;
-  v.agreement = true;
-  v.validity = true;
-
-  bool any_decision = false;
-  mac::Value common = -1;
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    const auto& d = decision_of(u);
-    if (net.crashed(u)) continue;
-    if (!d.decided) {
-      v.termination = false;
-      continue;
-    }
-    if (std::none_of(inputs.begin(), inputs.end(),
-                     [&](mac::Value in) { return in == d.value; })) {
-      v.validity = false;
-    }
-    if (!any_decision) {
-      any_decision = true;
-      common = d.value;
-      v.first_decision = d.time;
-      v.last_decision = d.time;
-    } else {
-      if (d.value != common) v.agreement = false;
-      v.first_decision = std::min(v.first_decision, d.time);
-      v.last_decision = std::max(v.last_decision, d.time);
-    }
-  }
-  // Crashed nodes may have decided before crashing; agreement and validity
-  // cover those decisions too (a decision is irrevocable the moment it is
-  // made — a later crash cannot retract it).
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    const auto& d = decision_of(u);
-    if (net.crashed(u) && d.decided) {
-      if (std::none_of(inputs.begin(), inputs.end(),
-                       [&](mac::Value in) { return in == d.value; })) {
-        v.validity = false;
-      }
-      if (any_decision && d.value != common) v.agreement = false;
-      if (!any_decision) {
-        any_decision = true;
-        common = d.value;
-      }
-    }
-  }
-  if (any_decision && v.agreement) v.decision = common;
-  return v;
-}
-
-}  // namespace
-
-ConsensusVerdict check_consensus(const mac::Network& net,
-                                 const std::vector<mac::Value>& inputs) {
-  return check_consensus_impl(
-      net, inputs, [&](NodeId u) -> const mac::Decision& {
-        return net.decision(u);
-      });
-}
-
-ConsensusVerdict check_consensus(const mac::ReferenceNetwork& net,
-                                 const std::vector<mac::Value>& inputs) {
-  return check_consensus_impl(
-      net, inputs, [&](NodeId u) -> const mac::Decision& {
-        return net.decision(u);
-      });
-}
-
-ConsensusVerdict check_consensus(const mac::Network& net,
-                                 mac::InstanceId instance,
-                                 const std::vector<mac::Value>& inputs) {
-  return check_consensus_impl(
-      net, inputs, [&](NodeId u) -> const mac::Decision& {
-        return net.decision(u, instance);
-      });
-}
-
-ConsensusVerdict check_consensus(const mac::ReferenceNetwork& net,
-                                 mac::InstanceId instance,
-                                 const std::vector<mac::Value>& inputs) {
-  return check_consensus_impl(
-      net, inputs, [&](NodeId u) -> const mac::Decision& {
-        return net.decision(u, instance);
-      });
 }
 
 LogPrefixVerdict check_log_prefix(const mac::Network& net,

@@ -2,15 +2,12 @@
 // for a finished (or timed-out) run.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "mac/engine.hpp"
-
-namespace amac::mac {
-class ReferenceNetwork;  // reference_engine.hpp
-}  // namespace amac::mac
 
 namespace amac::verify {
 
@@ -34,28 +31,72 @@ struct ConsensusVerdict {
   void digest(util::Hasher& h) const;
 };
 
-/// Inspects a network after `run` and checks the three consensus properties
-/// against the given initial values (indexed by node).
+/// Per-instance oracle (design doc: "Instance multiplexing" in
+/// mac/engine.hpp): inspects a network after `run` and checks the three
+/// consensus properties against ONE instance's decisions and ITS initial
+/// values (indexed by node). The replicated log (src/log/) checks every
+/// decided slot with this — per-slot agreement and validity are what make
+/// a log of consensus instances a correct log. `Net` is either engine
+/// (mac::Network or mac::ReferenceNetwork), so differential replays
+/// (fuzz/) assert verdict equality across engines, not just trace digests.
+template <typename Net>
 [[nodiscard]] ConsensusVerdict check_consensus(
-    const mac::Network& net, const std::vector<mac::Value>& inputs);
+    const Net& net, mac::InstanceId instance,
+    const std::vector<mac::Value>& inputs) {
+  AMAC_EXPECTS(inputs.size() == net.node_count());
+  ConsensusVerdict v;
+  v.termination = true;
+  v.agreement = true;
+  v.validity = true;
 
-/// Same oracle over the frozen reference engine, so differential replays
-/// (fuzz/) can assert verdict equality across engines, not just trace
-/// digests.
-[[nodiscard]] ConsensusVerdict check_consensus(
-    const mac::ReferenceNetwork& net, const std::vector<mac::Value>& inputs);
+  const auto is_input = [&](mac::Value value) {
+    return std::find(inputs.begin(), inputs.end(), value) != inputs.end();
+  };
+  bool any_decision = false;
+  mac::Value common = -1;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    const mac::Decision& d = net.decision(u, instance);
+    if (net.crashed(u)) continue;
+    if (!d.decided) {
+      v.termination = false;
+      continue;
+    }
+    if (!is_input(d.value)) v.validity = false;
+    if (!any_decision) {
+      any_decision = true;
+      common = d.value;
+      v.first_decision = d.time;
+      v.last_decision = d.time;
+    } else {
+      if (d.value != common) v.agreement = false;
+      v.first_decision = std::min(v.first_decision, d.time);
+      v.last_decision = std::max(v.last_decision, d.time);
+    }
+  }
+  // Crashed nodes may have decided before crashing; agreement and validity
+  // cover those decisions too (a decision is irrevocable the moment it is
+  // made — a later crash cannot retract it).
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    const mac::Decision& d = net.decision(u, instance);
+    if (net.crashed(u) && d.decided) {
+      if (!is_input(d.value)) v.validity = false;
+      if (any_decision && d.value != common) v.agreement = false;
+      if (!any_decision) {
+        any_decision = true;
+        common = d.value;
+      }
+    }
+  }
+  if (any_decision && v.agreement) v.decision = common;
+  return v;
+}
 
-/// Per-instance oracle for multiplexed runs (design doc: "Instance
-/// multiplexing" in mac/engine.hpp): the same three properties judged
-/// against ONE instance's decisions and ITS input set. The replicated log
-/// (src/log/) checks every decided slot with this — per-slot agreement and
-/// validity are what make a log of consensus instances a correct log.
+/// The same oracle over instance 0, the single-instance default.
+template <typename Net>
 [[nodiscard]] ConsensusVerdict check_consensus(
-    const mac::Network& net, mac::InstanceId instance,
-    const std::vector<mac::Value>& inputs);
-[[nodiscard]] ConsensusVerdict check_consensus(
-    const mac::ReferenceNetwork& net, mac::InstanceId instance,
-    const std::vector<mac::Value>& inputs);
+    const Net& net, const std::vector<mac::Value>& inputs) {
+  return check_consensus(net, mac::InstanceId{0}, inputs);
+}
 
 /// Replica-consistency verdict for a replicated-log run: the per-slot
 /// oracle above proves each SLOT agreed, this one proves the LOG did — the

@@ -59,7 +59,7 @@ class ResponseConservationMonitor {
 [[nodiscard]] std::uint64_t max_proposal_tag(const mac::Network& net);
 
 /// Total change events observed across all nodes (the quantity that bounds
-/// tags: each change event spawns at most proposals_per_change proposals).
+/// tags: each change event spawns at most kProposalsPerChange proposals).
 [[nodiscard]] std::uint64_t total_change_events(const mac::Network& net);
 
 }  // namespace amac::verify

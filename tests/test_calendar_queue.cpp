@@ -82,7 +82,9 @@ void run_interleaving_trial(util::Rng& rng, Time horizon_hint,
     }
   }
   drain_and_compare(q, ref);
-  if (!resize_enabled) EXPECT_EQ(q.resizes(), 0u);
+  if (!resize_enabled) {
+    EXPECT_EQ(q.resizes(), 0u);
+  }
 }
 
 // --- randomized interleavings vs the oracle ------------------------------

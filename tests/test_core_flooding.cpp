@@ -37,8 +37,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FloodingSweep,
                                            FloodCase{40, 16}));
 
 TEST(Flooding, LineTimeGrowsLinearlyInN) {
-  // The paper's bottleneck claim: on a line, pairs cross the middle at K
-  // per F_ack, so decision time is Theta(n * F_ack).
+  // The paper's bottleneck claim: on a line, pairs cross the middle at
+  // mac::kPairsPerMessage per F_ack, so decision time is Theta(n * F_ack).
   const mac::Time fack = 2;
   std::vector<mac::Time> times;
   for (const std::size_t n : {8u, 16u, 32u}) {
@@ -46,8 +46,7 @@ TEST(Flooding, LineTimeGrowsLinearlyInN) {
     const auto inputs = harness::inputs_alternating(n);
     mac::SynchronousScheduler sched(fack);
     const auto outcome = harness::run_consensus(
-        g, harness::flooding_factory(inputs, /*pairs=*/1), sched, inputs,
-        1'000'000);
+        g, harness::flooding_factory(inputs), sched, inputs, 1'000'000);
     ASSERT_TRUE(outcome.verdict.ok());
     times.push_back(outcome.verdict.last_decision);
   }
@@ -61,7 +60,7 @@ TEST(Flooding, MessageSizeBounded) {
   const auto g = net::make_line(n);
   const auto inputs = harness::inputs_alternating(n);
   mac::SynchronousScheduler sched(1);
-  mac::Network net(g, harness::flooding_factory(inputs, 2), sched);
+  mac::Network net(g, harness::flooding_factory(inputs), sched);
   net.run(mac::StopWhen::kAllDecided, 1'000'000);
   // 2 pairs -> 1 count byte + 2 * (varint id + value byte) <= 7 bytes here.
   EXPECT_LE(net.stats().max_payload_bytes, 7u);
@@ -79,23 +78,6 @@ TEST(Flooding, KnownCountReachesN) {
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->known_count(), n);
   }
-}
-
-TEST(Flooding, LargerBatchesAreFaster) {
-  const std::size_t n = 24;
-  const auto g = net::make_line(n);
-  const auto inputs = harness::inputs_alternating(n);
-  mac::Time t_small = 0;
-  mac::Time t_large = 0;
-  for (const std::size_t pairs : {1u, 4u}) {
-    mac::SynchronousScheduler sched(3);
-    const auto outcome = harness::run_consensus(
-        g, harness::flooding_factory(inputs, pairs), sched, inputs,
-        1'000'000);
-    ASSERT_TRUE(outcome.verdict.ok());
-    (pairs == 1 ? t_small : t_large) = outcome.verdict.last_decision;
-  }
-  EXPECT_LT(t_large, t_small);
 }
 
 TEST(Flooding, SingleNode) {

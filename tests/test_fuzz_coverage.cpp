@@ -37,7 +37,9 @@ TEST(FuzzBuckets, QuarterLogBoundariesAreExact) {
   std::uint64_t power = 1;
   for (std::uint8_t k = 0; k < 31; ++k, power *= 4) {
     EXPECT_EQ(magnitude_bucket(power), k + 1) << "4^" << int(k);
-    if (k > 0) EXPECT_EQ(magnitude_bucket(power - 1), k) << "4^" << int(k);
+    if (k > 0) {
+      EXPECT_EQ(magnitude_bucket(power - 1), k) << "4^" << int(k);
+    }
   }
 }
 

@@ -68,13 +68,16 @@ void expect_in_envelope(const Scenario& s, const std::string& context) {
     mac::Time max_delay = 0;
     for (std::size_t i = 0; i < t.delays.size(); ++i) {
       EXPECT_LT(t.delays[i].first, count) << context;
-      if (i > 0) EXPECT_LT(t.delays[i - 1].first, t.delays[i].first)
-          << context;
+      if (i > 0) {
+        EXPECT_LT(t.delays[i - 1].first, t.delays[i].first) << context;
+      }
       EXPECT_GE(t.delays[i].second, 1u) << context;
       EXPECT_LE(t.delays[i].second, t.ack) << context;
       max_delay = std::max(max_delay, t.delays[i].second);
     }
-    if (!t.delays.empty()) EXPECT_EQ(t.recv, max_delay) << context;
+    if (!t.delays.empty()) {
+      EXPECT_EQ(t.recv, max_delay) << context;
+    }
   }
   EXPECT_GE(s.fack, 1u) << context;
 

@@ -15,6 +15,8 @@
 //     that the generator's envelope is safe.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fuzz/fuzzer.hpp"
 
 namespace amac::fuzz {
@@ -171,6 +173,78 @@ TEST(FuzzRegressions, WPaxosLeaderHandoffSurvivesStaleLargerProposal) {
   EXPECT_EQ(r.fingerprint, r.reference_fingerprint)
       << "engine divergence on " << spec;
   EXPECT_EQ(run_scenario(*scenario, options).trace_digest, r.trace_digest);
+}
+
+// wPAXOS split votes at exactly n/2. With even n, a prepare could end at
+// yes = no = n/2: no majority either way, and the proposer used to retry
+// only on a majority of rejections, so with no change event left it
+// wedged and the queue drained with nobody decided. It now retries as
+// soon as a yes-majority is out of reach. Each spec below (identity ids,
+// lock-step rounds, contended proposers on a geometric graph) wedged that
+// way before the fix.
+constexpr const char* kSplitVoteSpecs[] = {
+    "amacfuzz1:seed=40017273:alg=wpaxos:topo=geo:n=8:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=40017311:alg=wpaxos:topo=geo:n=10:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=40017351:alg=wpaxos:topo=geo:n=12:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=40017638:alg=wpaxos:topo=geo:n=12:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=40017984:alg=wpaxos:topo=geo:n=12:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=60000228:alg=wpaxos:topo=geo:n=10:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=100000",
+    "amacfuzz1:seed=60000228:alg=wpaxos:topo=geo:n=10:aux=0:sched=sync:"
+    "fack=2:late=0:in=alt:ids=identity:f=0:hz=100000",
+    // The same wedge inside the replicated log: a renewal slot split, and
+    // recovery's relaunches split again until it gave up.
+    "amacfuzz1:seed=40017311:alg=wpaxos:topo=geo:n=10:aux=0:sched=sync:"
+    "fack=1:late=0:in=alt:ids=identity:f=0:hz=1000000:log=128@8@4@4",
+};
+
+TEST(FuzzRegressions, WPaxosSplitVoteAtHalfRetriesAndDecides) {
+  RunOptions options;
+  options.differential = true;
+  for (const char* spec : kSplitVoteSpecs) {
+    const auto scenario = parse_spec(spec);
+    ASSERT_TRUE(scenario.has_value()) << spec;
+    EXPECT_EQ(format_spec(*scenario), spec);
+    const RunReport r = run_scenario(*scenario, options);
+    EXPECT_EQ(r.failure, FailureKind::kNone) << spec << "\n" << r.detail;
+    EXPECT_TRUE(r.verdict.termination) << spec;
+    if (r.log_service) continue;  // log replays run on one engine only
+    // The Lemma 4.2 monitor watched every event and found nothing.
+    EXPECT_GT(r.monitor_checks, 0u) << spec;
+    ASSERT_TRUE(r.differential_ran) << spec;
+    EXPECT_EQ(r.fingerprint, r.reference_fingerprint) << spec;
+  }
+}
+
+TEST(FuzzRegressions, WPaxosSplitVoteSweepAllDecide) {
+  // The scan that found the split: 1001 seeds x n in {8, 10, 12}. Before
+  // the fix, 5 of these 3003 runs wedged (the first five specs above).
+  std::size_t runs = 0;
+  std::size_t failures = 0;
+  for (const std::size_t n : {8, 10, 12}) {
+    for (std::uint64_t seed = 40017000; seed <= 40018000; ++seed) {
+      const std::string spec =
+          "amacfuzz1:seed=" + std::to_string(seed) +
+          ":alg=wpaxos:topo=geo:n=" + std::to_string(n) +
+          ":aux=0:sched=sync:fack=1:late=0:in=alt:ids=identity:f=0:"
+          "hz=100000";
+      const auto scenario = parse_spec(spec);
+      ASSERT_TRUE(scenario.has_value()) << spec;
+      const RunReport r = run_scenario(*scenario, RunOptions{});
+      ++runs;
+      if (r.failure != FailureKind::kNone) {
+        ++failures;
+        ADD_FAILURE() << spec << "\n" << r.detail;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 3003u);
+  EXPECT_EQ(failures, 0u);
 }
 
 // Link-fault regression family: full specs with non-empty fault plans,

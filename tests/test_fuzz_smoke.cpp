@@ -266,7 +266,9 @@ TEST(FuzzGenerator, StaysInsideGuaranteeEnvelopes) {
         s.algorithm == Algorithm::kBenOr) {
       EXPECT_EQ(s.topology, TopologyKind::kClique);
     }
-    if (s.algorithm == Algorithm::kTwoPhase) EXPECT_TRUE(s.crashes.empty());
+    if (s.algorithm == Algorithm::kTwoPhase) {
+      EXPECT_TRUE(s.crashes.empty());
+    }
     if (s.algorithm == Algorithm::kBenOr) {
       EXPECT_LT(2 * s.benor_f, count);
       EXPECT_LE(s.crashes.size(), s.benor_f);

@@ -12,35 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_hook.hpp"
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
-
-// --- allocation counting hook (linked into this test binary only) --------
-
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace amac::log {
 namespace {
@@ -67,9 +43,9 @@ struct LeasedClique {
 
 TEST(LogAllocations, LeasedSlotsStayNearProcessConstruction) {
   LeasedClique clique;
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   const LogServiceStats& stats = clique.service.drive(mac::Time{1} << 40);
-  const std::uint64_t allocs = g_alloc_count - before;
+  const std::uint64_t allocs = testutil::alloc_count() - before;
 
   ASSERT_TRUE(stats.complete);
   ASSERT_EQ(stats.oracle_failures, 0u);

@@ -3,6 +3,10 @@
 // leased, pipelined, recovered, or re-elected.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <sstream>
+#include <string>
+
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
@@ -22,6 +26,36 @@ LogServiceStats drive_service(const net::Graph& graph,
   LogServiceStats stats = service.drive(horizon);
   if (kv != nullptr) *kv = service.state_machine();
   return stats;
+}
+
+/// Every scalar of a drive()'s record, the size and sum of its per-slot
+/// and per-read vectors, and the engine's eight traffic totals, on one
+/// line. Pinned exactly, it fails if the engine's fold skips a retired or
+/// relaunched instance, or if drive() miscounts a recovered slot.
+std::string observables(const LogServiceStats& s, const mac::EngineStats& e) {
+  std::ostringstream os;
+  const auto series = [&](const char* name,
+                          const std::vector<mac::Time>& v) {
+    os << ' ' << name << '=' << v.size() << '/'
+       << std::accumulate(v.begin(), v.end(), mac::Time{0});
+  };
+  os << "slots=" << s.slots_total << '/' << s.slots_decided << '/'
+     << s.slots_full_paxos << '/' << s.slots_leased << '/'
+     << s.slots_recovered << " relaunches=" << s.relaunches
+     << " re_elections=" << s.re_elections << " ops=" << s.ops_applied
+     << " oracle_failures=" << s.oracle_failures << " reads="
+     << s.reads_issued << '/' << s.reads_served << " bytes="
+     << s.payload_bytes << " broadcasts=" << s.broadcasts
+     << " end=" << s.end_time << " complete=" << s.complete
+     << " horizon=" << s.horizon_exhausted << " leader=" << s.leader
+     << " lease_ok=" << s.lease_ok;
+  series("decide_latency", s.decide_latency);
+  series("relaunched_at", s.relaunched_at);
+  series("read_latency", s.read_latency);
+  os << " | engine " << e.broadcasts << '/' << e.dropped_busy << '/'
+     << e.deliveries << '/' << e.acks << '/' << e.payload_bytes << '/'
+     << e.max_payload_bytes << '/' << e.drops << '/' << e.duplicates;
+  return os.str();
 }
 
 TEST(LogWorkload, IsDeterministicAndSeedSensitive) {
@@ -222,11 +256,21 @@ TEST(LogService, RecoveredSlotLatencyIncludesTheStall) {
   LogConfig crashed = config;
   crashed.crashes.push_back(mac::CrashPlan{static_cast<NodeId>(n - 1), 3});
 
-  const auto cs = drive_service(graph, workload, crashed, nullptr);
+  mac::SynchronousScheduler sched(1);
+  ReplicatedLog service(graph, sched, workload, crashed);
+  const auto& cs = service.drive(mac::Time{1} << 32);
   const auto ns = drive_service(graph, workload, config, nullptr);
   ASSERT_TRUE(cs.complete);
   ASSERT_TRUE(ns.complete);
   ASSERT_GT(cs.slots_recovered, 0u);
+  // 722 engine broadcasts against the decided slots' 661: the rest came
+  // from the two stalled instances that recovery retired.
+  EXPECT_EQ(observables(cs, service.network().stats()),
+            "slots=16/16/13/3/2 relaunches=2 re_elections=1 ops=64 "
+            "oracle_failures=0 reads=0/0 bytes=7416 broadcasts=661 end=99 "
+            "complete=1 horizon=0 leader=6 lease_ok=1 "
+            "decide_latency=16/191 relaunched_at=16/100 read_latency=0/0 "
+            "| engine 722/0/4221/605/7994/21/0/0");
 
   // Recovered slots carry a relaunch diagnostic, and their decide latency
   // is measured from the FIRST launch — so the crash run's p99 must
@@ -325,6 +369,12 @@ TEST(LogService, LeaderReadsHonorTheReadIndexBound) {
 
   ASSERT_TRUE(stats.complete);
   EXPECT_EQ(stats.reads_issued, 16u);
+  EXPECT_EQ(observables(stats, service.network().stats()),
+            "slots=16/16/4/12/0 relaunches=0 re_elections=0 ops=64 "
+            "oracle_failures=0 reads=16/16 bytes=2124 broadcasts=240 end=41 "
+            "complete=1 horizon=0 leader=5 lease_ok=1 "
+            "decide_latency=16/40 relaunched_at=16/0 read_latency=16/0 "
+            "| engine 240/0/800/144/2124/21/0/0");
   EXPECT_EQ(stats.reads_served, 16u);
   EXPECT_EQ(stats.read_latency.size(), 16u);
 

@@ -14,12 +14,11 @@
 //     cycle (global operator new instrumented in this binary).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <queue>
 #include <type_traits>
 
+#include "alloc_hook.hpp"
 #include "helpers.hpp"
 #include "mac/calendar_queue.hpp"
 #include "mac/engine.hpp"
@@ -27,29 +26,6 @@
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
 #include "util/rng.hpp"
-
-// --- allocation counting hook (linked into this test binary only) --------
-
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace amac::mac {
 namespace {
@@ -563,9 +539,9 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingSynchronous) {
               sched);
   // Warm-up: grows flight slots, lane/pending/scratch capacities.
   net.run(StopWhen::kQuiescent, 50);
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 2000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "steady-state broadcast->deliver->ack cycle allocated";
   EXPECT_GT(net.stats().deliveries, 30000u);  // the cycle really ran
@@ -582,9 +558,9 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingRandomDelays) {
   // mark is the peak CONCURRENT demand, reached a little later than the
   // old per-bucket peaks were).
   net.run(StopWhen::kQuiescent, 6000);
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 16000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u);
   EXPECT_GT(net.stats().deliveries, 10000u);
 }
@@ -602,9 +578,9 @@ TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
               sched);
   net.run(StopWhen::kQuiescent, 50);  // warm-up
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 1000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "large-topology steady state allocated";
   EXPECT_GT(net.stats().deliveries, 1000000u);  // the cycle ran at scale
@@ -622,9 +598,9 @@ TEST(EngineAllocation, SoAUniformFanoutBatchPathAllocatesNothing) {
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
               sched);
   net.run(StopWhen::kQuiescent, 100);
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 4000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "uniform (batch) fan-out path allocated in steady state";
   EXPECT_GT(net.stats().deliveries, 100000u);
@@ -663,14 +639,14 @@ TEST(EngineAllocation, WheelResizeMidRunThenSteadyStateIsAllocationFree) {
   EXPECT_GE(net.stats().wheel_resizes, 1u);
   EXPECT_GT(net.stats().overflow_pushes, 0u);
   EXPECT_GT(net.stats().wheel_span, 16u);  // grew past the pre-hold sizing
-  const std::uint64_t during_first_revolution = g_alloc_count;
+  const std::uint64_t during_first_revolution = testutil::alloc_count();
   // 302 + 1100 covers a full revolution of the 1024-bucket resized ring.
   net.run(StopWhen::kQuiescent, 1402);
-  EXPECT_EQ(g_alloc_count - during_first_revolution, 0u)
+  EXPECT_EQ(testutil::alloc_count() - during_first_revolution, 0u)
       << "first post-resize revolution re-warmed lane allocations";
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 8000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "steady state after a wheel resize allocated";
   EXPECT_GT(net.stats().deliveries, 30000u);
@@ -694,9 +670,9 @@ TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {
   // ticks, so the circulating lane set peaks later than the unfaulted
   // cycle's does.
   net.run(StopWhen::kQuiescent, 4000);
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 12000);
-  const std::uint64_t after = g_alloc_count;
+  const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "faulted (duplicate-heavy) steady state allocated";
   EXPECT_GT(net.stats().duplicates, 1000u);  // the dup path really ran

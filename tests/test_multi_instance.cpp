@@ -54,27 +54,6 @@ std::uint64_t process_digest(const Process& p) {
   return h.digest();
 }
 
-/// The engine-independent traffic fields of an instance's stats (the
-/// *_pool_* flight fields are engine-specific bookkeeping: zero on
-/// ReferenceNetwork).
-struct TrafficStats {
-  std::uint64_t broadcasts, dropped_busy, deliveries, acks, payload_bytes;
-  std::size_t max_payload_bytes;
-
-  explicit TrafficStats(const InstanceStats& s)
-      : broadcasts(s.broadcasts), dropped_busy(s.dropped_busy),
-        deliveries(s.deliveries), acks(s.acks),
-        payload_bytes(s.payload_bytes),
-        max_payload_bytes(s.max_payload_bytes) {}
-
-  bool operator==(const TrafficStats& o) const {
-    return broadcasts == o.broadcasts && dropped_busy == o.dropped_busy &&
-           deliveries == o.deliveries && acks == o.acks &&
-           payload_bytes == o.payload_bytes &&
-           max_payload_bytes == o.max_payload_bytes;
-  }
-};
-
 /// Everything a tenant can observe about its own instance.
 template <typename Net>
 void expect_instance_equal(const Net& a, InstanceId ia, const Net& b,
@@ -431,8 +410,6 @@ void expect_same_engine_stats(const EngineStats& a, const EngineStats& b) {
 void expect_same_instance_stats(const InstanceStats& a,
                                 const InstanceStats& b, InstanceId i) {
   EXPECT_TRUE(TrafficStats(a) == TrafficStats(b)) << "instance " << i;
-  EXPECT_EQ(a.drops, b.drops) << "instance " << i;
-  EXPECT_EQ(a.duplicates, b.duplicates) << "instance " << i;
   EXPECT_EQ(a.live_pool_slots, b.live_pool_slots) << "instance " << i;
   EXPECT_EQ(a.peak_pool_slots, b.peak_pool_slots) << "instance " << i;
   EXPECT_EQ(a.live_pool_bytes, b.live_pool_bytes) << "instance " << i;

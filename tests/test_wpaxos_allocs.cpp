@@ -9,36 +9,13 @@
 // and the per-root tree tables grow geometrically instead of per entry.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
+#include <cstdio>
 
+#include "alloc_hook.hpp"
 #include "harness/experiment.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
 #include "util/rng.hpp"
-
-// --- allocation counting hook (linked into this test binary only) --------
-
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace amac {
 namespace {
@@ -57,10 +34,10 @@ TEST(WPaxosAllocations, GridInstanceStaysOffTheHeap) {
   const mac::ProcessFactory factory =
       harness::wpaxos_factory(inputs, std::move(ids));
 
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = testutil::alloc_count();
   const harness::Outcome outcome = harness::run_consensus(
       graph, factory, scheduler, inputs, mac::Time{1} << 32);
-  const std::uint64_t allocs = g_alloc_count - before;
+  const std::uint64_t allocs = testutil::alloc_count() - before;
 
   ASSERT_TRUE(outcome.verdict.ok()) << outcome.verdict.summary();
   // ~80k deliveries and ~21k broadcasts: one allocation per callback would

@@ -56,7 +56,7 @@ TEST(Lemma42, HoldsUnderProposalStorm) {
 
 TEST(Lemma44, TagsBoundedByChangeEvents) {
   // Lemma 4.4's mechanism: each change event spawns at most
-  // proposals_per_change proposals, and tags only ever step to (max seen)+1,
+  // kProposalsPerChange proposals, and tags only ever step to (max seen)+1,
   // so the largest tag is bounded by total proposals started.
   const auto g = net::make_grid(4, 4);
   const std::size_t n = g.node_count();
