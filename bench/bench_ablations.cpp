@@ -1,5 +1,6 @@
 // E8 — ablations of the three wPAXOS design choices the paper motivates in
-// §4.2.1. Each row compares the full algorithm against one switch off:
+// §4.2.1. Each is measured against Algorithm 4 verbatim (dead-root pruning
+// off, the "verbatim" row) with one switch off:
 //
 //   * tree_priority off: Algorithm 4's "move the leader's search message to
 //     the front" is what completes the leader's tree soon after election
@@ -11,8 +12,18 @@
 //   * change_gating off: the leader regenerates proposals on every observed
 //     event instead of Theta(1) per change notification — a proposal storm.
 //
+// Pruning must stay off for these rows: with it on, the other roots'
+// searches the first and third choices react to are gone, and on these
+// topologies no-tree-priority and no-change-gating measure exactly what
+// the pruned "full" row does. The "full" row (the defaults) is compared
+// against "verbatim" for the message count pruning saves.
+//
 // Safety must hold in every configuration (it does: the switches only
-// affect liveness/performance); the measured columns show the cost.
+// affect liveness/performance). The exit code also checks the shape: on
+// the multihop grid and geometric graphs no-tree-priority and
+// no-aggregation decide later than verbatim, no-change-gating starts at
+// least 1.5x as many proposals as verbatim everywhere, and full sends
+// fewer broadcasts than verbatim everywhere.
 #include <cstdio>
 
 #include "core/wpaxos/wpaxos.hpp"
@@ -74,63 +85,80 @@ int main() {
     const char* name;
     core::wpaxos::WPaxosConfig cfg;
   };
+  core::wpaxos::WPaxosConfig verbatim;
+  verbatim.prune_dead_roots = false;
   std::vector<Ablation> ablations;
   ablations.push_back({"full", {}});
+  ablations.push_back({"verbatim", verbatim});
   {
-    core::wpaxos::WPaxosConfig c;
+    auto c = verbatim;
     c.tree_priority = false;
     ablations.push_back({"no-tree-priority", c});
   }
   {
-    core::wpaxos::WPaxosConfig c;
+    auto c = verbatim;
     c.aggregate_responses = false;
     ablations.push_back({"no-aggregation", c});
   }
   {
-    core::wpaxos::WPaxosConfig c;
+    auto c = verbatim;
     c.change_gating = false;
     ablations.push_back({"no-change-gating", c});
   }
+  enum { kFull, kVerbatim, kNoTreePriority, kNoAggregation, kNoChangeGating };
 
-  util::Table table({"topology", "variant", "time", "vs full", "broadcasts",
-                     "proposals", "safe"});
+  util::Table table({"topology", "variant", "time", "vs verbatim",
+                     "broadcasts", "proposals", "safe"});
 
+  struct Averaged {
+    double time = 0;
+    double broadcasts = 0;
+    double proposals = 0;
+    bool safe = true;
+  };
   bool all_safe = true;
-  bool storm_visible = true;
+  bool shape = true;
   for (auto& c : cases) {
-    double full_time = 0;
-    for (const auto& ab : ablations) {
-      double time = 0;
-      double broadcasts = 0;
-      double proposals = 0;
-      bool ok = true;
+    std::vector<Averaged> avg(ablations.size());
+    for (std::size_t a = 0; a < ablations.size(); ++a) {
       const int kSeeds = 3;
       for (int s = 0; s < kSeeds; ++s) {
-        const auto m = run(c.graph, ab.cfg, 1000 + s);
-        time += static_cast<double>(m.time) / kSeeds;
-        broadcasts += static_cast<double>(m.broadcasts) / kSeeds;
-        proposals += static_cast<double>(m.proposals) / kSeeds;
-        ok = ok && m.ok;
+        const auto m = run(c.graph, ablations[a].cfg, 1000 + s);
+        avg[a].time += static_cast<double>(m.time) / kSeeds;
+        avg[a].broadcasts += static_cast<double>(m.broadcasts) / kSeeds;
+        avg[a].proposals += static_cast<double>(m.proposals) / kSeeds;
+        avg[a].safe = avg[a].safe && m.ok;
       }
-      if (std::string(ab.name) == "full") full_time = time;
-      all_safe = all_safe && ok;
+      all_safe = all_safe && avg[a].safe;
+    }
+    for (std::size_t a = 0; a < ablations.size(); ++a) {
       table.row()
           .cell(c.name)
-          .cell(ab.name)
-          .cell(time, 1)
-          .cell(full_time > 0 ? time / full_time : 1.0)
-          .cell(broadcasts, 0)
-          .cell(proposals, 1)
-          .cell(ok);
+          .cell(ablations[a].name)
+          .cell(avg[a].time, 1)
+          .cell(avg[a].time / avg[kVerbatim].time)
+          .cell(avg[a].broadcasts, 0)
+          .cell(avg[a].proposals, 1)
+          .cell(avg[a].safe);
     }
+    // On a line responses pipeline one hop apart and rarely merge, so only
+    // the multihop graphs are held to the two slowdowns.
+    if (c.name != "line-32") {
+      shape = shape && avg[kNoTreePriority].time > avg[kVerbatim].time &&
+              avg[kNoAggregation].time > avg[kVerbatim].time;
+    }
+    shape = shape &&
+            avg[kNoChangeGating].proposals >= 1.5 * avg[kVerbatim].proposals &&
+            avg[kFull].broadcasts < avg[kVerbatim].broadcasts;
   }
 
   table.print();
   std::printf(
       "\nexpected shape: every variant SAFE (switches are liveness-only);\n"
-      "no-aggregation and no-tree-priority slow decisions; no-change-gating\n"
-      "multiplies proposal counts. safety holds: %s\n",
-      all_safe ? "YES" : "NO");
-  (void)storm_visible;
-  return all_safe ? 0 : 1;
+      "against verbatim, no-aggregation and no-tree-priority slow decisions\n"
+      "on grid and geo, no-change-gating multiplies proposal counts >= 1.5x,\n"
+      "and full (pruning) sends fewer broadcasts. safety holds: %s, shape "
+      "holds: %s\n",
+      all_safe ? "YES" : "NO", shape ? "YES" : "NO");
+  return all_safe && shape ? 0 : 1;
 }

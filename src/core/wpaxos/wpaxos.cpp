@@ -89,6 +89,12 @@ void WPaxos::process_leader(std::uint64_t leader_id, mac::Context& ctx) {
   // Losing leadership abandons any in-flight proposal: its responses are
   // about to be pruned network-wide anyway (queue invariant (1)).
   if (omega_ != id_) pphase_ = PropPhase::kIdle;
+  // Every queued search for a root below the new Omega is now dead (see
+  // process_search).
+  if (cfg_.prune_dead_roots) {
+    std::erase_if(tree_q_,
+                  [&](const SearchMsg& q) { return q.root < omega_; });
+  }
   tree_prioritize_leader();
   max_pn_from_leader_ = ProposalNumber::zero();
   // The at-most-once cursor is scoped to the current leader's flood: the
@@ -106,6 +112,28 @@ void WPaxos::process_search(const SearchMsg& m, std::uint64_t from_id,
   // Dual-graph mode: never route the response tree over a link the
   // adversary may silence.
   if (cfg_.tree_reliable_only && !reliable_edge) return;
+  // Dead-root pruning. A root below omega_ is dead here: acceptor
+  // responses are routed only toward omega_ (response_enqueue and
+  // prune_responses drop every other proposer's), maybe_send reads tree_
+  // only for a queued response's proposer, and omega_ never falls. Nor
+  // could a neighbour use our relay: the envelope that carried it would
+  // carry, or follow, our announcement of a leader id >= omega_ (a
+  // broadcast is acknowledged only once every neighbour has it), and
+  // on_receive handles the leader field before the search, so the root is
+  // below the neighbour's Omega too. Liveness is untouched: the maximum id
+  // is never below any node's Omega, so its search is never dropped, and
+  // Theorem 4.6's O(D * F_ack) argument uses that leader's tree alone. Its
+  // search only waits behind fewer queued roots.
+  //
+  // The cost is in virtual time, not messages. On a 4x4 grid under
+  // sync(1) the trees are the same and complete by t=6 either way, but the
+  // leader's change notifications arrive every 3 ticks instead of every 2,
+  // and the decision moves from t=32 to t=35. A node that relays no dead
+  // searches is often idle, and an idle node broadcasts on the first
+  // delivery of a tick; a change delivered later in that tick then waits a
+  // whole ack. Verbatim, dead searches keep every node busy until after
+  // the tick's deliveries, so one envelope carries them all.
+  if (cfg_.prune_dead_roots && m.root < omega_) return;
   const auto it = tree_.find(m.root);
   const bool improves = it == tree_.end() || m.hops < it->second.dist;
   if (!improves) return;

@@ -14,7 +14,10 @@
 //     notification, which is what bounds proposals after stabilization.
 //   * Tree building (Algorithm 4): per-root Bellman-Ford (dist, parent)
 //     with the current leader's search messages prioritized, so the
-//     leader's tree completes soon after leader election stabilizes.
+//     leader's tree completes soon after leader election stabilizes. By
+//     default a node also drops every search for a root below its Omega,
+//     received or queued: responses only ever travel toward Omega, so such
+//     a tree is never used (WPaxosConfig::prune_dead_roots).
 //   * Broadcast service (Algorithm 5): combines the heads of the service
 //     queues into one bounded envelope per ack cycle.
 //   * Proposer/acceptor: standard single-decree PAXOS, except acceptor
@@ -53,10 +56,16 @@ namespace amac::core::wpaxos {
 /// WPaxos::check_thresholds).
 inline constexpr int kProposalsPerChange = 2;
 
-/// Feature switches. Defaults reproduce the paper's algorithm; turning a
-/// switch off reproduces the strawman that motivates the corresponding
-/// design choice (bench_ablations).
+/// Feature switches. Defaults are the paper's algorithm plus dead-root
+/// pruning, which only stops relaying searches no node can use;
+/// prune_dead_roots = false is Algorithm 4 verbatim. Turning one of the
+/// three design-choice switches off reproduces the strawman that motivates
+/// it (bench_ablations, which measures them with pruning off).
 struct WPaxosConfig {
+  /// Drop searches for roots below Omega, and purge them from the tree
+  /// queue when Omega rises (see WPaxos::process_search). Off = Algorithm
+  /// 4 verbatim: every node builds every root's tree.
+  bool prune_dead_roots = true;
   /// Algorithm 4's optimization: the current leader's search messages jump
   /// the tree queue. Off = plain FIFO Bellman-Ford.
   bool tree_priority = true;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace amac::fuzz {
 
@@ -15,7 +16,7 @@ CorpusLoadResult load_corpus_stream(std::istream& in, const std::string& name,
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
-    const auto scenario = parse_spec(line);
+    auto scenario = parse_spec(line);
     if (!scenario) {
       if (strict) {
         std::ostringstream os;
@@ -30,7 +31,7 @@ CorpusLoadResult load_corpus_stream(std::istream& in, const std::string& name,
       }
       continue;
     }
-    res.scenarios.push_back(*scenario);
+    res.scenarios.push_back(std::move(*scenario));
   }
   res.loaded = res.scenarios.size();
   // A file that parses to NOTHING despite having spec lines is a failed

@@ -1007,6 +1007,7 @@ void put_item(std::string& out, const ScriptSlot& t) {
   }
   if (f[3].find('-') == std::string_view::npos) return read_uint(f[3], t.recv);
   t.recv = 1;
+  t.delays.reserve(1 + std::count(f[3].begin(), f[3].end(), '+'));
   return read_items(f[3], '+', [&t](std::string_view pair) {
     std::array<std::string_view, 2> rd;
     auto& [receiver, delay] = t.delays.emplace_back();
@@ -1094,6 +1095,7 @@ constexpr Field list(std::string_view key) {
             }
           },
           [](std::string_view v, Scenario& s) {
+            (s.*M).reserve(1 + std::count(v.begin(), v.end(), ','));
             return read_items(v, ',', [&s](std::string_view item) {
               return parse_item(item, (s.*M).emplace_back());
             });

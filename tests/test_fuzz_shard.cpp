@@ -72,7 +72,11 @@ TEST(FuzzShardMerge, PinnedCorpusDigestIsJobCountInvariant) {
   // The 504 digest is the historical sequential constant from
   // test_fuzz_smoke.cpp; the second set turns on every family at once
   // (differential sampling, fault floors, large and log-service
-  // promotion), so each coverage count and key set is exercised.
+  // promotion), so each coverage count and key set is exercised. Both
+  // digests moved when wPAXOS began dropping searches for roots below
+  // Omega (from 0x4bc22ec0b0a6e511 and 0x7ee0cd88051b10a7): its runs relay
+  // fewer messages, and with fewer copies delivered the faulted ones fall
+  // into new drop and duplicate buckets (160 -> 162 fault signatures).
   SoakOptions pinned;
   pinned.seed_base = 1;
   pinned.count = 504;
@@ -89,14 +93,14 @@ TEST(FuzzShardMerge, PinnedCorpusDigestIsJobCountInvariant) {
 
   pinned.jobs = 1;
   const SoakResult pinned_sequential = run_soak(pinned);
-  EXPECT_EQ(pinned_sequential.corpus_digest, 0x4bc22ec0b0a6e511ULL);
+  EXPECT_EQ(pinned_sequential.corpus_digest, 0x1ad39f21a7990f62ULL);
   families.jobs = 1;
   const SoakResult families_sequential = run_soak(families);
   EXPECT_EQ(families_sequential.log_scenarios, 8u);
   EXPECT_EQ(families_sequential.large_scenarios, 3u);
   EXPECT_EQ(families_sequential.coverage.large_sigs, 2u);
-  EXPECT_EQ(families_sequential.coverage.fault_sigs, 160u);
-  EXPECT_EQ(families_sequential.corpus_digest, 0x7ee0cd88051b10a7ULL);
+  EXPECT_EQ(families_sequential.coverage.fault_sigs, 162u);
+  EXPECT_EQ(families_sequential.corpus_digest, 0x0d1eaf9ae12c46eeULL);
 
   for (const std::size_t jobs : {0u, 4u}) {
     SCOPED_TRACE(jobs);

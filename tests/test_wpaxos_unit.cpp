@@ -492,6 +492,83 @@ TEST(WPaxosUnit, ChangeMessagesFloodNewestOnly) {
   EXPECT_EQ(env.body.change->origin, 7u);
 }
 
+// Dead-root pruning: a node that knows leader 9 hears a search for root 5,
+// and a node with searches for roots 5 and 7 queued learns leader 9.
+// Returns the node's tree afterwards and the roots of the searches it
+// broadcast after its initial envelope.
+struct DeadRootRun {
+  util::FlatMap<std::uint64_t, TreeEntry> tree;
+  std::vector<std::uint64_t> relayed;
+};
+
+std::vector<std::uint64_t> relayed_roots(const FakeContext& ctx) {
+  std::vector<std::uint64_t> roots;
+  for (std::size_t i = 1; i < ctx.sent.size(); ++i) {
+    const auto env = WireEnvelope::decode(ctx.sent[i]);
+    if (env.body.search) roots.push_back(env.body.search->root);
+  }
+  return roots;
+}
+
+DeadRootRun search_below_omega(const WPaxosConfig& cfg) {
+  WPaxos node(3, 5, 1, cfg);
+  FakeContext ctx;
+  node.on_start(ctx);
+  ctx.ack(node);
+  Envelope lead;
+  lead.leader = LeaderMsg{9};
+  ctx.deliver(node, 0, envelope_from(9, lead));
+  ctx.ack(node);
+  Envelope dead;
+  dead.search = SearchMsg{5, 1};
+  ctx.deliver(node, 1, envelope_from(5, dead));
+  while (ctx.busy()) ctx.ack(node);
+  return {node.tree(), relayed_roots(ctx)};
+}
+
+DeadRootRun leader_change_with_queued_roots(const WPaxosConfig& cfg) {
+  WPaxos node(3, 5, 1, cfg);
+  FakeContext ctx;
+  node.on_start(ctx);  // the radio stays busy while the searches queue
+  for (const std::uint64_t root : {5u, 7u}) {
+    Envelope e;
+    e.search = SearchMsg{root, 1};
+    ctx.deliver(node, 1, envelope_from(root, e));
+  }
+  Envelope lead;
+  lead.leader = LeaderMsg{9};
+  ctx.deliver(node, 0, envelope_from(9, lead));
+  while (ctx.busy()) ctx.ack(node);
+  return {node.tree(), relayed_roots(ctx)};
+}
+
+TEST(WPaxosUnit, SearchForRootBelowOmegaIsDropped) {
+  const auto run = search_below_omega({});
+  EXPECT_FALSE(run.tree.contains(5));
+  EXPECT_TRUE(run.relayed.empty());
+}
+
+TEST(WPaxosUnit, LeaderChangePurgesQueuedLowerRoots) {
+  const auto run = leader_change_with_queued_roots({});
+  EXPECT_TRUE(run.relayed.empty());
+  // Only the queue is purged: the table keeps what it learned before.
+  EXPECT_EQ(run.tree.at(5).dist, 1u);
+  EXPECT_EQ(run.tree.at(7).dist, 1u);
+}
+
+TEST(WPaxosUnit, PruningOffBuildsEveryRootsTree) {
+  // Algorithm 4 verbatim: every search that improves a tree is adopted and
+  // relayed, whatever the leader.
+  WPaxosConfig verbatim;
+  verbatim.prune_dead_roots = false;
+  const auto below = search_below_omega(verbatim);
+  ASSERT_TRUE(below.tree.contains(5));
+  EXPECT_EQ(below.tree.at(5).parent, 5u);
+  EXPECT_EQ(below.relayed, (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(leader_change_with_queued_roots(verbatim).relayed,
+            (std::vector<std::uint64_t>{5, 7}));
+}
+
 TEST(WPaxosUnit, BusyRadioNeverDoubleBroadcasts) {
   WPaxos node(3, 5, 1);
   FakeContext ctx;
