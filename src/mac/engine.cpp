@@ -4,162 +4,20 @@
 
 namespace amac::mac {
 
-namespace {
-
-/// Folds `from` into `into`: sums, and the max for max_payload_bytes.
-void fold(TrafficStats& into, const TrafficStats& from) {
-  into.broadcasts += from.broadcasts;
-  into.dropped_busy += from.dropped_busy;
-  into.deliveries += from.deliveries;
-  into.acks += from.acks;
-  into.payload_bytes += from.payload_bytes;
-  into.max_payload_bytes =
-      std::max(into.max_payload_bytes, from.max_payload_bytes);
-  into.drops += from.drops;
-  into.duplicates += from.duplicates;
-}
-
-}  // namespace
-
-/// Context implementation handed to a process during a callback.
-class Network::NodeContext final : public Context {
- public:
-  NodeContext(Network& net, NodeId node, InstanceId instance)
-      : net_(&net), node_(node), instance_(instance) {}
-
-  void broadcast(const util::Buffer& payload) override {
-    net_->start_broadcast(node_, instance_, payload);
-  }
-
-  void decide(Value v) override {
-    Instance& inst = net_->instances_[instance_];
-    auto& st = inst.nodes[node_];
-    AMAC_EXPECTS(!st.decision.decided);
-    st.decision = Decision{true, v, net_->now_};
-    AMAC_ENSURES(inst.undecided_alive > 0);
-    if (--inst.undecided_alive == 0) net_->completed_ = true;
-  }
-
-  [[nodiscard]] bool busy() const override {
-    return net_->instances_[instance_].nodes[node_].busy;
-  }
-
-  [[nodiscard]] Time now() const override { return net_->now_; }
-
- private:
-  Network* net_;
-  NodeId node_;
-  InstanceId instance_;
-};
-
 Network::Network(const net::Graph& graph, const ProcessFactory& factory,
                  Scheduler& scheduler, const net::Graph* unreliable_overlay)
-    : graph_(&graph), overlay_(unreliable_overlay), scheduler_(&scheduler),
+    : EngineCore(graph, unreliable_overlay), scheduler_(&scheduler),
       events_(scheduler.fack()) {
-  const std::size_t n = graph.node_count();
-  if (overlay_ != nullptr) {
-    AMAC_EXPECTS(overlay_->node_count() == n);
-    // The two edge sets must be disjoint: an edge is either guaranteed or
-    // best-effort, never both.
-    for (NodeId u = 0; u < n; ++u) {
-      for (const NodeId v : overlay_->neighbors(u)) {
-        AMAC_EXPECTS(!graph.has_edge(u, v));
-      }
-    }
-  }
-  nodes_.resize(n);
-  (void)add_instance(factory);
+  build_nodes(factory);
 }
 
-InstanceId Network::add_instance(const ProcessFactory& factory) {
-  const auto id = static_cast<InstanceId>(instances_.size());
-  Instance inst;
-  inst.nodes.resize(nodes_.size());
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
-    if (nodes_[u].crashed) continue;  // mid-run launch: the dead stay dead
-    inst.nodes[u].process = factory(u);
-    AMAC_ENSURES(inst.nodes[u].process != nullptr);
-    ++inst.undecided_alive;
-  }
-  if (inst.undecided_alive == 0) completed_ = true;  // every node crashed
-  instances_.push_back(std::move(inst));
-  if (started_) {
-    // Launched mid-run (e.g. a pipelined log slot): start callbacks fire
-    // now, at the current tick — local computation takes zero time.
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      if (instances_[id].nodes[u].process == nullptr) continue;
-      NodeContext ctx(*this, u, id);
-      instances_[id].nodes[u].process->on_start(ctx);
-    }
-  }
-  return id;
-}
-
-void Network::retire_instance(InstanceId instance) {
-  AMAC_EXPECTS(instance < instances_.size());
-  Instance& inst = instances_[instance];
-  if (inst.retired) return;
-  inst.retired = true;
-  for (auto& node : inst.nodes) node.process.reset();
-  inst.undecided_alive = 0;
-}
-
-void Network::schedule_crash(const CrashPlan& plan) {
-  AMAC_EXPECTS(plan.node < nodes_.size());
-  AMAC_EXPECTS(!started_);
+void Network::queue_crash(const CrashPlan& plan) {
   Event e;
   e.t = plan.when;
   e.kind = EventKind::kCrash;
   e.seq = next_seq_++;
   e.node = plan.node;
   events_.push(e);
-}
-
-void Network::set_link_faults(const LinkFaultPlan& plan) {
-  AMAC_EXPECTS(!started_);
-  faults_ = plan;
-}
-
-const Decision& Network::decision(NodeId u, InstanceId instance) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].nodes[u].decision;
-}
-
-bool Network::crashed(NodeId u) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  return nodes_[u].crashed;
-}
-
-const InstanceStats& Network::instance_stats(InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].stats;
-}
-
-Process& Network::process(NodeId u, InstanceId instance) {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  AMAC_EXPECTS(instances_[instance].nodes[u].process != nullptr);
-  return *instances_[instance].nodes[u].process;
-}
-
-const Process& Network::process(NodeId u, InstanceId instance) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  AMAC_EXPECTS(instances_[instance].nodes[u].process != nullptr);
-  return *instances_[instance].nodes[u].process;
-}
-
-bool Network::all_alive_decided() const {
-  return std::all_of(instances_.begin(), instances_.end(),
-                     [](const Instance& inst) {
-                       return inst.undecided_alive == 0;
-                     });
-}
-
-bool Network::instance_all_decided(InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].undecided_alive == 0;
 }
 
 std::size_t Network::in_flight_from(NodeId sender,
@@ -408,20 +266,9 @@ void Network::trace_event(const Event& e) {
 
 void Network::process_event(const Event& e) {
   switch (e.kind) {
-    case EventKind::kCrash: {
-      auto& st = nodes_[e.node];
-      if (st.crashed) return;
-      st.crashed = true;
-      st.crash_time = now_;
-      // A crash is node-level: the node leaves every live instance's
-      // undecided set at once (retired instances already left the count).
-      for (Instance& inst : instances_) {
-        if (inst.retired || inst.nodes[e.node].decision.decided) continue;
-        AMAC_ENSURES(inst.undecided_alive > 0);
-        if (--inst.undecided_alive == 0) completed_ = true;
-      }
+    case EventKind::kCrash:
+      crash(e.node);
       return;
-    }
     case EventKind::kDeliver: {
       // The flight strictly outlives its deliver events, and flights_ is a
       // deque: a callback's broadcast below may grow it, but never moves
@@ -489,33 +336,19 @@ void Network::process_event(const Event& e) {
 }
 
 RunResult Network::run(StopWhen until, Time max_time) {
-  if (!started_) {
-    started_ = true;
-    // Instance-major start order (matched by ReferenceNetwork): every
-    // pre-run instance starts its nodes 0..n-1 before the next instance.
-    for (InstanceId i = 0; i < instances_.size(); ++i) {
-      for (NodeId u = 0; u < nodes_.size(); ++u) {
-        if (instances_[i].nodes[u].process == nullptr) continue;
-        NodeContext ctx(*this, u, i);
-        instances_[i].nodes[u].process->on_start(ctx);
-      }
-    }
-  }
+  start_run();
 
   const auto condition_met = [&] {
     return until == StopWhen::kAllDecided && all_alive_decided();
   };
   const auto finish = [&](bool met) {
-    TrafficStats& traffic = stats_;
-    traffic = TrafficStats{};
-    for (const Instance& inst : instances_) fold(traffic, inst.stats);
     stats_.peak_events = events_.peak_size();
     stats_.wheel_pushes = events_.wheel_pushes();
     stats_.overflow_pushes = events_.overflow_pushes();
     stats_.wheel_resizes = events_.resizes();
     stats_.batch_pushes = events_.batch_reservations();
     stats_.wheel_span = static_cast<std::size_t>(events_.span());
-    return RunResult{met, now_};
+    return finish_run(met);
   };
 
   while (!events_.empty()) {

@@ -13,6 +13,25 @@
 //     ones still happen — some neighbors receive, some never do;
 //   * local computation takes zero time: callbacks run at the event's tick.
 //
+// Shared bookkeeping, independent event cores. Network and the frozen
+// ReferenceNetwork (reference_engine.hpp) both derive from EngineCore
+// (engine_core.hpp). It holds what the model says about nodes and
+// instances: crash flags, processes, busy flags, decisions, undecided
+// counts and InstanceStats (folded into EngineStats once, when run()
+// returns). It also owns the Context's decide/busy/now, add_instance,
+// retire_instance, schedule_crash, set_link_faults, crash handling,
+// instance-major start order and the read accessors. Each engine keeps
+// its own event queue, flight storage, fan-out and fault emission, deliver
+// and ack handling, and trace mixing; the core reaches them through two
+// virtual entry points, start_broadcast and queue_crash. A seeded-bug
+// experiment drew the line (table in CHANGES.md, "One bookkeeping core").
+// Of four bugs seeded in Network's event core, only the reordered fault
+// emission was caught by the reference alone, so that code is written
+// twice on purpose. Bugs seeded in the bookkeeping were caught by oracles
+// that need no second engine: the typed model-contract suite in
+// tests/test_mac_engine.cpp runs on both engines, and the completion-hook,
+// decision-time and pinned-digest tests check the counts and stamps.
+//
 // ---------------------------------------------------------------------------
 // Event-core design (the allocation-free hot path)
 //
@@ -157,7 +176,7 @@
 //     the trace digest never mixes instance ids, and no counter moves —
 //     the pinned 504-corpus fuzz digest is the regression oracle for this.
 //     Multi-instance runs stay engine-differential: ReferenceNetwork
-//     mirrors add_instance with the same seq allocation order.
+//     shares add_instance and allocates seqs in the same order.
 //
 // Large-n sizing and cache behavior (n = 4096-10k). A clique round is
 // O(n^2) deliveries by definition — the engine's job is to keep the
@@ -189,105 +208,15 @@
 #include <vector>
 
 #include "mac/calendar_queue.hpp"
+#include "mac/engine_core.hpp"
 #include "mac/event.hpp"
-#include "mac/link_faults.hpp"
-#include "mac/process.hpp"
 #include "mac/scheduler.hpp"
-#include "net/graph.hpp"
-#include "util/hash.hpp"
 
 namespace amac::mac {
 
-/// A scheduled crash: `node` halts at tick `when` (before any event at a
-/// strictly later tick; deliveries at `when` itself still occur).
-struct CrashPlan {
-  NodeId node = kNoNode;
-  Time when = 0;
-};
-
-/// A node's decision record.
-struct Decision {
-  bool decided = false;
-  Value value = -1;
-  Time time = 0;
-};
-
-/// The traffic ledger: what broadcasts, receives and acks (paper §2) cost.
-/// Every such event belongs to exactly one protocol instance, so the engine
-/// counts it once, in that instance's InstanceStats; EngineStats carries
-/// the fold over every instance. Both engines count these fields
-/// identically, and the link-fault ones are decided by the plan's pure hash,
-/// not by queue internals, so differential fingerprints may include all
-/// eight.
-struct TrafficStats {
-  std::uint64_t broadcasts = 0;
-  std::uint64_t dropped_busy = 0;  ///< broadcasts discarded while busy
-  std::uint64_t deliveries = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t max_payload_bytes = 0;
-  std::uint64_t drops = 0;       ///< copies lost or deferred by the plan
-  std::uint64_t duplicates = 0;  ///< extra copies the plan scheduled
-
-  bool operator==(const TrafficStats&) const = default;
-};
-
-/// Aggregate accounting across a run. The traffic fields are the fold of
-/// every instance's ledger, retired and relaunched instances included;
-/// like the queue fields, they are written when run() returns.
-///
-/// The wheel_*, batch_pushes and discarded_copies fields describe the
-/// calendar queue only (always 0 on ReferenceNetwork, which has no wheel);
-/// differential fingerprints and cross-engine equality checks must not
-/// include them. The wheel_* and batch_pushes fields are, however, exactly
-/// the run-shape features the fuzzer's CoverageSignature consumes
-/// (fuzz/fuzzer.hpp): which queue path a scenario drove is the coverage
-/// signal that steers mutation. Every queue counter is in copy units: a
-/// run-length entry of k copies counts k wheel pushes and k toward
-/// peak_events, exactly as k separate events would.
-struct EngineStats : TrafficStats {
-  std::size_t peak_events = 0;  ///< high-water mark of queued events
-  std::uint64_t wheel_pushes = 0;     ///< events placed directly in the wheel
-  std::uint64_t overflow_pushes = 0;  ///< events spilled to the overflow heap
-  std::uint64_t wheel_resizes = 0;    ///< self-resize rebuilds that ran
-  std::uint64_t batch_pushes = 0;     ///< uniform fan-outs queued in the
-                                      ///< wheel as one push_run entry
-  /// Deliver copies of a retired instance dropped with the rest of their
-  /// run-length entry (CalendarQueue::discard_run) instead of being popped
-  /// one by one. Counted within wheel_pushes; never a delivery.
-  std::uint64_t discarded_copies = 0;
-  std::size_t wheel_span = 0;         ///< final wheel size in buckets
-};
-
-/// Per-instance slice of the engine's accounting: the traffic one protocol
-/// instance generated (the only place the engine counts it) plus the
-/// footprint of its live flights. The *_pool_* flight fields stay 0 on
-/// ReferenceNetwork. EngineStats' traffic fields are the sum of these
-/// views; its queue-path fields (wheel_*, peak_events) are substrate-level
-/// and have no per-instance meaning.
-struct InstanceStats : TrafficStats {
-  /// Flight accounting: flight slots, and the payload bytes they hold,
-  /// currently owned by this instance's live broadcasts, and their
-  /// high-water marks.
-  std::size_t live_pool_slots = 0;
-  std::size_t peak_pool_slots = 0;
-  std::size_t live_pool_bytes = 0;
-  std::size_t peak_pool_bytes = 0;
-};
-
-/// When `run` should stop (besides the time horizon).
-enum class StopWhen {
-  kAllDecided,  ///< every non-crashed node has decided (in every instance)
-  kQuiescent,   ///< no events left
-};
-
-struct RunResult {
-  bool condition_met = false;  ///< stop condition reached within the horizon
-  Time end_time = 0;           ///< virtual time when the run stopped
-};
-
-/// One simulated network: topology + processes + scheduler.
-class Network {
+/// One simulated network: topology + processes + scheduler. The
+/// bookkeeping and read surface come from EngineCore (engine_core.hpp).
+class Network : public EngineCore {
  public:
   /// Builds instance 0's process per node via `factory`. The scheduler is
   /// borrowed and must outlive the network. `unreliable_overlay`, if given,
@@ -300,35 +229,18 @@ class Network {
           Scheduler& scheduler,
           const net::Graph* unreliable_overlay = nullptr);
 
-  Network(const Network&) = delete;
-  Network& operator=(const Network&) = delete;
-
-  /// Registers a crash before running. Multiple crashes are allowed (the
-  /// paper's impossibility needs one; the engine does not restrict). A
-  /// crash is node-level: it halts the node's process in every instance.
-  void schedule_crash(const CrashPlan& plan);
-
-  /// Installs the link-fault plan (link_faults.hpp). Must be called before
-  /// the first run(), like schedule_crash; pass the identical plan to both
-  /// engines for differential replay.
-  void set_link_faults(const LinkFaultPlan& plan);
-
   /// Adds a concurrent protocol instance (design doc: "Instance
   /// multiplexing") and returns its id. Callable before the first run or
   /// mid-run from a post-event hook: once the run has started, the new
   /// instance's on_start callbacks fire immediately at the current tick
   /// (crashed nodes get no process and no callbacks).
-  InstanceId add_instance(const ProcessFactory& factory);
+  using EngineCore::add_instance;
 
   /// Destroys a finished instance's processes. Subsequent events addressed
   /// to it are consumed as pure bookkeeping (flights still drain and
   /// release their slots, busy flags still clear) with no callbacks and no
   /// delivery/ack counters. Decisions and InstanceStats remain readable.
-  void retire_instance(InstanceId instance);
-
-  [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
-  }
+  using EngineCore::retire_instance;
 
   /// Disables the calendar wheel's self-resize, pinning the overflow-heap
   /// fallback for far events. A/B benchmark support (BM_EngineLateHolds*);
@@ -355,27 +267,6 @@ class Network {
   /// would exceed `max_time`.
   RunResult run(StopWhen until, Time max_time);
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] const Decision& decision(NodeId u) const {
-    return decision(u, 0);
-  }
-  [[nodiscard]] const Decision& decision(NodeId u, InstanceId instance) const;
-  [[nodiscard]] bool crashed(NodeId u) const;
-  /// As of the last run()'s return (the traffic fields are folded there).
-  [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  [[nodiscard]] const InstanceStats& instance_stats(InstanceId instance) const;
-  [[nodiscard]] const net::Graph& graph() const { return *graph_; }
-
-  /// The process at u (for tests and invariant monitors). The two-argument
-  /// form addresses a specific instance; retired instances have none.
-  [[nodiscard]] Process& process(NodeId u) { return process(u, 0); }
-  [[nodiscard]] const Process& process(NodeId u) const {
-    return process(u, 0);
-  }
-  [[nodiscard]] Process& process(NodeId u, InstanceId instance);
-  [[nodiscard]] const Process& process(NodeId u, InstanceId instance) const;
-
   /// Count of in-flight (scheduled, not yet delivered/cancelled) payload
   /// copies from `sender`'s current instance-0 broadcast (monitor support).
   /// O(1) via the per-sender flight index.
@@ -394,48 +285,7 @@ class Network {
       const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
       const;
 
-  /// True once every non-crashed node decided in every live instance.
-  [[nodiscard]] bool all_alive_decided() const;
-
-  /// True once every non-crashed node decided in `instance` (vacuously true
-  /// for a retired instance).
-  [[nodiscard]] bool instance_all_decided(InstanceId instance) const;
-
-  /// Starts folding every processed event (t, kind, node, sender,
-  /// broadcast id, seq, payload bytes) into a digest. Used by the A/B
-  /// differential tests to prove event-order equivalence across engines.
-  /// Deliberately does NOT mix Event::instance: a single-instance run's
-  /// digest is bit-identical to the pre-instance engine's, and instance
-  /// identity is already pinned by per-instance decisions/stats.
-  void enable_trace_digest() { trace_enabled_ = true; }
-  [[nodiscard]] std::uint64_t trace_digest() const {
-    return trace_hasher_.digest();
-  }
-
  private:
-  /// Node-level state: crash status only — everything protocol-facing is
-  /// per (instance, node).
-  struct NodeState {
-    bool crashed = false;
-    Time crash_time = kForever;
-  };
-
-  /// One node's state within one instance.
-  struct InstanceNode {
-    std::unique_ptr<Process> process;
-    bool busy = false;
-    std::uint64_t current_broadcast = 0;  ///< id of outstanding broadcast
-    std::uint32_t flight_slot = kNoFlight;  ///< live flight, if any
-    Decision decision;
-  };
-
-  struct Instance {
-    std::vector<InstanceNode> nodes;
-    InstanceStats stats;
-    std::size_t undecided_alive = 0;
-    bool retired = false;
-  };
-
   /// One broadcast in slot storage: its payload bytes and the bookkeeping
   /// for its undelivered copies.
   ///
@@ -462,36 +312,24 @@ class Network {
     util::Buffer payload;                 ///< capacity recycled with the slot
   };
 
-  class NodeContext;  // Context implementation bound to one (node, instance)
-
   void start_broadcast(NodeId u, InstanceId instance,
-                       const util::Buffer& payload);
+                       const util::Buffer& payload) override;
+  void queue_crash(const CrashPlan& plan) override;
   void process_event(const Event& e);
   void release_flight(std::uint32_t slot);
   void trace_event(const Event& e);
 
-  const net::Graph* graph_;
-  const net::Graph* overlay_ = nullptr;  ///< unreliable edges (optional)
   Scheduler* scheduler_;
-  std::vector<NodeState> nodes_;
-  std::vector<Instance> instances_;
   std::deque<Flight> flights_;  ///< slot storage: addresses never move
   std::vector<std::uint32_t> free_flights_;
   CalendarQueue events_;
   BroadcastSchedule schedule_scratch_;
   std::vector<std::pair<NodeId, Time>> unreliable_scratch_;
-  LinkFaultPlan faults_;
   std::vector<LinkFaultDecision> fault_scratch_;  ///< reused per fan-out
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_broadcast_id_ = 1;
-  Time now_ = 0;
-  EngineStats stats_;
   std::function<void(Network&)> post_event_hook_;
   std::function<void(Network&)> completion_hook_;
-  bool completed_ = false;  ///< an instance completed since the last hook
-  bool started_ = false;
-  bool trace_enabled_ = false;
-  util::Hasher trace_hasher_;
 };
 
 }  // namespace amac::mac

@@ -4,70 +4,12 @@
 
 namespace amac::mac {
 
-/// Context implementation handed to a process during a callback.
-class ReferenceNetwork::NodeContext final : public Context {
- public:
-  NodeContext(ReferenceNetwork& net, NodeId node, InstanceId instance)
-      : net_(&net), node_(node), instance_(instance) {}
-
-  void broadcast(const util::Buffer& payload) override {
-    net_->start_broadcast(node_, instance_, payload);
-  }
-
-  void decide(Value v) override {
-    Instance& inst = net_->instances_[instance_];
-    auto& st = inst.nodes[node_];
-    AMAC_EXPECTS(!st.decision.decided);
-    st.decision = Decision{true, v, net_->now_};
-    AMAC_ENSURES(inst.undecided_alive > 0);
-    --inst.undecided_alive;
-    AMAC_ENSURES(net_->undecided_alive_ > 0);
-    --net_->undecided_alive_;
-  }
-
-  [[nodiscard]] bool busy() const override {
-    return net_->instances_[instance_].nodes[node_].busy;
-  }
-
-  [[nodiscard]] Time now() const override { return net_->now_; }
-
- private:
-  ReferenceNetwork* net_;
-  NodeId node_;
-  InstanceId instance_;
-};
-
 ReferenceNetwork::ReferenceNetwork(const net::Graph& graph,
                                    const ProcessFactory& factory,
                                    Scheduler& scheduler,
                                    const net::Graph* unreliable_overlay)
-    : graph_(&graph), overlay_(unreliable_overlay), scheduler_(&scheduler) {
-  const std::size_t n = graph.node_count();
-  if (overlay_ != nullptr) {
-    AMAC_EXPECTS(overlay_->node_count() == n);
-    for (NodeId u = 0; u < n; ++u) {
-      for (const NodeId v : overlay_->neighbors(u)) {
-        AMAC_EXPECTS(!graph.has_edge(u, v));
-      }
-    }
-  }
-  nodes_.resize(n);
-  (void)add_instance(factory);
-}
-
-InstanceId ReferenceNetwork::add_instance(const ProcessFactory& factory) {
-  AMAC_EXPECTS(!started_);
-  const auto id = static_cast<InstanceId>(instances_.size());
-  Instance inst;
-  inst.nodes.resize(nodes_.size());
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
-    inst.nodes[u].process = factory(u);
-    AMAC_ENSURES(inst.nodes[u].process != nullptr);
-    ++inst.undecided_alive;
-  }
-  undecided_alive_ += inst.undecided_alive;
-  instances_.push_back(std::move(inst));
-  return id;
+    : EngineCore(graph, unreliable_overlay), scheduler_(&scheduler) {
+  build_nodes(factory);
 }
 
 void ReferenceNetwork::push_event(RefEvent e) {
@@ -77,56 +19,9 @@ void ReferenceNetwork::push_event(RefEvent e) {
   }
 }
 
-void ReferenceNetwork::schedule_crash(const CrashPlan& plan) {
-  AMAC_EXPECTS(plan.node < nodes_.size());
-  AMAC_EXPECTS(!started_);
+void ReferenceNetwork::queue_crash(const CrashPlan& plan) {
   push_event(RefEvent{plan.when, RefEventKind::kCrash, next_seq_++, plan.node,
                       kNoNode, 0, nullptr});
-}
-
-void ReferenceNetwork::set_link_faults(const LinkFaultPlan& plan) {
-  AMAC_EXPECTS(!started_);
-  faults_ = plan;
-}
-
-const Decision& ReferenceNetwork::decision(NodeId u,
-                                           InstanceId instance) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].nodes[u].decision;
-}
-
-bool ReferenceNetwork::crashed(NodeId u) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  return nodes_[u].crashed;
-}
-
-const InstanceStats& ReferenceNetwork::instance_stats(
-    InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].stats;
-}
-
-Process& ReferenceNetwork::process(NodeId u, InstanceId instance) {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  return *instances_[instance].nodes[u].process;
-}
-
-const Process& ReferenceNetwork::process(NodeId u,
-                                         InstanceId instance) const {
-  AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  return *instances_[instance].nodes[u].process;
-}
-
-bool ReferenceNetwork::all_alive_decided() const {
-  return undecided_alive_ == 0;
-}
-
-bool ReferenceNetwork::instance_all_decided(InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].undecided_alive == 0;
 }
 
 std::size_t ReferenceNetwork::in_flight_from(NodeId sender) const {
@@ -156,18 +51,13 @@ void ReferenceNetwork::start_broadcast(NodeId u, InstanceId instance,
   Instance& inst = instances_[instance];
   auto& st = inst.nodes[u];
   if (st.busy) {
-    ++stats_.dropped_busy;
     ++inst.stats.dropped_busy;
     return;
   }
   st.busy = true;
   const std::uint64_t id = next_broadcast_id_++;
   st.current_broadcast = id;
-  ++stats_.broadcasts;
   ++inst.stats.broadcasts;
-  stats_.payload_bytes += payload.size();
-  stats_.max_payload_bytes = std::max(stats_.max_payload_bytes,
-                                      payload.size());
   inst.stats.payload_bytes += payload.size();
   inst.stats.max_payload_bytes = std::max(inst.stats.max_payload_bytes,
                                           payload.size());
@@ -212,17 +102,14 @@ void ReferenceNetwork::start_broadcast(NodeId u, InstanceId instance,
           faults_.decide(id, u, sched.receivers[i], arrival);
       decisions.push_back(d);
       if (!d.deliver) {
-        ++stats_.drops;
         ++inst.stats.drops;
         continue;
       }
       if (d.deliver_at != arrival) {
-        ++stats_.drops;  // lost, retransmitted
-        ++inst.stats.drops;
+        ++inst.stats.drops;  // lost, retransmitted
       }
       latest = std::max(latest, d.deliver_at);
       if (d.duplicate) {
-        ++stats_.duplicates;
         ++inst.stats.duplicates;
         latest = std::max(latest, d.duplicate_at);
       }
@@ -289,20 +176,9 @@ void ReferenceNetwork::trace_event(const RefEvent& e) {
 
 void ReferenceNetwork::process_event(const RefEvent& e) {
   switch (e.kind) {
-    case RefEventKind::kCrash: {
-      auto& st = nodes_[e.node];
-      if (st.crashed) return;
-      st.crashed = true;
-      st.crash_time = now_;
-      for (Instance& inst : instances_) {
-        if (inst.nodes[e.node].decision.decided) continue;
-        AMAC_ENSURES(inst.undecided_alive > 0);
-        --inst.undecided_alive;
-        AMAC_ENSURES(undecided_alive_ > 0);
-        --undecided_alive_;
-      }
+    case RefEventKind::kCrash:
+      crash(e.node);
       return;
-    }
     case RefEventKind::kDeliver: {
       auto flight_it = flights_.find(e.broadcast_id);
       AMAC_ENSURES(flight_it != flights_.end());
@@ -317,7 +193,6 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
           sender_st.crashed && sender_st.crash_time < e.t;
       Instance& inst = instances_[e.instance];
       if (!cancelled && !nodes_[e.node].crashed) {
-        ++stats_.deliveries;
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
         const Packet packet{e.sender, *e.payload, e.reliable};
@@ -332,7 +207,6 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
       auto& st = inst.nodes[e.node];
       AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
       st.busy = false;
-      ++stats_.acks;
       ++inst.stats.acks;
       NodeContext ctx(*this, e.node, e.instance);
       st.process->on_ack(ctx);
@@ -342,25 +216,16 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
 }
 
 RunResult ReferenceNetwork::run(StopWhen until, Time max_time) {
-  if (!started_) {
-    started_ = true;
-    // Instance-major start order, matching Network::run.
-    for (InstanceId i = 0; i < instances_.size(); ++i) {
-      for (NodeId u = 0; u < nodes_.size(); ++u) {
-        NodeContext ctx(*this, u, i);
-        instances_[i].nodes[u].process->on_start(ctx);
-      }
-    }
-  }
+  start_run();
 
   const auto condition_met = [&] {
     return until == StopWhen::kAllDecided && all_alive_decided();
   };
 
   while (!events_.empty()) {
-    if (condition_met()) return RunResult{true, now_};
+    if (condition_met()) return finish_run(true);
     const RefEvent e = events_.top();
-    if (e.t > max_time) return RunResult{condition_met(), now_};
+    if (e.t > max_time) return finish_run(condition_met());
     events_.pop();
     AMAC_ENSURES(e.t >= now_);
     now_ = e.t;
@@ -370,7 +235,7 @@ RunResult ReferenceNetwork::run(StopWhen until, Time max_time) {
   }
   // Queue drained: quiescent.
   const bool met = until == StopWhen::kQuiescent || all_alive_decided();
-  return RunResult{met, now_};
+  return finish_run(met);
 }
 
 }  // namespace amac::mac

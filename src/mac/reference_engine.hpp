@@ -10,14 +10,25 @@
 //      stats, and trace digests;
 //   2. bench_micro benchmarks both engines in the same binary, so the
 //      speedup claim is always measurable on the current tree.
-// Do not optimize this file; its slowness is the point.
+// Do not optimize this file; its slowness is the point. CI's bench gate
+// divides BM_EngineSyncRounds by BM_RefEngineSyncRounds, and the fuzz soak
+// spends part of its time in reference replays, so a faster reference
+// would move both.
 //
-// Instance multiplexing parity: the reference engine mirrors Network's
-// add_instance / decision(u, i) / process(u, i) surface with the identical
-// seq-allocation and on_start order, so multi-instance runs stay
-// differential-testable (tests/test_multi_instance.cpp). Per-instance
-// InstanceStats cover the engine-independent traffic fields; the flight
-// footprint fields (*_pool_*) stay 0 here (this engine does not track them).
+// What is shared and what is not (design doc: "Shared bookkeeping" in
+// engine.hpp). The bookkeeping comes from EngineCore, the same code
+// Network runs: crash flags, processes, busy flags, decisions, undecided
+// counts, InstanceStats, the Context's decide/busy/now, add_instance,
+// crash handling, start order and the read accessors. The event core
+// below is independent: heap, flight map, fan-out and fault emission,
+// deliver and ack handling, and trace mixing. That is where the seeded
+// bugs in CHANGES.md ("One bookkeeping core") showed a second
+// implementation earns its keep: a reordered fault emission was caught by
+// the differential replays alone. Bookkeeping bugs are a shared blind
+// spot for those replays, so tests/test_mac_engine.cpp checks the model
+// contract on each engine separately. This engine adds instances before
+// the run only, never retires one, and leaves the flight footprint fields
+// (*_pool_*) of InstanceStats at 0.
 #pragma once
 
 #include <functional>
@@ -26,40 +37,25 @@
 #include <queue>
 #include <vector>
 
-#include "mac/engine.hpp"  // CrashPlan, Decision, EngineStats, StopWhen
-#include "mac/process.hpp"
+#include "mac/engine_core.hpp"
 #include "mac/scheduler.hpp"
-#include "net/graph.hpp"
-#include "util/hash.hpp"
 
 namespace amac::mac {
 
 /// One simulated network driven by the legacy heap event core. Public
 /// surface mirrors Network so tests and benches can drive either.
-class ReferenceNetwork {
+class ReferenceNetwork : public EngineCore {
  public:
   ReferenceNetwork(const net::Graph& graph, const ProcessFactory& factory,
                    Scheduler& scheduler,
                    const net::Graph* unreliable_overlay = nullptr);
 
-  ReferenceNetwork(const ReferenceNetwork&) = delete;
-  ReferenceNetwork& operator=(const ReferenceNetwork&) = delete;
-
-  void schedule_crash(const CrashPlan& plan);
-
-  /// Identical contract to Network::set_link_faults: the same plan on both
-  /// engines must yield bit-identical traces (the decisions are pure
-  /// hashes, and both engines emit faulted copies in the same canonical
-  /// order: kept, deferred, duplicates).
-  void set_link_faults(const LinkFaultPlan& plan);
-
   /// Identical contract to Network::add_instance (instance-major start
   /// order, same seq allocation); pre-run only on this engine — the
   /// replicated-log driver that launches mid-run targets Network.
-  InstanceId add_instance(const ProcessFactory& factory);
-
-  [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
+  InstanceId add_instance(const ProcessFactory& factory) {
+    AMAC_EXPECTS(!started_);
+    return EngineCore::add_instance(factory);
   }
 
   void set_post_event_hook(std::function<void(ReferenceNetwork&)> hook) {
@@ -68,37 +64,11 @@ class ReferenceNetwork {
 
   RunResult run(StopWhen until, Time max_time);
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] const Decision& decision(NodeId u) const {
-    return decision(u, 0);
-  }
-  [[nodiscard]] const Decision& decision(NodeId u, InstanceId instance) const;
-  [[nodiscard]] bool crashed(NodeId u) const;
-  [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  [[nodiscard]] const InstanceStats& instance_stats(InstanceId instance) const;
-  [[nodiscard]] const net::Graph& graph() const { return *graph_; }
-
-  [[nodiscard]] Process& process(NodeId u) { return process(u, 0); }
-  [[nodiscard]] const Process& process(NodeId u) const {
-    return process(u, 0);
-  }
-  [[nodiscard]] Process& process(NodeId u, InstanceId instance);
-  [[nodiscard]] const Process& process(NodeId u, InstanceId instance) const;
-
   [[nodiscard]] std::size_t in_flight_from(NodeId sender) const;
 
   void for_each_in_flight(
       const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
       const;
-
-  [[nodiscard]] bool all_alive_decided() const;
-  [[nodiscard]] bool instance_all_decided(InstanceId instance) const;
-
-  void enable_trace_digest() { trace_enabled_ = true; }
-  [[nodiscard]] std::uint64_t trace_digest() const {
-    return trace_hasher_.digest();
-  }
 
  private:
   enum class RefEventKind : std::uint8_t { kDeliver = 0, kAck = 1,
@@ -122,25 +92,6 @@ class ReferenceNetwork {
     }
   };
 
-  /// Node-level state: crash status only (mirrors Network).
-  struct NodeState {
-    bool crashed = false;
-    Time crash_time = kForever;
-  };
-
-  struct InstanceNode {
-    std::unique_ptr<Process> process;
-    bool busy = false;
-    std::uint64_t current_broadcast = 0;
-    Decision decision;
-  };
-
-  struct Instance {
-    std::vector<InstanceNode> nodes;
-    InstanceStats stats;
-    std::size_t undecided_alive = 0;
-  };
-
   /// Bookkeeping for one broadcast's undelivered copies.
   struct Flight {
     NodeId sender = kNoNode;
@@ -150,32 +101,20 @@ class ReferenceNetwork {
     std::size_t undrained_events = 0;
   };
 
-  class NodeContext;
-
   void start_broadcast(NodeId u, InstanceId instance,
-                       const util::Buffer& payload);
+                       const util::Buffer& payload) override;
+  void queue_crash(const CrashPlan& plan) override;
   void process_event(const RefEvent& e);
   void trace_event(const RefEvent& e);
   void push_event(RefEvent e);
 
-  const net::Graph* graph_;
-  const net::Graph* overlay_ = nullptr;
   Scheduler* scheduler_;
-  std::vector<NodeState> nodes_;
-  std::vector<Instance> instances_;
-  LinkFaultPlan faults_;
   std::map<std::uint64_t, Flight> flights_;
   std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>>
       events_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_broadcast_id_ = 1;
-  Time now_ = 0;
-  std::size_t undecided_alive_ = 0;
-  EngineStats stats_;
   std::function<void(ReferenceNetwork&)> post_event_hook_;
-  bool started_ = false;
-  bool trace_enabled_ = false;
-  util::Hasher trace_hasher_;
 };
 
 }  // namespace amac::mac

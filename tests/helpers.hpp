@@ -91,7 +91,7 @@ inline mac::ProcessFactory probe_factory(std::size_t num_broadcasts,
   };
 }
 
-inline const ProbeProcess& probe_at(const mac::Network& net, NodeId u) {
+inline const ProbeProcess& probe_at(const mac::EngineCore& net, NodeId u) {
   const auto* p = dynamic_cast<const ProbeProcess*>(&net.process(u));
   AMAC_ASSERT(p != nullptr);
   return *p;

@@ -1,8 +1,16 @@
+// The paper §2 model contract, checked on each engine against fixed
+// expectations rather than against the other engine: the two share their
+// bookkeeping (engine_core.hpp), so a differential replay cannot see a bug
+// there, and each needs its own oracle.
 #include "mac/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "helpers.hpp"
+#include "mac/reference_engine.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
 
@@ -12,10 +20,23 @@ namespace {
 using testutil::probe_at;
 using testutil::probe_factory;
 
-TEST(Engine, SynchronousRoundDeliveryTimes) {
+template <typename Net>
+class Engine : public ::testing::Test {};
+
+struct EngineName {
+  template <typename Net>
+  static std::string GetName(int) {
+    return std::is_same_v<Net, Network> ? "Network" : "ReferenceNetwork";
+  }
+};
+
+using Engines = ::testing::Types<Network, ReferenceNetwork>;
+TYPED_TEST_SUITE(Engine, Engines, EngineName);
+
+TYPED_TEST(Engine, SynchronousRoundDeliveryTimes) {
   const auto g = net::make_line(3);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(2), sched);
+  TypeParam net(g, probe_factory(2), sched);
   net.run(StopWhen::kQuiescent, 100);
 
   // Node 1's receives from both neighbors: round 1 and round 2 broadcasts
@@ -29,10 +50,10 @@ TEST(Engine, SynchronousRoundDeliveryTimes) {
   EXPECT_EQ(p1.acks, (std::vector<Time>{1, 2}));
 }
 
-TEST(Engine, AckNeverBeforeAnyReceive) {
+TYPED_TEST(Engine, AckNeverBeforeAnyReceive) {
   const auto g = net::make_clique(5);
   UniformRandomScheduler sched(10, /*seed=*/99);
-  Network net(g, probe_factory(3), sched);
+  TypeParam net(g, probe_factory(3), sched);
   net.run(StopWhen::kQuiescent, 1000);
 
   // For every sender, every receiver got broadcast i before (or at the same
@@ -51,10 +72,10 @@ TEST(Engine, AckNeverBeforeAnyReceive) {
   }
 }
 
-TEST(Engine, EveryNeighborReceivesEveryBroadcast) {
+TYPED_TEST(Engine, EveryNeighborReceivesEveryBroadcast) {
   const auto g = net::make_ring(6);
   UniformRandomScheduler sched(7, 123);
-  Network net(g, probe_factory(4), sched);
+  TypeParam net(g, probe_factory(4), sched);
   net.run(StopWhen::kQuiescent, 10000);
   for (NodeId u = 0; u < 6; ++u) {
     std::size_t from_neighbors = 0;
@@ -67,10 +88,10 @@ TEST(Engine, EveryNeighborReceivesEveryBroadcast) {
   }
 }
 
-TEST(Engine, BusyBroadcastDiscarded) {
+TYPED_TEST(Engine, BusyBroadcastDiscarded) {
   const auto g = net::make_clique(2);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(1, false, /*double_broadcast=*/true), sched);
+  TypeParam net(g, probe_factory(1, false, /*double_broadcast=*/true), sched);
   net.run(StopWhen::kQuiescent, 100);
   EXPECT_EQ(net.stats().dropped_busy, 2u);  // one per node
   EXPECT_EQ(net.stats().broadcasts, 2u);
@@ -79,10 +100,10 @@ TEST(Engine, BusyBroadcastDiscarded) {
   EXPECT_EQ(probe_at(net, 1).receives.size(), 1u);
 }
 
-TEST(Engine, SameTickReceivesBeforeAcks) {
+TYPED_TEST(Engine, SameTickReceivesBeforeAcks) {
   const auto g = net::make_clique(3);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(2), sched);
+  TypeParam net(g, probe_factory(2), sched);
   net.run(StopWhen::kQuiescent, 100);
   // With lock-step rounds, each node's callback order strictly alternates:
   // both receives of a round precede the round's ack.
@@ -93,10 +114,10 @@ TEST(Engine, SameTickReceivesBeforeAcks) {
   }
 }
 
-TEST(Engine, StopsWhenAllDecided) {
+TYPED_TEST(Engine, StopsWhenAllDecided) {
   const auto g = net::make_clique(3);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(2, /*decide_when_done=*/true), sched);
+  TypeParam net(g, probe_factory(2, /*decide_when_done=*/true), sched);
   const auto result = net.run(StopWhen::kAllDecided, 1000);
   EXPECT_TRUE(result.condition_met);
   for (NodeId u = 0; u < 3; ++u) {
@@ -106,10 +127,28 @@ TEST(Engine, StopsWhenAllDecided) {
   }
 }
 
-TEST(Engine, MaxTimeHorizonRespected) {
+TYPED_TEST(Engine, CrashLeavesEveryInstancesUndecidedSet) {
+  // A crash is node-level: node 2 leaves both instances' undecided sets
+  // at t=1, so both complete at once although it never decides.
+  const auto g = net::make_clique(3);
+  SynchronousScheduler sched(1);
+  TypeParam net(g, probe_factory(2, /*decide_when_done=*/true), sched);
+  const InstanceId second =
+      net.add_instance(probe_factory(3, /*decide_when_done=*/true));
+  net.schedule_crash(CrashPlan{2, 1});
+  const auto result = net.run(StopWhen::kAllDecided, 1000);
+  EXPECT_TRUE(result.condition_met);
+  EXPECT_EQ(result.end_time, 3u);
+  for (const InstanceId i : {InstanceId{0}, second}) {
+    EXPECT_TRUE(net.instance_all_decided(i));
+    EXPECT_FALSE(net.decision(2, i).decided);
+  }
+}
+
+TYPED_TEST(Engine, MaxTimeHorizonRespected) {
   const auto g = net::make_clique(2);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(100), sched);
+  TypeParam net(g, probe_factory(100), sched);
   const auto result = net.run(StopWhen::kQuiescent, 10);
   EXPECT_FALSE(result.condition_met);
   EXPECT_LE(net.now(), 10u);
@@ -118,10 +157,10 @@ TEST(Engine, MaxTimeHorizonRespected) {
   EXPECT_TRUE(result2.condition_met);
 }
 
-TEST(Engine, StatsCountBroadcastsAndDeliveries) {
+TYPED_TEST(Engine, StatsCountBroadcastsAndDeliveries) {
   const auto g = net::make_line(4);  // 3 edges
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(2), sched);
+  TypeParam net(g, probe_factory(2), sched);
   net.run(StopWhen::kQuiescent, 100);
   EXPECT_EQ(net.stats().broadcasts, 8u);   // 4 nodes x 2
   EXPECT_EQ(net.stats().deliveries, 12u);  // 2 per broadcast per edge-end
@@ -130,10 +169,10 @@ TEST(Engine, StatsCountBroadcastsAndDeliveries) {
   EXPECT_EQ(net.stats().payload_bytes, 8u);
 }
 
-TEST(Engine, InFlightTracking) {
+TYPED_TEST(Engine, InFlightTracking) {
   const auto g = net::make_clique(3);
   SynchronousScheduler sched(10);
-  Network net(g, probe_factory(1), sched);
+  TypeParam net(g, probe_factory(1), sched);
   net.run(StopWhen::kQuiescent, 5);  // mid-flight: deliveries due at t=10
   EXPECT_EQ(net.in_flight_from(0), 2u);
   std::size_t copies = 0;
@@ -144,10 +183,10 @@ TEST(Engine, InFlightTracking) {
   EXPECT_EQ(net.in_flight_from(0), 0u);
 }
 
-TEST(Engine, SingleNodeBroadcastAcksWithoutNeighbors) {
+TYPED_TEST(Engine, SingleNodeBroadcastAcksWithoutNeighbors) {
   const auto g = net::make_clique(1);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(2, /*decide_when_done=*/true), sched);
+  TypeParam net(g, probe_factory(2, /*decide_when_done=*/true), sched);
   const auto result = net.run(StopWhen::kAllDecided, 100);
   EXPECT_TRUE(result.condition_met);
   EXPECT_TRUE(net.decision(0).decided);
@@ -155,20 +194,20 @@ TEST(Engine, SingleNodeBroadcastAcksWithoutNeighbors) {
   EXPECT_EQ(probe_at(net, 0).acks.size(), 2u);
 }
 
-TEST(Engine, PostEventHookRuns) {
+TYPED_TEST(Engine, PostEventHookRuns) {
   const auto g = net::make_clique(2);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(1), sched);
+  TypeParam net(g, probe_factory(1), sched);
   std::size_t calls = 0;
-  net.set_post_event_hook([&](Network&) { ++calls; });
+  net.set_post_event_hook([&](TypeParam&) { ++calls; });
   net.run(StopWhen::kQuiescent, 100);
   EXPECT_EQ(calls, 4u);  // 2 deliveries + 2 acks
 }
 
-TEST(Engine, PayloadContentDeliveredIntact) {
+TYPED_TEST(Engine, PayloadContentDeliveredIntact) {
   const auto g = net::make_clique(2);
   SynchronousScheduler sched(1);
-  Network net(g, probe_factory(3), sched);
+  TypeParam net(g, probe_factory(3), sched);
   net.run(StopWhen::kQuiescent, 100);
   const auto& p0 = probe_at(net, 0);
   ASSERT_EQ(p0.receives.size(), 3u);
