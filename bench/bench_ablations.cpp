@@ -55,11 +55,7 @@ Measured run(const net::Graph& g, const core::wpaxos::WPaxosConfig& cfg,
   Measured m;
   m.time = verdict.last_decision;
   m.broadcasts = net.stats().broadcasts;
-  for (NodeId u = 0; u < n; ++u) {
-    m.proposals += dynamic_cast<const core::wpaxos::WPaxos*>(&net.process(u))
-                       ->node_stats()
-                       .proposals_started;
-  }
+  m.proposals = harness::collect_protocol_stats(net).proposals;
   m.ok = verdict.ok();
   return m;
 }

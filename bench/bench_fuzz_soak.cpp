@@ -64,13 +64,10 @@ void print_report(const fuzz::Scenario& s, const fuzz::RunReport& r) {
               r.mid_flight_crashes,
               static_cast<unsigned long long>(r.stats.drops),
               static_cast<unsigned long long>(r.stats.duplicates));
-  std::printf("calendar  wheel=%llu overflow=%llu resizes=%llu batch=%llu "
-              "span=%zu\n",
+  std::printf("calendar  wheel=%llu overflow=%llu batch=%llu\n",
               static_cast<unsigned long long>(r.stats.wheel_pushes),
               static_cast<unsigned long long>(r.stats.overflow_pushes),
-              static_cast<unsigned long long>(r.stats.wheel_resizes),
-              static_cast<unsigned long long>(r.stats.batch_pushes),
-              r.stats.wheel_span);
+              static_cast<unsigned long long>(r.stats.batch_pushes));
   std::printf("protocol  rounds=%llu coins=%llu proposals=%llu changes=%llu "
               "learned=%llu quiet_resets=%llu\n",
               static_cast<unsigned long long>(r.protocol.max_round),
@@ -187,9 +184,9 @@ void print_coverage_table(const fuzz::SoakResult& result) {
                 cov.per_scheduler[i]);
   }
   std::printf("\n");
-  std::printf("  coverage by path: overflow=%zu resize=%zu batch=%zu "
+  std::printf("  coverage by path: overflow=%zu batch=%zu "
               "crashes=%zu holds=%zu protocol=%zu (of %zu signatures)\n",
-              cov.overflow_sigs, cov.resize_sigs, cov.batch_sigs,
+              cov.overflow_sigs, cov.batch_sigs,
               cov.crash_sigs, cov.hold_sigs, cov.protocol_sigs,
               cov.distinct);
   // "distinct fault signatures:", "distinct large-topology signatures:"
@@ -219,14 +216,12 @@ int run_soak_cli(const CliOptions& cli) {
     options.on_scenario = [&](std::size_t index, const fuzz::Scenario& s,
                               const fuzz::RunReport& r) {
       if ((index + 1) % cli.progress_every == 0) {
-        std::printf("  [%zu/%zu] last=%s failure=%s wheel=%llu overflow=%llu "
-                    "resizes=%llu\n",
+        std::printf("  [%zu/%zu] last=%s failure=%s wheel=%llu overflow=%llu\n",
                     index + 1, cli.soak.count,
                     harness::algorithm_name(s.algorithm),
                     fuzz::failure_name(r.failure),
                     static_cast<unsigned long long>(r.stats.wheel_pushes),
-                    static_cast<unsigned long long>(r.stats.overflow_pushes),
-                    static_cast<unsigned long long>(r.stats.wheel_resizes));
+                    static_cast<unsigned long long>(r.stats.overflow_pushes));
         std::fflush(stdout);
       }
     };
@@ -287,10 +282,10 @@ int run_soak_cli(const CliOptions& cli) {
   std::printf("  crash scenarios: %zu (mid-flight cancellations in %zu)\n",
               result.crash_scenarios, result.mid_flight_crash_scenarios);
   std::printf("  calendar events: %llu wheel / %llu overflow heap "
-              "(overflow path in %zu scenarios, wheel resized in %zu)\n",
+              "(overflow path in %zu scenarios)\n",
               static_cast<unsigned long long>(result.wheel_events),
               static_cast<unsigned long long>(result.overflow_events),
-              result.overflow_scenarios, result.resized_scenarios);
+              result.overflow_scenarios);
   print_coverage_table(result);
   std::printf("  corpus digest: 0x%016llx\n",
               static_cast<unsigned long long>(result.corpus_digest));

@@ -177,34 +177,27 @@ void BM_RefEngineFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_RefEngineFanout)->Arg(16)->Arg(64)->Arg(1024);
 
-/// Late-hold workload (the wheel-resize regime): holds registered AFTER
+/// Late-hold workload (the overflow-heap regime): holds registered AFTER
 /// Network construction — the wheel was sized from the tiny pre-hold
 /// fack() — and re-armed as they release, so every broadcast of the run
 /// lands ~1200 ticks out (the recurring staggered-wake-up adversary).
-/// Arg(1) lets the self-resizing wheel rebuild once and absorb the far
-/// deliveries as O(1) bucket appends; Arg(0) pins the overflow-heap
-/// fallback (set_wheel_resize_enabled(false)), paying the heap plus
-/// rebase migration for every event — the A/B that shows what the
-/// resize buys. Both variants run the bit-identical event sequence.
+/// Every such event takes the overflow heap and the rebase migration:
+/// this row measures what the adversarial schedules of paper §3.2-3.3 pay
+/// for reaching past the ack bound the wheel is sized from.
 void BM_EngineLateHolds(benchmark::State& state) {
-  const bool resize_enabled = state.range(0) != 0;
   const std::size_t n = 32;
   const auto g = net::make_clique(n);
   const mac::ProcessFactory factory = [](NodeId) {
     return std::make_unique<Pinger>(40);
   };
   std::uint64_t deliveries = 0;
-  std::uint64_t resizes = 0;
   std::uint64_t overflow = 0;
   for (auto _ : state) {
     mac::HoldbackScheduler hold(std::make_unique<mac::SynchronousScheduler>(1),
                                 /*release=*/4);
     mac::Network net(g, factory, hold);
-    net.set_wheel_resize_enabled(resize_enabled);
     // Rolling holds: whenever a sender's hold has released, re-arm it
-    // another ~1200 ticks out (staggered per sender). The schedule depends
-    // only on event times, never on queue internals, so both A/B variants
-    // see the same adversary.
+    // another ~1200 ticks out (staggered per sender).
     std::vector<mac::Time> release(n, 0);
     for (NodeId u = 0; u < n; ++u) {
       release[u] = 1200 + 8 * static_cast<mac::Time>(u);
@@ -221,29 +214,22 @@ void BM_EngineLateHolds(benchmark::State& state) {
     });
     net.run(mac::StopWhen::kQuiescent, 200000);
     deliveries = net.stats().deliveries;
-    resizes = net.stats().wheel_resizes;
     overflow = net.stats().overflow_pushes;
     benchmark::DoNotOptimize(deliveries);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(deliveries));
-  state.counters["wheel_resizes"] =
-      benchmark::Counter(static_cast<double>(resizes));
   state.counters["overflow_pushes"] =
       benchmark::Counter(static_cast<double>(overflow));
 }
-BENCHMARK(BM_EngineLateHolds)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineLateHolds);
 
 /// Raw calendar-queue push/pop stream where a third of pushes land far
-/// beyond the initial window (held deliveries). Arg(1): the wheel resizes
-/// once and the far pushes become O(1) bucket appends; Arg(0): every far
-/// push pays the overflow heap plus rebase migration, forever.
+/// beyond the wheel window (held deliveries): every far push pays the
+/// overflow heap plus rebase migration.
 void BM_WheelLateHolds(benchmark::State& state) {
-  const bool resize_enabled = state.range(0) != 0;
-  std::uint64_t resizes = 0;
   for (auto _ : state) {
     mac::CalendarQueue q(4);
-    q.set_resize_enabled(resize_enabled);
     util::Rng rng(1234);
     std::uint64_t seq = 0;
     mac::Time now = 0;
@@ -265,15 +251,12 @@ void BM_WheelLateHolds(benchmark::State& state) {
       q.pop();
       ++popped;
     }
-    resizes = q.resizes();
     benchmark::DoNotOptimize(popped);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           200000);
-  state.counters["wheel_resizes"] =
-      benchmark::Counter(static_cast<double>(resizes));
 }
-BENCHMARK(BM_WheelLateHolds)->Arg(0)->Arg(1);
+BENCHMARK(BM_WheelLateHolds);
 
 /// Scheduler-only: one schedule() call per iteration against a dense
 /// neighborhood, isolating the per-receiver next-free-tick lookups from

@@ -113,13 +113,8 @@ int main() {
       net.run(mac::StopWhen::kAllDecided, 100'000'000);
       const auto verdict = verify::check_consensus(net, inputs);
 
-      std::uint64_t proposals = 0;
-      for (NodeId u = 0; u < n; ++u) {
-        proposals += dynamic_cast<const core::wpaxos::WPaxos*>(
-                         &net.process(u))
-                         ->node_stats()
-                         .proposals_started;
-      }
+      const std::uint64_t proposals =
+          harness::collect_protocol_stats(net).proposals;
 
       const double norm = static_cast<double>(verdict.last_decision) /
                           (static_cast<double>(d) * fack);

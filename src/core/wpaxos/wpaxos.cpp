@@ -158,7 +158,7 @@ void WPaxos::process_change(const ChangeMsg& m, mac::Context& ctx) {
 
 void WPaxos::on_local_change(mac::Context& ctx) {
   if (decided_) return;
-  ++stats_.change_events;
+  ++change_events_;
   last_change_ = {ctx.now(), id_};
   change_q_ = ChangeMsg{ctx.now(), id_};
   if (omega_ == id_) generate_new_proposal(ctx);
@@ -192,7 +192,7 @@ void WPaxos::generate_new_proposal(mac::Context& ctx) {
 void WPaxos::start_proposal(mac::Context& ctx) {
   if (decided_ || attempts_left_ <= 0) return;
   --attempts_left_;
-  ++stats_.proposals_started;
+  ++proposals_started_;
   ++max_tag_;
   current_ = ProposalNumber{max_tag_, id_};
   pphase_ = PropPhase::kPrepare;
@@ -370,12 +370,11 @@ void WPaxos::response_enqueue(AcceptorResponse r) {
   if (r.pn.id != omega_ || r.pn < max_pn_from_leader_) return;
   max_pn_from_leader_ = std::max(max_pn_from_leader_, r.pn);
   prune_responses();
-  ++stats_.responses_enqueued;
   if (cfg_.aggregate_responses) {
     for (auto& q : response_q_) {
       if (q.can_merge(r)) {
         q.merge(r);
-        ++stats_.responses_merged;
+        ++responses_merged_;
         return;
       }
     }
@@ -485,8 +484,8 @@ void WPaxos::protocol_stats(mac::ProtocolStats& out) const {
   // the wPAXOS analog of a round count (how deep the proposal/round
   // structure went before the run ended).
   out.max_round = std::max<std::uint64_t>(out.max_round, max_tag_);
-  out.proposals += stats_.proposals_started;
-  out.change_events += stats_.change_events;
+  out.proposals += proposals_started_;
+  out.change_events += change_events_;
 }
 
 void WPaxos::digest(util::Hasher& h) const {

@@ -92,14 +92,6 @@ struct TreeEntry {
   std::uint64_t parent = 0;   ///< id of the neighbor that offered it
 };
 
-/// Per-node counters exposed to benches.
-struct WPaxosNodeStats {
-  std::uint64_t proposals_started = 0;
-  std::uint64_t change_events = 0;       ///< local Omega/dist-to-leader updates
-  std::uint64_t responses_merged = 0;    ///< aggregation events in the queue
-  std::uint64_t responses_enqueued = 0;
-};
-
 class WPaxos final : public mac::Process {
  public:
   /// Knowledge: own unique id, n (required by Theorem 3.9), initial value.
@@ -123,7 +115,11 @@ class WPaxos final : public mac::Process {
     return tree_;
   }
   [[nodiscard]] bool has_decided() const { return decided_; }
-  [[nodiscard]] const WPaxosNodeStats& node_stats() const { return stats_; }
+  /// Responses aggregated into an already-queued one (§4.2.1). Proposals
+  /// and change events are reported through protocol_stats.
+  [[nodiscard]] std::uint64_t responses_merged() const {
+    return responses_merged_;
+  }
   [[nodiscard]] const std::vector<AcceptorResponse>& response_queue() const {
     return response_q_;
   }
@@ -235,7 +231,10 @@ class WPaxos final : public mac::Process {
   mac::Value decision_value_ = -1;
   bool decide_relay_pending_ = false;
 
-  WPaxosNodeStats stats_;
+  // counters (protocol_stats, responses_merged)
+  std::uint64_t proposals_started_ = 0;
+  std::uint64_t change_events_ = 0;  ///< local Omega/dist-to-leader updates
+  std::uint64_t responses_merged_ = 0;
 
   // broadcast scratch (not state: never digested); see encode_into
   util::Buffer wire_scratch_;

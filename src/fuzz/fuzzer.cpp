@@ -287,8 +287,9 @@ std::uint64_t CoverageSignature::key() const {
 }
 
 std::uint64_t CoverageSignature::engine_key() const {
-  // 64 bits packed (4+4+6+6+6+4+6+8+4+4+4+4+4): exactly one word — any
-  // further dimension must move the key to hash-combining like key() does.
+  // 60 bits packed (4+4+6+6+6+6+8+4+4+4+4+4): one word, with room for one
+  // more 4-bit dimension before the key must move to hash-combining like
+  // key() does.
   std::uint64_t k = 0;
   const auto pack = [&k](std::uint64_t v, unsigned bits) {
     AMAC_ASSERT(v < (std::uint64_t{1} << bits));
@@ -299,7 +300,6 @@ std::uint64_t CoverageSignature::engine_key() const {
   pack(wheel_bucket, 6);
   pack(overflow_bucket, 6);
   pack(batch_bucket, 6);
-  pack(resize_bucket, 4);
   pack(decide_bucket, 6);
   pack(flags, 8);
   pack(failure, 4);
@@ -324,8 +324,6 @@ CoverageSignature coverage_signature(const Scenario& s, const RunReport& r) {
   sig.wheel_bucket = magnitude_bucket(r.stats.wheel_pushes);
   sig.overflow_bucket = magnitude_bucket(r.stats.overflow_pushes);
   sig.batch_bucket = magnitude_bucket(r.stats.batch_pushes);
-  sig.resize_bucket = static_cast<std::uint8_t>(
-      std::min<std::uint64_t>(r.stats.wheel_resizes, 3));
   sig.decide_bucket =
       magnitude_bucket(r.end_time / std::max<mac::Time>(s.fack, 1));
   sig.drop_bucket = saturated_bucket(r.stats.drops);
@@ -650,7 +648,6 @@ void note_signature(SoakResult& out, const CoverageSignature& sig) {
   ++cov.distinct;
   if (sig.scheduler < kSchedulerKindCount) ++cov.per_scheduler[sig.scheduler];
   if (sig.overflow_bucket > 0) ++cov.overflow_sigs;
-  if (sig.resize_bucket > 0) ++cov.resize_sigs;
   if (sig.batch_bucket > 0) ++cov.batch_sigs;
   if (sig.flags & CoverageSignature::kHasCrashes) ++cov.crash_sigs;
   if (sig.flags & CoverageSignature::kHasHolds) ++cov.hold_sigs;
@@ -680,7 +677,6 @@ Shard run_shard(const SoakOptions& options, std::size_t first,
   out.fingerprints.reserve(count);
   SoakResult& result = out.local;
   CoverageCorpus& corpus = out.corpus;
-  corpus = CoverageCorpus(options.corpus_max);
   // Pre-seeded bases carry no observed signature yet (sig_key 0, hits 0):
   // rarity weighting treats them as maximally rare, so a resumed nightly
   // frontier is mutated first (every shard resumes from the full frontier).
@@ -794,7 +790,6 @@ Shard run_shard(const SoakOptions& options, std::size_t first,
     result.wheel_events += report.stats.wheel_pushes;
     result.overflow_events += report.stats.overflow_pushes;
     if (report.stats.overflow_pushes > 0) ++result.overflow_scenarios;
-    if (report.stats.wheel_resizes > 0) ++result.resized_scenarios;
     result.dropped_frames += report.stats.drops;
     result.duplicated_frames += report.stats.duplicates;
     if (s.drop_rate_bp != 0 || s.dup_rate_bp != 0 || !s.faults.empty()) {
@@ -832,9 +827,8 @@ Shard run_shard(const SoakOptions& options, std::size_t first,
 /// Merges shards in vector order, which run_soak makes seed order:
 /// digests fold per-run fingerprints in seed order, signature maps merge as
 /// a union, tallies sum, failures concatenate, and the merged corpus keeps
-/// the newest corpus_max spec-deduplicated entries.
-SoakResult merge_shards(const SoakOptions& options,
-                        std::vector<Shard>& shards) {
+/// the newest kDefaultMaxEntries spec-deduplicated entries.
+SoakResult merge_shards(std::vector<Shard>& shards) {
   SoakResult out;
   util::Hasher digest_fold;
   std::map<std::uint64_t, CoverageSignature> signatures;
@@ -851,7 +845,6 @@ SoakResult merge_shards(const SoakOptions& options,
     out.wheel_events += loc.wheel_events;
     out.overflow_events += loc.overflow_events;
     out.overflow_scenarios += loc.overflow_scenarios;
-    out.resized_scenarios += loc.resized_scenarios;
     out.dropped_frames += loc.dropped_frames;
     out.duplicated_frames += loc.duplicated_frames;
     out.faulted_scenarios += loc.faulted_scenarios;
@@ -883,8 +876,8 @@ SoakResult merge_shards(const SoakOptions& options,
   out.coverage.engine_distinct = out.engine_keys.size();
   out.coverage.protocol_distinct = out.protocol_keys.size();
   // Bound the merged corpus like the per-shard rings: keep the NEWEST
-  // corpus_max entries (the frontier), dropping from the front.
-  const std::size_t cap = options.corpus_max == 0 ? 1 : options.corpus_max;
+  // kDefaultMaxEntries entries (the frontier), dropping from the front.
+  const std::size_t cap = CoverageCorpus::kDefaultMaxEntries;
   if (out.corpus.size() > cap) {
     out.corpus.erase(out.corpus.begin(),
                      out.corpus.begin() +
@@ -934,7 +927,7 @@ SoakResult run_soak(const SoakOptions& options) {
     }
     for (std::thread& w : workers) w.join();
   }
-  return merge_shards(options, shards);
+  return merge_shards(shards);
 }
 
 }  // namespace amac::fuzz

@@ -96,7 +96,7 @@
 // promotes every K-th generated scenario to an N-node counterpart
 // (fuzz::promote_to_large — bounded-degree sparse shapes, clique-locked
 // algorithms remapped to flooding, a shortened safety horizon), so scale
-// bugs (lane sizing, wheel resizes at depth, batch reservation) get the
+// bugs (lane sizing, wheel spill at depth, batch reservation) get the
 // same one-line `--replay` repro as everything else. The scenario's size
 // joins the signature as a saturated log4 bucket. Reference replays scan
 // all n^2 pending slots per delivery, so differential sampling skips
@@ -170,7 +170,8 @@
 //   * per-algorithm/per-scheduler tallies and fault counters are sums;
 //     failures concatenate in canonical order;
 //   * the merged mutation corpus concatenates shard corpora in canonical
-//     order (deduplicated by spec), keeping the newest corpus_max entries.
+//     order (deduplicated by spec), keeping the newest
+//     CoverageCorpus::kDefaultMaxEntries entries.
 //
 // Runs themselves are seed-deterministic and state-isolated, so with
 // mutation OFF the sharded run executes the exact same scenario set as the
@@ -285,8 +286,10 @@ struct RunReport {
 /// straight-line floods;
 /// 6 = + the log-service dimensions (recovered-slot and re-election
 /// buckets, plus the kLogService/kLeaseBroken flag bits) — the scenario
-/// family that runs the replicated log instead of a one-shot instance.
-inline constexpr std::uint32_t kSignatureSpaceVersion = 6;
+/// family that runs the replicated log instead of a one-shot instance;
+/// 7 = - the wheel-resize bucket: the calendar wheel no longer resizes, so
+/// far events always take the overflow heap (already bucketed).
+inline constexpr std::uint32_t kSignatureSpaceVersion = 7;
 
 /// Quarter-log (log4) magnitude bucket: 0 -> 0, otherwise
 /// 1 + floor(log4(v)) — boundaries at exact powers of four. Exact counts
@@ -301,7 +304,7 @@ inline constexpr std::uint32_t kSignatureSpaceVersion = 6;
 
 /// What a run exercised, folded into a small discrete signature: run-shape
 /// features read off EngineStats (wheel vs overflow vs batch traffic
-/// bucketed by magnitude, resize count, how many ack windows the run
+/// bucketed by magnitude, how many ack windows the run
 /// took), the scheduler kind, the crash/hold interaction bits — and, since
 /// signature-space v2, the PROTOCOL dimensions read off mac::ProtocolStats
 /// (round/phase depth, Ben-Or coin-flip depth, wPAXOS proposal traffic,
@@ -332,7 +335,7 @@ struct CoverageSignature {
   std::uint8_t scheduler = 0;        ///< SchedulerKind
   /// Saturated log4 bucket of the scenario's n (signature-space v4). Size
   /// IS a signature dimension, unlike algorithm/topology: engine behavior
-  /// genuinely bifurcates with scale (lane growth, wheel resizes, batch
+  /// genuinely bifurcates with scale (lane growth, overflow spill, batch
   /// reservation sizes), and the generator does NOT sweep it — large
   /// scenarios only enter via promotion/specs, so the dimension cannot
   /// make every fresh seed novel. Bucket >= 6 <=> n >= 1024.
@@ -340,7 +343,6 @@ struct CoverageSignature {
   std::uint8_t wheel_bucket = 0;     ///< log4 bucket of wheel pushes
   std::uint8_t overflow_bucket = 0;  ///< log4 bucket of overflow pushes
   std::uint8_t batch_bucket = 0;     ///< log4 bucket of batch fan-outs
-  std::uint8_t resize_bucket = 0;    ///< wheel resizes, saturated at 3
   std::uint8_t decide_bucket = 0;    ///< log4 of end_time / fack (ack windows)
   std::uint8_t flags = 0;            ///< kHasCrashes | ... interaction bits
   std::uint8_t failure = 0;          ///< FailureKind
@@ -418,7 +420,10 @@ class CoverageCorpus {
     std::uint64_t hits = 0;
   };
 
-  explicit CoverageCorpus(std::size_t max_entries = 256)
+  /// Mutation bases a soak keeps (per shard, and in the merged corpus).
+  static constexpr std::size_t kDefaultMaxEntries = 256;
+
+  explicit CoverageCorpus(std::size_t max_entries = kDefaultMaxEntries)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
   /// Records `sig` (incrementing its hit count); true iff its key was
@@ -509,8 +514,6 @@ struct SoakOptions {
   /// corpus digest depends on this. The mutation RNG is derived from
   /// seed_base, so a mutating soak is as reproducible as a pure one.
   double mutate_ratio = 0.0;
-  /// Bound on the mutation corpus (signature-novel scenarios kept).
-  std::size_t corpus_max = 256;
   /// Soak-wide link-fault floors (--fault-rate / --dup-rate, fractions in
   /// [0, 1]): every scenario's drop/duplicate rate is raised to at least
   /// this much, then clamped back into its algorithm's bounded-loss
@@ -577,7 +580,6 @@ struct CoverageSummary {
   std::size_t protocol_distinct = 0;
   std::array<std::size_t, kSchedulerKindCount> per_scheduler{};
   std::size_t overflow_sigs = 0;  ///< signatures with overflow traffic
-  std::size_t resize_sigs = 0;    ///< signatures where the wheel resized
   std::size_t batch_sigs = 0;     ///< signatures with batch fan-outs
   std::size_t crash_sigs = 0;     ///< signatures with crashes
   std::size_t hold_sigs = 0;      ///< signatures with holdback holds
@@ -599,12 +601,11 @@ struct SoakResult {
   std::size_t mid_flight_crash_scenarios = 0;
   /// Calendar-path coverage: how the corpus's events split between the
   /// wheel and the overflow heap, and how many scenarios exercised the
-  /// overflow and self-resize paths (late holds, far crash plans). Surfaced
-  /// in the soak summary so CI logs show the resize path really ran.
+  /// overflow path (late holds, far crash plans). Surfaced in the soak
+  /// summary so CI logs show the overflow path really ran.
   std::uint64_t wheel_events = 0;
   std::uint64_t overflow_events = 0;
   std::size_t overflow_scenarios = 0;  ///< scenarios with >= 1 heap event
-  std::size_t resized_scenarios = 0;   ///< scenarios where the wheel resized
   /// Link-fault traffic across the soak: copies the fault plans dropped or
   /// deferred, copies they duplicated, and how many scenarios ran with a
   /// non-empty plan at all. Surfaced in the soak summary so CI logs show

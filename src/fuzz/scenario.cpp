@@ -208,8 +208,8 @@ namespace {
 
 // Mutation value bounds. Wider than the generator's draw ranges on purpose
 // (that is where the new coverage lives) but small enough that a mutant
-// still runs in fuzz-soak time: releases stay inside the wheel's resizable
-// horizon and crash times inside every horizon the clamp can pick.
+// still runs in fuzz-soak time: releases stay a few thousand ticks out and
+// crash times inside every horizon the clamp can pick.
 constexpr mac::Time kMaxMutatedFack = 64;
 constexpr mac::Time kMaxMutatedRelease = 4000;
 constexpr mac::Time kMaxMutatedCrashTime = 5000;
@@ -223,8 +223,8 @@ constexpr std::uint32_t kMaxMutatedNodes = 24;
 constexpr std::size_t kMaxScriptSlots = 6;
 constexpr std::uint32_t kMaxScriptIndex = 12;
 constexpr mac::Time kMaxScriptAck = 32;
-// Link-fault bounds: a handful of windows inside the wheel's resizable
-// horizon already builds partition-and-heal shapes, and rates cap at 20%
+// Link-fault bounds: a handful of windows in the first few thousand ticks
+// already builds partition-and-heal shapes, and rates cap at 20%
 // so faulted soak runs still make protocol progress worth covering.
 constexpr std::size_t kMaxFaultWindows = 4;
 constexpr mac::Time kMaxFaultTick = 4000;
@@ -920,6 +920,22 @@ template <typename T>
   return true;
 }
 
+// Spec lines are untrusted input, so every delay and tick has an upper
+// bound far above anything generated, mutated or pinned (mutation caps
+// ticks at 5000) and far below where virtual time could wrap: a tick plus
+// many rounds of the largest delay still fits a mac::Time. `inf` (kForever)
+// stays the one spelling of an unbounded fault window.
+constexpr std::uint64_t kMaxSpecDelay = std::uint64_t{1} << 32;
+constexpr std::uint64_t kMaxSpecTick = std::uint64_t{1} << 62;
+
+[[nodiscard]] bool read_delay(std::string_view v, mac::Time& out) {
+  return read_uint(v, out, 0, kMaxSpecDelay);
+}
+
+[[nodiscard]] bool read_tick(std::string_view v, mac::Time& out) {
+  return read_uint(v, out, 0, kMaxSpecTick);
+}
+
 /// Splits `v` into N `sep`-separated fields. The last field keeps any
 /// further separators: each caller's reader for it (read_uint, `inf`, or a
 /// nested split ending in read_uint) rejects them, which spares a second
@@ -961,7 +977,7 @@ void put_item(std::string& out, const CrashSpec& c) {
 [[nodiscard]] bool parse_item(std::string_view v, CrashSpec& c) {
   std::array<std::string_view, 2> f;
   return split(v, '@', f) && read_uint(f[0], c.node) &&
-         read_uint(f[1], c.when);
+         read_tick(f[1], c.when);
 }
 
 void put_item(std::string& out, const HoldSpec& h) {
@@ -973,7 +989,7 @@ void put_item(std::string& out, const HoldSpec& h) {
 [[nodiscard]] bool parse_item(std::string_view v, HoldSpec& h) {
   std::array<std::string_view, 2> f;
   return split(v, '@', f) && read_uint(f[0], h.sender) &&
-         read_uint(f[1], h.release);
+         read_tick(f[1], h.release);
 }
 
 /// The 4th field is the bare shared delay of a uniform slot, or the
@@ -1002,17 +1018,17 @@ void put_item(std::string& out, const ScriptSlot& t) {
 [[nodiscard]] bool parse_item(std::string_view v, ScriptSlot& t) {
   std::array<std::string_view, 4> f;
   if (!split(v, '@', f) || !read_uint(f[0], t.sender) ||
-      !read_uint(f[1], t.index) || !read_uint(f[2], t.ack)) {
+      !read_uint(f[1], t.index) || !read_delay(f[2], t.ack)) {
     return false;
   }
-  if (f[3].find('-') == std::string_view::npos) return read_uint(f[3], t.recv);
+  if (f[3].find('-') == std::string_view::npos) return read_delay(f[3], t.recv);
   t.recv = 1;
   t.delays.reserve(1 + std::count(f[3].begin(), f[3].end(), '+'));
   return read_items(f[3], '+', [&t](std::string_view pair) {
     std::array<std::string_view, 2> rd;
     auto& [receiver, delay] = t.delays.emplace_back();
     if (!split(pair, '-', rd) || !read_uint(rd[0], receiver) ||
-        !read_uint(rd[1], delay)) {
+        !read_delay(rd[1], delay)) {
       return false;
     }
     t.recv = std::max(t.recv, delay);
@@ -1038,14 +1054,14 @@ void put_item(std::string& out, const FaultSpec& w) {
 [[nodiscard]] bool parse_item(std::string_view v, FaultSpec& w) {
   std::array<std::string_view, 4> f;
   if (!split(v, '@', f) || !read_uint(f[0], w.from) ||
-      !read_uint(f[1], w.to) || !read_uint(f[2], w.from_tick)) {
+      !read_uint(f[1], w.to) || !read_tick(f[2], w.from_tick)) {
     return false;
   }
   if (f[3] == "inf") {
     w.until_tick = mac::kForever;
     return true;
   }
-  return read_uint(f[3], w.until_tick);
+  return read_tick(f[3], w.until_tick);
 }
 
 // ---- field helpers ------------------------------------------------------
@@ -1130,12 +1146,12 @@ constexpr std::array kFields{
     number<&Scenario::n, 1, 16384>("n"),
     number<&Scenario::aux, 0, 16384>("aux"),
     token<&Scenario::scheduler, kSchedulerNames>("sched"),
-    number<&Scenario::fack, 1>("fack"),
+    number<&Scenario::fack, 1, kMaxSpecDelay>("fack"),
     number<&Scenario::late_holds, 0, 1>("late"),
     token<&Scenario::inputs, kInputPatternNames>("in"),
     token<&Scenario::ids, kIdAssignmentNames>("ids"),
     number<&Scenario::benor_f>("f"),
-    number<&Scenario::horizon, 1>("hz"),
+    number<&Scenario::horizon, 1, kMaxSpecTick>("hz"),
     group<1, 1'000'000, &Scenario::log_ops, &Scenario::log_batch,
           &Scenario::log_window, &Scenario::log_lease>("log"),
     list<&Scenario::crashes>("crashes"),

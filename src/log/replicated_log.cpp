@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/commit_flood.hpp"
+#include "core/wpaxos/wpaxos.hpp"
 #include "verify/checker.hpp"
 
 namespace amac::log {
@@ -62,10 +63,9 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
       // winning proposer's identity rides the decided value — the slot IS
       // the election, and validity guarantees the decoded leader proposed.
       const std::size_t n = n_;
-      const auto wpaxos = config_.wpaxos;
-      return [slot, n, wpaxos](NodeId u) -> std::unique_ptr<mac::Process> {
+      return [slot, n](NodeId u) -> std::unique_ptr<mac::Process> {
         return std::make_unique<core::wpaxos::WPaxos>(
-            u, n, encode_renewal(slot, u), wpaxos);
+            u, n, encode_renewal(slot, u));
       };
     }
     case SlotMode::kForcedPaxos: {
@@ -73,9 +73,8 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
       // decision — used for slow-path slots while the lease is broken and
       // for recovery relaunches that must re-decide a carried-over value.
       const std::size_t n = n_;
-      const auto wpaxos = config_.wpaxos;
-      return [n, forced, wpaxos](NodeId u) -> std::unique_ptr<mac::Process> {
-        return std::make_unique<core::wpaxos::WPaxos>(u, n, forced, wpaxos);
+      return [n, forced](NodeId u) -> std::unique_ptr<mac::Process> {
+        return std::make_unique<core::wpaxos::WPaxos>(u, n, forced);
       };
     }
     case SlotMode::kLeased:

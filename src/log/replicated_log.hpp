@@ -59,7 +59,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/wpaxos/wpaxos.hpp"
 #include "log/kv_state_machine.hpp"
 #include "log/workload.hpp"
 #include "mac/engine.hpp"
@@ -83,7 +82,6 @@ struct LogConfig {
   /// last written key) every read_every-th decided slot — deterministic,
   /// so the read stream is part of the scenario, not the schedule.
   std::size_t read_every = 0;
-  core::wpaxos::WPaxosConfig wpaxos;  ///< config for full-paxos slots
   /// Crashes to inject (node-level, engine CrashPlan semantics). The
   /// service owns its Network, so fault tests thread crash plans through
   /// here instead of reaching into the engine.

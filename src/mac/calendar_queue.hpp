@@ -43,33 +43,17 @@
 //     interleave with already-bucketed ones, so migration inserts by `seq`
 //     (the only non-append path, and only on the rare rebase).
 //
-// Self-resizing. The wheel is first sized from the constructor's horizon
-// hint (the scheduler's F_ack at engine construction). Some schedulers'
-// effective bound grows later — HoldbackScheduler holds registered after
-// construction push deliveries far past the original window — and without
-// intervention every such event pays the overflow heap's log factor
-// forever. The queue therefore tracks, for each overflow push, the
-// observed horizon (e.t - base_); once kResizeOverflowTrigger overflow
-// pushes with a resizable horizon (< kMaxResizedWheel / 2, which excludes
-// kForever-style sentinels) have accumulated, it rebuilds the wheel at the
-// power-of-two span covering twice the observed horizon (capped at
-// kMaxResizedWheel buckets) in O(pending events): occupied buckets carry
-// over tick by tick (appends stay seq-sorted because each old bucket holds
-// one tick), then overflow events now inside the window migrate in via
-// wheel_insert, whose insert-by-seq fallback handles the tick shared with
-// a carried-over bucket (possible: the cursor may have advanced past an
-// overflow event's tick without migrating it, while newer same-tick pushes
-// went to the wheel). The rebuild allocates the new ring, but the old
-// ring's warmed lane storage is recycled through the spare pool, so the
-// first revolution of the resized wheel reuses it instead of re-warming
-// one allocation per bucket; steady state after the rebuild is clean
-// again. `set_resize_enabled(false)` pins the original span for A/B
-// benchmarks of the overflow-heap fallback.
+// One path for far events. The wheel is sized once, from the constructor's
+// horizon hint (the scheduler's F_ack at engine construction), and never
+// changes size. Every push beyond it — crash plans, holdback releases,
+// HoldbackScheduler holds registered after construction — takes the
+// overflow heap and later the rebase migration, so the heap's log factor is
+// paid only by the adversarial schedules of paper §3.2-3.3 that reach past
+// the ack bound.
 //
 // The pop order is bit-identical to a binary heap ordered by
 // (t, kind, seq) — proved by the calendar-vs-reference differential test
-// and the property suite in tests/test_calendar_queue.cpp; resizing only
-// relocates storage, never reorders.
+// and the property suite in tests/test_calendar_queue.cpp.
 #pragma once
 
 #include <algorithm>
@@ -87,8 +71,8 @@ class CalendarQueue {
  public:
   /// `horizon_hint` is the scheduler's F_ack: the wheel is sized to cover a
   /// couple of ack windows. Oversized hints (e.g. a HoldbackScheduler's
-  /// release-inflated bound) are clamped; far events use the overflow until
-  /// sustained pressure triggers a resize.
+  /// release-inflated bound) are clamped; events past the wheel take the
+  /// overflow heap.
   explicit CalendarQueue(Time horizon_hint) {
     std::size_t want = 16;
     const Time target = horizon_hint >= kMaxWheel / 2
@@ -105,24 +89,23 @@ class CalendarQueue {
   [[nodiscard]] std::size_t peak_size() const { return peak_; }
 
   /// Accounting for engine stats, benches, and the fuzzer's coverage
-  /// summary: which path (wheel vs overflow heap) events took, whether the
-  /// self-resize ran, and how often the batch fan-out reservation engaged.
+  /// summary: which path (wheel vs overflow heap) events took and how often
+  /// the batch fan-out reservation engaged.
   [[nodiscard]] std::uint64_t wheel_pushes() const { return wheel_pushes_; }
   [[nodiscard]] std::uint64_t overflow_pushes() const {
     return overflow_pushes_;
   }
-  [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
   [[nodiscard]] std::uint64_t batch_reservations() const {
     return batch_reservations_;
   }
-  [[nodiscard]] Time span() const { return wheel_span(); }
+  /// Wheel size in buckets (ticks); fixed at construction.
+  [[nodiscard]] Time span() const {
+    return static_cast<Time>(buckets_.size());
+  }
   /// Warmed lane vectors currently parked in the recycling pool (tests).
   [[nodiscard]] std::size_t spare_lane_count() const {
     return spare_lanes_.size();
   }
-
-  /// Disables the self-resize (A/B benching of the overflow-heap fallback).
-  void set_resize_enabled(bool enabled) { resize_enabled_ = enabled; }
 
   /// Pushes one copy (`e.run` must be 1; runs go through push_run).
   void push(const Event& e) {
@@ -130,13 +113,14 @@ class CalendarQueue {
     AMAC_EXPECTS(e.run == 1);
     ++size_;
     if (size_ > peak_) peak_ = size_;
-    // Wrap-free window test (e.t >= base_ holds): base_ + wheel_span()
-    // could overflow for sentinel times near kForever.
-    if (e.t - base_ < wheel_span()) {
+    // Wrap-free window test (e.t >= base_ holds): base_ + span() could
+    // overflow for sentinel times near kForever.
+    if (e.t - base_ < span()) {
       wheel_insert(e);
       ++wheel_pushes_;
     } else {
-      overflow_push(e);
+      overflow_.push(e);
+      ++overflow_pushes_;
     }
   }
 
@@ -146,13 +130,12 @@ class CalendarQueue {
   /// wheel window the copies are ONE run-length lane entry — one bucket
   /// lookup and one 48-byte write for the whole fan-out — while every
   /// counter (size, peak, wheel pushes) still moves by `count`; beyond it
-  /// each copy goes through push(), so the overflow heap and its resize
-  /// pressure see exactly the per-copy stream. `first.run` is ignored. A
-  /// zero count is a no-op.
+  /// each copy goes through push(), so the overflow heap sees exactly the
+  /// per-copy stream. `first.run` is ignored. A zero count is a no-op.
   void push_run(const Event& first, std::size_t count) {
     if (count == 0) return;
     AMAC_EXPECTS(first.t >= base_);
-    if (first.t - base_ >= wheel_span()) {
+    if (first.t - base_ >= span()) {
       Event copy = first;
       copy.run = 1;
       for (std::size_t i = 0; i < count; ++i, ++copy.seq) push(copy);
@@ -195,14 +178,7 @@ class CalendarQueue {
 
  private:
   static constexpr std::size_t kLanes = 3;
-  static constexpr std::size_t kMaxWheel = 4096;  ///< construction-time cap
-  /// Resize cap: the self-resize may grow the wheel past the construction
-  /// clamp, but never beyond this (a 64k-bucket ring is ~memory-noise;
-  /// horizons past half of it — crash sentinels at kForever — stay on the
-  /// heap, which handles them fine).
-  static constexpr std::size_t kMaxResizedWheel = std::size_t{1} << 16;
-  /// Overflow pushes with a resizable horizon tolerated before rebuilding.
-  static constexpr std::size_t kResizeOverflowTrigger = 32;
+  static constexpr std::size_t kMaxWheel = 4096;  ///< wheel size cap
   /// Smallest capacity a lane vector is ever born with (see warm_lane).
   static constexpr std::size_t kMinLaneCapacity = 16;
 
@@ -212,10 +188,6 @@ class CalendarQueue {
     Time tick = 0;
     std::size_t count = 0;
   };
-
-  [[nodiscard]] Time wheel_span() const {
-    return static_cast<Time>(buckets_.size());
-  }
 
   static bool lane_capacity_less(const std::vector<Event>& a,
                                  const std::vector<Event>& b) {
@@ -242,7 +214,7 @@ class CalendarQueue {
 
   /// Parks a cleared lane vector. The pool is a max-heap on capacity, so
   /// parking and largest-first adoption are O(log pool) — a bulk drain of
-  /// many occupied buckets (or the resize carry-over) stays linearithmic
+  /// many occupied buckets stays linearithmic
   /// instead of shifting a sorted vector per lane.
   void park_spare(std::vector<Event>&& lane) {
     spare_lanes_.push_back(std::move(lane));
@@ -261,7 +233,7 @@ class CalendarQueue {
   /// minimal one) and returns the entry as it stood. When the bucket
   /// drains, its warmed lane storage circulates through the spare pool
   /// instead of staying pinned to it: the next bucket to become occupied
-  /// (often a different ring slot entirely, e.g. right after a resize)
+  /// (often a different ring slot entirely)
   /// adopts it, so a revolution of the ring needs only as many warmed
   /// lanes as there are simultaneously occupied buckets.
   Event take(std::size_t n) {
@@ -327,72 +299,6 @@ class CalendarQueue {
     wheel_count_ += e.run;
   }
 
-  void overflow_push(const Event& e) {
-    overflow_.push(e);
-    ++overflow_pushes_;
-    const Time horizon = e.t - base_;
-    // Sentinel-ish horizons (crash plans at kForever, anything past half
-    // the resize cap) can never be absorbed by a bigger wheel: they don't
-    // count toward the resize pressure.
-    if (horizon >= kMaxResizedWheel / 2) return;
-    if (horizon > observed_horizon_) observed_horizon_ = horizon;
-    if (!resize_enabled_) return;
-    if (++resizable_overflow_ >= kResizeOverflowTrigger) {
-      resizable_overflow_ = 0;
-      resize_to_cover(observed_horizon_);
-    }
-  }
-
-  /// Rebuilds the wheel at the power-of-two span covering `horizon` (twice
-  /// over, for headroom), carrying every pending event across and pulling
-  /// newly-in-window overflow events in. O(pending events); allocates (the
-  /// one permitted allocation — steady state after it is clean again).
-  void resize_to_cover(Time horizon) {
-    std::size_t want = buckets_.size();
-    const Time target = 2 * horizon + 4;
-    while (want < target && want < kMaxResizedWheel) want <<= 1;
-    if (want == buckets_.size()) return;  // already at the cap
-
-    ++resizes_;
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_ = std::vector<Bucket>(want);
-    mask_ = want - 1;
-    occupancy_.assign((want + 63) / 64, 0);
-    wheel_count_ = 0;
-    // Carry the old wheel over. Each old bucket holds one tick and lanes
-    // are seq-sorted past head, so re-inserting in lane order appends; a
-    // half-consumed run entry carries its advanced seq and remaining run.
-    // Each bucket's warmed lane storage is recycled through the spare pool
-    // right after its events are carried across: the larger ring's buckets
-    // adopt it on first use instead of re-warming a revolution of fresh
-    // allocations.
-    for (Bucket& b : old) {
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        auto& lane = b.lane[k];
-        if (b.count > 0) {
-          for (std::size_t i = b.head[k]; i < lane.size(); ++i) {
-            wheel_insert(lane[i]);
-          }
-        }
-        if (lane.capacity() != 0) {
-          lane.clear();
-          park_spare(std::move(lane));
-        }
-      }
-    }
-    // Pull in overflow events now inside the window. Usually their ticks
-    // are past every carried-over bucket, but not always: the cursor can
-    // advance past an overflow event's tick without migrating it (the
-    // rebase only fires when the heap holds the global minimum), and newer
-    // pushes at that tick then land in the wheel — so a migrated event may
-    // carry an older seq into an occupied bucket. wheel_insert's
-    // insert-by-seq branch keeps the lane ordered either way.
-    while (!overflow_.empty() && overflow_.top().t - base_ < wheel_span()) {
-      wheel_insert(overflow_.top());
-      overflow_.pop();
-    }
-  }
-
   /// Sets base_ to the tick of the queue minimum, migrating overflow events
   /// into the wheel when the minimum lives there.
   void position_cursor() {
@@ -415,7 +321,7 @@ class CalendarQueue {
     // everything now within reach.
     AMAC_ENSURES(!overflow_.empty());
     base_ = overflow_.top().t;
-    while (!overflow_.empty() && overflow_.top().t - base_ < wheel_span()) {
+    while (!overflow_.empty() && overflow_.top().t - base_ < span()) {
       wheel_insert(overflow_.top());
       overflow_.pop();
     }
@@ -449,17 +355,13 @@ class CalendarQueue {
   std::size_t peak_ = 0;
   std::uint64_t wheel_pushes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
-  std::uint64_t resizes_ = 0;
   std::uint64_t batch_reservations_ = 0;
   /// Cleared lane vectors whose capacity is waiting to be adopted by the
   /// next bucket that becomes occupied. Lane storage is conserved, not
   /// duplicated: vectors move bucket -> pool on bucket drain and pool ->
-  /// bucket on first insert, so the pool is bounded by the lane count of
-  /// the largest ring ever built.
+  /// bucket on first insert, so the pool is bounded by the ring's lane
+  /// count.
   std::vector<std::vector<Event>> spare_lanes_;
-  Time observed_horizon_ = 0;          ///< max resizable overflow horizon
-  std::size_t resizable_overflow_ = 0; ///< overflow pushes since last resize
-  bool resize_enabled_ = true;
   std::priority_queue<Event, std::vector<Event>, EventAfter> overflow_;
 };
 

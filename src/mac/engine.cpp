@@ -345,9 +345,7 @@ RunResult Network::run(StopWhen until, Time max_time) {
     stats_.peak_events = events_.peak_size();
     stats_.wheel_pushes = events_.wheel_pushes();
     stats_.overflow_pushes = events_.overflow_pushes();
-    stats_.wheel_resizes = events_.resizes();
     stats_.batch_pushes = events_.batch_reservations();
-    stats_.wheel_span = static_cast<std::size_t>(events_.span());
     return finish_run(met);
   };
 

@@ -49,17 +49,14 @@
 // spill-over for far-future events (crash plans, holdback releases). Bucket
 // lane vectors are cleared, never freed, so steady state allocates nothing.
 //
-// Self-resizing wheel. The initial wheel span comes from fack() at
-// construction; schedulers whose effective bound grows later (Holdback
-// holds registered post-construction) would otherwise pay the overflow
-// heap's log factor for every far event forever. The queue counts overflow
-// pushes whose horizon a bigger wheel could absorb, and after a threshold
-// rebuilds itself at the span covering the observed horizon in O(pending
-// events) — one allocation, then allocation-free steady state again. Pop
-// order is unaffected, so trace digests are bit-identical with the resize
-// on, off (set_wheel_resize_enabled), or against ReferenceNetwork. The
-// wheel_* fields of EngineStats report which path events took and whether
-// a resize ran (benches and the fuzzer's soak summary read them).
+// Far events. The wheel's span comes from fack() at construction and never
+// changes. Events past it — crash plans, holdback releases, Holdback holds
+// registered after construction — wait in the overflow heap and migrate
+// into the wheel when the cursor rebases onto them; the abstract MAC layer
+// bounds every other delay by F_ack, so only the adversarial schedules pay
+// the heap's log factor. The wheel_pushes / overflow_pushes fields of
+// EngineStats report which path events took (benches and the fuzzer's soak
+// summary read them).
 //
 // SoA broadcast fan-out. BroadcastSchedule is struct-of-arrays: parallel
 // receivers[] / delays[] written by every scheduler into the engine's
@@ -241,13 +238,6 @@ class Network : public EngineCore {
   /// release their slots, busy flags still clear) with no callbacks and no
   /// delivery/ack counters. Decisions and InstanceStats remain readable.
   using EngineCore::retire_instance;
-
-  /// Disables the calendar wheel's self-resize, pinning the overflow-heap
-  /// fallback for far events. A/B benchmark support (BM_EngineLateHolds*);
-  /// pop order — and therefore every digest — is identical either way.
-  void set_wheel_resize_enabled(bool enabled) {
-    events_.set_resize_enabled(enabled);
-  }
 
   /// Invoked after every processed event; used by invariant monitors
   /// (e.g. the Lemma 4.2 response-count conservation check).

@@ -68,14 +68,12 @@ struct EngineStats : TrafficStats {
   std::size_t peak_events = 0;  ///< high-water mark of queued events
   std::uint64_t wheel_pushes = 0;     ///< events placed directly in the wheel
   std::uint64_t overflow_pushes = 0;  ///< events spilled to the overflow heap
-  std::uint64_t wheel_resizes = 0;    ///< self-resize rebuilds that ran
   std::uint64_t batch_pushes = 0;     ///< uniform fan-outs queued in the
                                       ///< wheel as one push_run entry
   /// Deliver copies of a retired instance dropped with the rest of their
   /// run-length entry (CalendarQueue::discard_run) instead of being popped
   /// one by one. Counted within wheel_pushes; never a delivery.
   std::uint64_t discarded_copies = 0;
-  std::size_t wheel_span = 0;         ///< final wheel size in buckets
 };
 
 /// Per-instance slice of the engine's accounting: the traffic one protocol

@@ -66,24 +66,4 @@ void ResponseConservationMonitor::check(mac::Network& net) {
   }
 }
 
-std::uint64_t max_proposal_tag(const mac::Network& net) {
-  std::uint64_t max_tag = 0;
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
-    AMAC_EXPECTS(node != nullptr);
-    max_tag = std::max(max_tag, node->current_max_tag());
-  }
-  return max_tag;
-}
-
-std::uint64_t total_change_events(const mac::Network& net) {
-  std::uint64_t total = 0;
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
-    AMAC_EXPECTS(node != nullptr);
-    total += node->node_stats().change_events;
-  }
-  return total;
-}
-
 }  // namespace amac::verify

@@ -55,11 +55,4 @@ class ResponseConservationMonitor {
   std::uint64_t checks_ = 0;
 };
 
-/// Lemma 4.4: the largest proposal tag any node has used or seen.
-[[nodiscard]] std::uint64_t max_proposal_tag(const mac::Network& net);
-
-/// Total change events observed across all nodes (the quantity that bounds
-/// tags: each change event spawns at most kProposalsPerChange proposals).
-[[nodiscard]] std::uint64_t total_change_events(const mac::Network& net);
-
 }  // namespace amac::verify

@@ -7,11 +7,11 @@
 //     times over);
 //   * overflow promotion (far-future events heap first, migrate into the
 //     wheel when the cursor rebases onto them);
-//   * self-resize under load (sustained overflow pressure rebuilds the
-//     wheel mid-interleaving; order must be oracle-identical across the
-//     rebuild) and the disabled-resize fallback;
+//   * heavy overflow traffic (a third of pushes far past a tiny wheel, and
+//     horizons tens of thousands of ticks out: the wheel never grows, so
+//     every one takes the heap and the rebase migration);
 //   * the run-length fan-out path (push_run vs per-copy pushes, runs half
-//     consumed across a resize, discard_run);
+//     consumed beside a migration, discard_run);
 //   * FIFO tie-break at equal timestamps (seq order within a kind, kind
 //     lanes at one tick).
 #include <gtest/gtest.h>
@@ -47,13 +47,13 @@ void drain_and_compare(CalendarQueue& q, Oracle& ref) {
 }
 
 /// One randomized interleaving trial. `far_chance` controls how often a
-/// push lands beyond the wheel window (overflow + resize pressure);
-/// `far_range` is the horizon of those pushes.
+/// push lands beyond the wheel window (the overflow heap);
+/// [far_lo, far_hi] is the horizon of those pushes.
 void run_interleaving_trial(util::Rng& rng, Time horizon_hint,
                             double far_chance, Time far_lo, Time far_hi,
-                            bool resize_enabled, int steps) {
+                            int steps) {
   CalendarQueue q(horizon_hint);
-  q.set_resize_enabled(resize_enabled);
+  const Time span = q.span();
   Oracle ref;
   std::uint64_t seq = 0;
   Time now = 0;
@@ -82,9 +82,7 @@ void run_interleaving_trial(util::Rng& rng, Time horizon_hint,
     }
   }
   drain_and_compare(q, ref);
-  if (!resize_enabled) {
-    EXPECT_EQ(q.resizes(), 0u);
-  }
+  EXPECT_EQ(q.span(), span);  // the wheel never changes size
 }
 
 // --- randomized interleavings vs the oracle ------------------------------
@@ -92,54 +90,15 @@ void run_interleaving_trial(util::Rng& rng, Time horizon_hint,
 TEST(CalendarQueueProperty, NearHorizonInterleavingsMatchOracle) {
   util::Rng rng(0xA11CE);
   for (int trial = 0; trial < 20; ++trial) {
-    run_interleaving_trial(rng, rng.uniform(1, 12), 0.08, 3000, 9000,
-                           /*resize_enabled=*/true, 2500);
+    run_interleaving_trial(rng, rng.uniform(1, 12), 0.08, 3000, 9000, 2500);
   }
 }
 
-TEST(CalendarQueueProperty, HeavyOverflowPressureTriggersResizeMidRun) {
-  // 35% of pushes land ~2000-4000 ticks out against a tiny wheel: the
-  // resizable-overflow counter crosses its threshold mid-interleaving, the
-  // wheel rebuilds under load, and order must stay oracle-identical.
-  util::Rng rng(0xBEEF);
-  for (int trial = 0; trial < 10; ++trial) {
-    CalendarQueue q(4);
-    Oracle ref;
-    std::uint64_t seq = 0;
-    Time now = 0;
-    for (int step = 0; step < 4000; ++step) {
-      if (!q.empty() && rng.chance(0.5)) {
-        const Event got = q.pop();
-        expect_same_event(got, ref.top());
-        ref.pop();
-        now = got.t;
-      } else {
-        Event e;
-        e.t = now + (rng.chance(0.35) ? rng.uniform(2000, 4000)
-                                      : rng.uniform(0, 7));
-        e.kind = static_cast<EventKind>(rng.uniform(0, 2));
-        e.seq = seq++;
-        q.push(e);
-        ref.push(e);
-      }
-    }
-    EXPECT_GE(q.resizes(), 1u);
-    EXPECT_GT(q.overflow_pushes(), 0u);
-    EXPECT_GT(q.span(), 16u);  // grew past the hint-derived initial span
-    drain_and_compare(q, ref);
-  }
-}
-
-TEST(CalendarQueueProperty, ResizeCapsAtMaxWheelAndStaysCorrect) {
-  // Drives the self-resize all the way to its 64k-bucket cap
-  // (kMaxResizedWheel = 1 << 16) — the regime a 4096-node soak's far
-  // timers live in — and keeps checking order against the oracle across
-  // the rebuild. Far pushes land ~26k-31k ticks out: resizable (under
-  // kMaxResizedWheel / 2), and 2*horizon + 4 overshoots the cap, so the
-  // one resize jumps straight to exactly 65536 buckets. Very-far pushes
-  // (70k-90k ticks) have non-resizable horizons: they must stay on the
-  // overflow heap without re-triggering a resize, and still pop in order
-  // once the cursor rebases onto them.
+TEST(CalendarQueueProperty, FarHorizonsRebaseInOrder) {
+  // Horizons tens of thousands of ticks past a 16-bucket wheel — the
+  // regime a 4096-node soak's far timers live in. Far pushes land ~26k-31k
+  // and 70k-90k ticks out; every one stays on the overflow heap until the
+  // cursor rebases onto it, and pops in oracle order.
   util::Rng rng(0xCA11DA);
   CalendarQueue q(4);
   Oracle ref;
@@ -166,26 +125,26 @@ TEST(CalendarQueueProperty, ResizeCapsAtMaxWheelAndStaysCorrect) {
       ref.push(e);
     }
   }
-  EXPECT_GE(q.resizes(), 1u);
-  EXPECT_EQ(q.span(), 65536u);  // capped exactly at kMaxResizedWheel
+  EXPECT_EQ(q.span(), 16u);
   EXPECT_GT(q.overflow_pushes(), 0u);
   drain_and_compare(q, ref);
 }
 
-TEST(CalendarQueueProperty, DisabledResizeStaysOnOverflowHeapAndCorrect) {
+TEST(CalendarQueueProperty, HeavyOverflowPressureMatchesOracle) {
+  // 35% of pushes land ~2000-4000 ticks out against a tiny wheel: a steady
+  // stream of heap pushes and rebase migrations, interleaved with pops.
   util::Rng rng(0xD15AB1E);
   for (int trial = 0; trial < 8; ++trial) {
-    run_interleaving_trial(rng, 4, 0.35, 2000, 4000,
-                           /*resize_enabled=*/false, 3000);
+    run_interleaving_trial(rng, 4, 0.35, 2000, 4000, 3000);
   }
 }
 
 TEST(CalendarQueueProperty, RunPushMatchesPerCopyPushes) {
   // Same stream pushed via push_run into one queue and copy by copy into
   // another: identical pop order, both match the oracle, and the two agree
-  // on which copies took the wheel and which the overflow heap, on resizes
-  // and on the peak size. Pops interleave with pushes, so runs are often
-  // half consumed when the next push (or a resize) arrives.
+  // on which copies took the wheel and which the overflow heap, and on the
+  // peak size. Pops interleave with pushes, so runs are often half
+  // consumed when the next push (or a migration) arrives.
   util::Rng rng(0xBA7C4);
   for (int trial = 0; trial < 10; ++trial) {
     CalendarQueue runs(8);
@@ -232,7 +191,6 @@ TEST(CalendarQueueProperty, RunPushMatchesPerCopyPushes) {
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(runs.wheel_pushes(), plain.wheel_pushes());
     EXPECT_EQ(runs.overflow_pushes(), plain.overflow_pushes());
-    EXPECT_EQ(runs.resizes(), plain.resizes());
     EXPECT_EQ(runs.peak_size(), plain.peak_size());
     EXPECT_GT(runs.batch_reservations(), 0u);
   }
@@ -286,13 +244,12 @@ TEST(CalendarQueueProperty, RunBeyondTheWheelSpillsToOverflow) {
   drain_and_compare(q, ref);
 }
 
-TEST(CalendarQueueProperty, HalfConsumedRunSurvivesResizeBesideMigration) {
-  // A run half popped at the cursor tick when sustained overflow pressure
-  // rebuilds the wheel: the carry-over must move its remaining copies (not
-  // the whole run, not just one) and keep their seqs. In the same rebuild
-  // an overflow copy pushed early at tick 20 — whose tick the cursor came
-  // within reach of without migrating it — joins a bucket that already
-  // holds a newer run at tick 20, so it must be inserted ahead of it.
+TEST(CalendarQueueProperty, HalfConsumedRunBesideMigratedOlderCopy) {
+  // A run half popped at the cursor tick while an overflow copy pushed
+  // early at tick 20 waits on the heap. A newer run then lands in the wheel
+  // at tick 20 (now within reach of the cursor), so when the cursor
+  // rebases onto tick 20 the migrated older copy joins an occupied bucket
+  // and must be inserted ahead of the newer run (the insert-by-seq path).
   CalendarQueue q(4);
   ASSERT_EQ(q.span(), 16u);
   Oracle ref;
@@ -312,19 +269,8 @@ TEST(CalendarQueueProperty, HalfConsumedRunSurvivesResizeBesideMigration) {
   push_run_at(q, ref, seq, 20, 3);  // seqs 5..7; 20 - 5 < 16: wheel
   EXPECT_EQ(q.overflow_pushes(), 1u);
   EXPECT_EQ(q.batch_reservations(), 2u);
-  // With the early copy, 32 resizable overflow pushes trip the rebuild.
-  for (Time i = 0; i < 31; ++i) {
-    Event far;
-    far.t = 105 + i;
-    far.seq = seq++;
-    q.push(far);
-    ref.push(far);
-  }
-  ASSERT_EQ(q.resizes(), 1u);
-  EXPECT_GT(q.span(), 16u);
-  EXPECT_EQ(q.size(), 2u + 1u + 3u + 31u);
+  EXPECT_EQ(q.size(), 2u + 1u + 3u);
   EXPECT_EQ(q.wheel_pushes(), 4u + 3u);
-  EXPECT_EQ(q.overflow_pushes(), 1u + 31u);
   // Remaining copies of the first run, then the migrated early copy, then
   // the second run.
   const std::pair<std::uint64_t, std::uint32_t> want[] = {
@@ -336,7 +282,8 @@ TEST(CalendarQueueProperty, HalfConsumedRunSurvivesResizeBesideMigration) {
     ASSERT_EQ(got.seq, s);
     EXPECT_EQ(got.run, left);
   }
-  drain_and_compare(q, ref);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(ref.empty());
 }
 
 TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndRecyclesDrainedLanes) {
@@ -426,7 +373,6 @@ TEST(CalendarQueueProperty, OverflowPromotionPreservesSeqInterleave) {
   // wheel, pop BEFORE same-tick same-kind events pushed later (higher
   // seq): the migration insert-by-seq path.
   CalendarQueue q(4);  // span 16
-  q.set_resize_enabled(false);
   std::uint64_t seq = 0;
   for (int i = 0; i < 5; ++i) {
     Event e;
@@ -486,10 +432,10 @@ TEST(CalendarQueueProperty, FifoTieBreakAtEqualTimestamps) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueProperty, ResizeCarriesPendingEventsExactlyOnce) {
-  // Deterministic resize-under-load: fill the wheel AND enough resizable
-  // overflow to trip the rebuild, then drain; each event pops exactly once
-  // in (t, kind, seq) order.
+TEST(CalendarQueueProperty, WheelAndOverflowEventsPopExactlyOnce) {
+  // Fill the wheel AND the overflow heap (far deliveries and acks sharing
+  // ticks), then drain: each event pops exactly once in (t, kind, seq)
+  // order.
   CalendarQueue q(2);  // span 8
   Oracle ref;
   std::uint64_t seq = 0;
@@ -502,20 +448,21 @@ TEST(CalendarQueueProperty, ResizeCarriesPendingEventsExactlyOnce) {
     ref.push(e);
   };
   for (Time t = 1; t <= 7; ++t) push_at(t, EventKind::kDeliver);  // in-wheel
-  for (int i = 0; i < 40; ++i) {  // far: trips the 32-push trigger
+  for (int i = 0; i < 40; ++i) {  // far: the overflow heap
     push_at(100 + static_cast<Time>(i), EventKind::kDeliver);
     push_at(100 + static_cast<Time>(i), EventKind::kAck);
   }
-  EXPECT_GE(q.resizes(), 1u);
+  EXPECT_EQ(q.overflow_pushes(), 80u);
   EXPECT_EQ(q.size(), 7u + 80u);
   drain_and_compare(q, ref);
 }
 
-TEST(CalendarQueueProperty, SentinelHorizonsNeverTriggerResize) {
-  // kForever-style sentinels are not resizable pressure: pushing many must
-  // leave the wheel span alone (the heap owns them).
+TEST(CalendarQueueProperty, SentinelHorizonsStayOnOverflowHeap) {
+  // kForever-style sentinels (crash plans that never fire) live on the
+  // heap, and popping them rebases the cursor next to kForever without
+  // wrapping the window test.
   CalendarQueue q(4);
-  const Time initial_span = q.span();
+  Oracle ref;
   std::uint64_t seq = 0;
   for (int i = 0; i < 100; ++i) {
     Event e;
@@ -523,10 +470,10 @@ TEST(CalendarQueueProperty, SentinelHorizonsNeverTriggerResize) {
     e.kind = EventKind::kCrash;
     e.seq = seq++;
     q.push(e);
+    ref.push(e);
   }
-  EXPECT_EQ(q.resizes(), 0u);
-  EXPECT_EQ(q.span(), initial_span);
   EXPECT_EQ(q.overflow_pushes(), 100u);
+  drain_and_compare(q, ref);
 }
 
 }  // namespace

@@ -107,7 +107,6 @@ TEST(FuzzSignature, KeyProjectionsPartitionTheDimensions) {
   sig.wheel_bucket = 4;
   sig.overflow_bucket = 2;
   sig.batch_bucket = 1;
-  sig.resize_bucket = 3;
   sig.decide_bucket = 6;
   sig.flags = CoverageSignature::kHasHolds | CoverageSignature::kLateHolds;
   sig.failure = 0;

@@ -448,21 +448,20 @@ TEST(FuzzCoverage, SignatureIsStableAndDiscriminatesEnginePaths) {
   const CoverageSignature sig_b = coverage_signature(s, run_scenario(s));
   EXPECT_EQ(sig_a.key(), sig_b.key());
 
-  // A late-hold resize scenario and a plain synchronous scenario must land
-  // in different signatures (different scheduler, overflow, resize and
-  // hold dimensions) — the signal that steers mutation toward rare paths.
-  const auto resize_spec = parse_spec(
+  // A late-hold overflow scenario and a plain synchronous scenario must
+  // land in different signatures (different scheduler, overflow and hold
+  // dimensions) — the signal that steers mutation toward rare paths.
+  const auto late_spec = parse_spec(
       "amacfuzz1:seed=43:alg=flooding:topo=clique:n=14:aux=0:sched=holdback:"
       "fack=5:late=1:in=alt:ids=perm:f=0:hz=1000000:holds=9@129,11@59,12@136");
-  ASSERT_TRUE(resize_spec.has_value());
-  const RunReport resize_report = run_scenario(*resize_spec);
-  const CoverageSignature resize_sig =
-      coverage_signature(*resize_spec, resize_report);
-  EXPECT_NE(resize_sig.key(), sig_a.key());
-  EXPECT_GT(resize_sig.overflow_bucket, 0);
-  EXPECT_GT(resize_sig.resize_bucket, 0);
-  EXPECT_TRUE(resize_sig.flags & CoverageSignature::kHasHolds);
-  EXPECT_TRUE(resize_sig.flags & CoverageSignature::kLateHolds);
+  ASSERT_TRUE(late_spec.has_value());
+  const RunReport late_report = run_scenario(*late_spec);
+  const CoverageSignature late_sig =
+      coverage_signature(*late_spec, late_report);
+  EXPECT_NE(late_sig.key(), sig_a.key());
+  EXPECT_GT(late_sig.overflow_bucket, 0);
+  EXPECT_TRUE(late_sig.flags & CoverageSignature::kHasHolds);
+  EXPECT_TRUE(late_sig.flags & CoverageSignature::kLateHolds);
 }
 
 TEST(FuzzCoverage, CorpusIsBoundedAndDetectsNovelty) {
@@ -525,7 +524,7 @@ TEST(FuzzCoverage, MutatingSoakStrictlyWidensCoverage) {
   // The corpus digest folds every fingerprint, so the two soaks really ran
   // different scenario streams.
   EXPECT_NE(mutated_result.corpus_digest, pure_result.corpus_digest);
-  EXPECT_LE(mutated_result.corpus.size(), mutating.corpus_max);
+  EXPECT_LE(mutated_result.corpus.size(), CoverageCorpus::kDefaultMaxEntries);
 }
 
 TEST(FuzzCoverage, InitialCorpusSeedsMutationBases) {

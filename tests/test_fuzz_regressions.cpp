@@ -71,44 +71,39 @@ TEST(FuzzRegressions, CrashDuringInFlightAckStaysCleanAndBitIdentical) {
   }
 }
 
-// Surfaced by scanning generated seeds for late_holds && wheel_resizes > 0:
-// holdback holds applied AFTER Network construction (late=1), so the
-// calendar wheel was sized from the pre-hold fack() and the held
-// deliveries pile onto the overflow heap until the self-resize rebuilds
-// the wheel mid-run. Pinned as full specs: the resize path must keep
-// firing — and stay bit-identical to the (wheel-less) reference engine —
-// no matter how the generator or the resize policy evolves.
-constexpr const char* kLateHoldResizeSpecs[] = {
-    // Flooding on a 14-clique, three staggered holds: 32 overflow pushes,
-    // then the wheel grows to span the ~136-tick release horizon.
+// Holdback holds applied AFTER Network construction (late=1): the calendar
+// wheel was sized from the pre-hold fack(), so the held deliveries land
+// past it and take the overflow heap and the rebase migration. Pinned as
+// full specs: the far deliveries must keep spilling — and stay
+// bit-identical to the (wheel-less) reference engine — no matter how the
+// generator evolves.
+constexpr const char* kLateHoldOverflowSpecs[] = {
+    // Flooding on a 14-clique, three staggered holds out to ~136 ticks.
     "amacfuzz1:seed=43:alg=flooding:topo=clique:n=14:aux=0:sched=holdback:"
     "fack=5:late=1:in=alt:ids=perm:f=0:hz=1000000:holds=9@129,11@59,12@136",
-    // Two-phase commit with tightly clustered releases: the smallest
-    // horizon that still crosses the resize threshold.
+    // Two-phase commit with tightly clustered releases around tick 46.
     "amacfuzz1:seed=378:alg=two_phase:topo=clique:n=11:aux=0:sched=holdback:"
     "fack=2:late=1:in=all0:ids=perm:f=0:hz=1000000:holds=6@50,9@46,1@44",
-    // Flooding with a crash riding alongside the late holds: the resize
-    // interleaves with mid-flight cancellation.
+    // Flooding with a crash riding alongside the late holds: the heap
+    // path interleaves with mid-flight cancellation.
     "amacfuzz1:seed=3849:alg=flooding:topo=clique:n=14:aux=0:sched=holdback:"
     "fack=4:late=1:in=all1:ids=perm:f=0:hz=30000:crashes=12@19:"
     "holds=13@56,2@96,7@96",
 };
 
-TEST(FuzzRegressions, LateHoldsForceWheelResizeAndStayBitIdentical) {
+TEST(FuzzRegressions, LateHoldsSpillToOverflowAndStayBitIdentical) {
   RunOptions options;
   options.differential = true;
-  for (const char* spec : kLateHoldResizeSpecs) {
+  for (const char* spec : kLateHoldOverflowSpecs) {
     const auto scenario = parse_spec(spec);
     ASSERT_TRUE(scenario.has_value()) << spec;
     ASSERT_TRUE(scenario->late_holds) << spec;
 
     const RunReport r = run_scenario(*scenario, options);
     // The pinned property: the late holds really spill past the
-    // construction-sized wheel, the self-resize runs, and every oracle
-    // (safety, liveness, engine equivalence) stays green.
-    EXPECT_GE(r.stats.wheel_resizes, 1u) << spec;
+    // construction-sized wheel, and every oracle (safety, liveness, engine
+    // equivalence) stays green.
     EXPECT_GT(r.stats.overflow_pushes, 0u) << spec;
-    EXPECT_GT(r.stats.wheel_span, 16u) << spec;  // grew past pre-hold size
     EXPECT_EQ(r.failure, FailureKind::kNone) << spec << "\n" << r.detail;
     ASSERT_TRUE(r.differential_ran);
     EXPECT_EQ(r.fingerprint, r.reference_fingerprint)
@@ -125,9 +120,9 @@ TEST(FuzzRegressions, HoldReleaseAtBoundaryNeverStretchesOrSpills) {
   // whose release is 1 can never be live (delays are >= 1, so every
   // delivery already lands at or past it). The run must behave exactly
   // like the un-held scenario — dense fast path intact, nothing pushed
-  // beyond the wheel window, no resize — and stay bit-identical to the
-  // reference engine. See Schedulers.HoldbackReleaseBoundary* for the
-  // schedule-level boundary tests.
+  // beyond the wheel window — and stay bit-identical to the reference
+  // engine. See Schedulers.HoldbackReleaseBoundary* for the schedule-level
+  // boundary tests.
   const char* spec =
       "amacfuzz1:seed=1:alg=flooding:topo=clique:n=6:aux=0:sched=holdback:"
       "fack=3:late=0:in=split:ids=identity:f=0:hz=1000000:holds=2@1";
@@ -141,7 +136,6 @@ TEST(FuzzRegressions, HoldReleaseAtBoundaryNeverStretchesOrSpills) {
   EXPECT_TRUE(r.condition_met);  // crash-free flooding must terminate
   EXPECT_EQ(r.stats.overflow_pushes, 0u)
       << "an expired hold pushed deliveries past the wheel window";
-  EXPECT_EQ(r.stats.wheel_resizes, 0u);
   ASSERT_TRUE(r.differential_ran);
   EXPECT_EQ(r.fingerprint, r.reference_fingerprint)
       << "engine divergence on " << spec;
@@ -312,6 +306,40 @@ TEST(FuzzRegressions, LinkFaultPlansStayCleanAndBitIdentical) {
   }
   EXPECT_GT(total_drops, 0u);
   EXPECT_GT(total_dups, 0u);
+}
+
+// A broadcast partly deferred by a finite drop window: some copies of one
+// fan-out are kept at their scheduled ticks and the rest deferred past the
+// window. The engines must emit the kept copies first, then the deferred
+// ones; with the two groups swapped in Network::start_broadcast every soak
+// and digest still passes (their fault floors add rates, not windows), so
+// these specs pin the order through the reference differential.
+constexpr const char* kPartialDeferralSpecs[] = {
+    // Flooding on a 4-clique: node 0's copies to node 1 arriving before
+    // tick 10 are deferred to it; its other copies of the same broadcasts
+    // are kept.
+    "amacfuzz1:seed=3:alg=flooding:topo=clique:n=4:aux=0:sched=sync:fack=2:"
+    "late=0:in=alt:ids=identity:f=0:hz=1000000:faults=0@1@0@10",
+    // wPAXOS on a 3x3 grid under random delays, two finite windows.
+    "amacfuzz1:seed=3:alg=wpaxos:topo=grid:n=9:aux=3:sched=uniform:fack=3:"
+    "late=0:in=alt:ids=perm:f=0:hz=1000000:faults=4@1@0@12,2@5@3@20",
+};
+
+TEST(FuzzRegressions, PartialDeferralStaysBitIdentical) {
+  RunOptions options;
+  options.differential = true;
+  for (const char* spec : kPartialDeferralSpecs) {
+    const auto scenario = parse_spec(spec);
+    ASSERT_TRUE(scenario.has_value()) << spec;
+    EXPECT_EQ(format_spec(*scenario), spec);
+
+    const RunReport r = run_scenario(*scenario, options);
+    EXPECT_GT(r.stats.drops, 0u) << spec;  // drops count deferred copies
+    EXPECT_EQ(r.failure, FailureKind::kNone) << spec << "\n" << r.detail;
+    ASSERT_TRUE(r.differential_ran);
+    EXPECT_EQ(r.fingerprint, r.reference_fingerprint)
+        << "engine divergence on " << spec;
+  }
 }
 
 TEST(FuzzOracle, DetectsAgreementViolationUnderPermanentLinkLoss) {

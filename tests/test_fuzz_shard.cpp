@@ -30,7 +30,6 @@ void expect_same_soak(const SoakResult& a, const SoakResult& b) {
   EXPECT_EQ(a.wheel_events, b.wheel_events);
   EXPECT_EQ(a.overflow_events, b.overflow_events);
   EXPECT_EQ(a.overflow_scenarios, b.overflow_scenarios);
-  EXPECT_EQ(a.resized_scenarios, b.resized_scenarios);
   EXPECT_EQ(a.dropped_frames, b.dropped_frames);
   EXPECT_EQ(a.duplicated_frames, b.duplicated_frames);
   EXPECT_EQ(a.faulted_scenarios, b.faulted_scenarios);
@@ -46,7 +45,6 @@ void expect_same_soak(const SoakResult& a, const SoakResult& b) {
   EXPECT_EQ(ca.protocol_distinct, cb.protocol_distinct);
   EXPECT_EQ(ca.per_scheduler, cb.per_scheduler);
   EXPECT_EQ(ca.overflow_sigs, cb.overflow_sigs);
-  EXPECT_EQ(ca.resize_sigs, cb.resize_sigs);
   EXPECT_EQ(ca.batch_sigs, cb.batch_sigs);
   EXPECT_EQ(ca.crash_sigs, cb.crash_sigs);
   EXPECT_EQ(ca.hold_sigs, cb.hold_sigs);

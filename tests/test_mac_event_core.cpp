@@ -83,7 +83,7 @@ TEST(CalendarQueue, MatchesReferenceHeapPopOrder) {
 }
 
 TEST(CalendarQueue, SentinelTimesNearForeverDoNotWrap) {
-  // Regression: the window checks must not compute base_ + wheel_span()
+  // Regression: the window checks must not compute base_ + span()
   // (wraps for t near kForever, stranding events in the overflow heap).
   CalendarQueue q(8);
   Event never;
@@ -361,7 +361,6 @@ TEST(EngineDifferential, LateScriptedUniformSlotSpillsPastTheWheel) {
     expect_equal(a, b);
     EXPECT_GT(a.stats.deliveries, 0u);
     EXPECT_GT(a.stats.overflow_pushes, 0u);
-    EXPECT_EQ(a.stats.wheel_span, 16u);
     EXPECT_GE(a.end_time, 200u);
   }
 }
@@ -606,50 +605,47 @@ TEST(EngineAllocation, SoAUniformFanoutBatchPathAllocatesNothing) {
   EXPECT_GT(net.stats().deliveries, 100000u);
   EXPECT_EQ(net.stats().overflow_pushes, 0u);
   EXPECT_GT(net.stats().wheel_pushes, 0u);
-  EXPECT_EQ(net.stats().wheel_resizes, 0u);
 }
 
-TEST(EngineAllocation, WheelResizeMidRunThenSteadyStateIsAllocationFree) {
+TEST(EngineAllocation, LateHoldOverflowSteadyStateIsAllocationFree) {
   // Late Holdback holds (registered after construction, so the wheel was
-  // sized from the tiny pre-hold fack) push every held delivery onto the
-  // overflow heap until the self-resize kicks in. The resize itself may
-  // allocate — it rebuilds the bucket ring — but lane storage circulates
-  // through the spare pool (the old ring's warmed lanes are donated, and
-  // every drained bucket hands its lanes to the next occupied one), so
-  // already the FIRST revolution of the resized ring must run
-  // allocation-free once the first post-resize tick has warmed the
-  // circulating set; it is not allowed to re-warm one allocation per
-  // bucket of the larger ring.
-  const auto g = net::make_clique(8);
-  auto hold = std::make_unique<HoldbackScheduler>(
-      std::make_unique<SynchronousScheduler>(1), /*release=*/4);
+  // sized from the tiny pre-hold fack: 16 buckets), re-armed as they
+  // release: every broadcast lands ~100 ticks out, past the wheel, and
+  // takes the overflow heap and the rebase migration. Once the heap's
+  // storage and the circulating lanes have warmed, that path must
+  // allocate nothing — the heap reuses its vector and migrated events
+  // land in lanes adopted from the spare pool.
+  constexpr std::size_t n = 8;
+  const auto g = net::make_clique(n);
+  HoldbackScheduler hold(std::make_unique<SynchronousScheduler>(1),
+                         /*release=*/4);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
-              *hold);
-  // Every sender held until t=300: the on_start broadcasts of 8 cliqued
-  // nodes schedule 8 * (7 deliveries + 1 ack) = 64 far events against a
-  // wheel sized for fack() = 5 — enough resizable overflow pressure to
-  // cross the rebuild threshold mid-burst (the wheel grows to cover the
-  // ~300-tick horizon: 1024 buckets).
-  for (NodeId u = 0; u < 8; ++u) hold->hold_sender_until(u, 300);
-  // The resize fires during the t=0 burst; nothing pops before the held
-  // deliveries land at t=300. Ticks 300..301 warm the circulating lanes
-  // (the one permitted post-resize warm-up: a handful of lane vectors,
-  // not a revolution of them).
-  net.run(StopWhen::kQuiescent, 302);
-  EXPECT_GE(net.stats().wheel_resizes, 1u);
-  EXPECT_GT(net.stats().overflow_pushes, 0u);
-  EXPECT_GT(net.stats().wheel_span, 16u);  // grew past the pre-hold sizing
-  const std::uint64_t during_first_revolution = testutil::alloc_count();
-  // 302 + 1100 covers a full revolution of the 1024-bucket resized ring.
-  net.run(StopWhen::kQuiescent, 1402);
-  EXPECT_EQ(testutil::alloc_count() - during_first_revolution, 0u)
-      << "first post-resize revolution re-warmed lane allocations";
+              hold);
+  std::vector<Time> release(n);
+  for (NodeId u = 0; u < n; ++u) {
+    release[u] = 100 + 8 * static_cast<Time>(u);
+    hold.hold_sender_until(u, release[u]);
+  }
+  // Re-arming a sender's hold overwrites its map entry: no allocation.
+  net.set_post_event_hook([&](Network& running) {
+    const Time t = running.now();
+    for (NodeId u = 0; u < n; ++u) {
+      if (t >= release[u]) {
+        release[u] = t + 100 + 8 * static_cast<Time>(u);
+        hold.hold_sender_until(u, release[u]);
+      }
+    }
+  });
+  net.run(StopWhen::kQuiescent, 2000);
+  const std::uint64_t warm_overflow = net.stats().overflow_pushes;
+  EXPECT_GT(warm_overflow, 0u);
   const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 8000);
   const std::uint64_t after = testutil::alloc_count();
   EXPECT_EQ(after - before, 0u)
-      << "steady state after a wheel resize allocated";
-  EXPECT_GT(net.stats().deliveries, 30000u);
+      << "overflow-heap steady state allocated";
+  EXPECT_GT(net.stats().overflow_pushes, warm_overflow);
+  EXPECT_GT(net.stats().deliveries, 2000u);
 }
 
 TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {

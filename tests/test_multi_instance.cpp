@@ -400,9 +400,7 @@ void expect_same_engine_stats(const EngineStats& a, const EngineStats& b) {
   EXPECT_EQ(a.peak_events, b.peak_events);
   EXPECT_EQ(a.wheel_pushes, b.wheel_pushes);
   EXPECT_EQ(a.overflow_pushes, b.overflow_pushes);
-  EXPECT_EQ(a.wheel_resizes, b.wheel_resizes);
   EXPECT_EQ(a.batch_pushes, b.batch_pushes);
-  EXPECT_EQ(a.wheel_span, b.wheel_span);
   EXPECT_EQ(a.drops, b.drops);
   EXPECT_EQ(a.duplicates, b.duplicates);
 }

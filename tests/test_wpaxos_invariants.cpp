@@ -71,8 +71,9 @@ TEST(Lemma44, TagsBoundedByChangeEvents) {
   mac::Network net(g, harness::wpaxos_factory(inputs, ids), sched);
   net.run(mac::StopWhen::kAllDecided, 1'000'000);
 
-  const auto tag = max_proposal_tag(net);
-  const auto changes = total_change_events(net);
+  const auto stats = harness::collect_protocol_stats(net);
+  const auto tag = stats.max_round;  // the largest tag any node saw
+  const auto changes = stats.change_events;
   EXPECT_LE(tag, 2 * changes + n);
   // The polynomial bound itself (very loose form of O(n^k)).
   EXPECT_LE(tag, 4 * n * n);
@@ -87,7 +88,7 @@ TEST(Lemma44, TagsStaySmallAfterStabilization) {
   mac::SynchronousScheduler sched(1);
   mac::Network net(g, harness::wpaxos_factory(inputs, ids), sched);
   net.run(mac::StopWhen::kAllDecided, 1'000'000);
-  EXPECT_LE(max_proposal_tag(net), 12u);
+  EXPECT_LE(harness::collect_protocol_stats(net).max_round, 12u);
 }
 
 }  // namespace

@@ -110,10 +110,7 @@ TEST(ChangeService, LeaderProposalsAreGated) {
   mac::Network net = make_net(g, inputs, ids, sched);
   net.run(mac::StopWhen::kAllDecided, 100000);
 
-  std::uint64_t total = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    total += wpaxos_at(net, u).node_stats().proposals_started;
-  }
+  const std::uint64_t total = harness::collect_protocol_stats(net).proposals;
   // Generous bound: far below the ungated storm (compare the ablation
   // bench); each node starts one, the leader a handful more.
   EXPECT_LE(total, 4 * n);
@@ -137,11 +134,7 @@ TEST(ChangeService, UngatedProposesMore) {
     mac::SynchronousScheduler sched(1);
     mac::Network net = make_net(g, inputs, ids, sched, cfg);
     net.run(mac::StopWhen::kAllDecided, 100000);
-    std::uint64_t total = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      total += wpaxos_at(net, u).node_stats().proposals_started;
-    }
-    (gating ? gated : ungated) = total;
+    (gating ? gated : ungated) = harness::collect_protocol_stats(net).proposals;
   }
   EXPECT_GT(ungated, gated);
 }
@@ -158,7 +151,7 @@ TEST(Aggregation, MergesSiblingResponsesAtHub) {
   mac::SynchronousScheduler sched(1);
   mac::Network net = make_net(g, inputs, ids, sched);
   net.run(mac::StopWhen::kAllDecided, 100000);
-  EXPECT_GT(wpaxos_at(net, 0).node_stats().responses_merged, 0u);
+  EXPECT_GT(wpaxos_at(net, 0).responses_merged(), 0u);
 }
 
 TEST(Services, DecidedNodesGoQuiet) {

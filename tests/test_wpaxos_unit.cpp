@@ -288,7 +288,7 @@ TEST(WPaxosUnit, AggregationMergesInQueue) {
   EXPECT_EQ(node.response_queue().front().count, 5u);
   // Lemma 4.3: the larger previous proposal survives the merge.
   EXPECT_EQ(node.response_queue().front().prev->pn, (ProposalNumber{2, 4}));
-  EXPECT_EQ(node.node_stats().responses_merged, 1u);
+  EXPECT_EQ(node.responses_merged(), 1u);
 }
 
 TEST(WPaxosUnit, NoAggregationKeepsEntriesSeparate) {
