@@ -266,7 +266,7 @@ int run_soak_cli(const CliOptions& cli) {
   }
   if (result.differential_skipped > 0) {
     std::printf("  differential replays skipped (n > %zu): %zu\n",
-                options.differential_max_n, result.differential_skipped);
+                fuzz::kDifferentialMaxN, result.differential_skipped);
   }
   if (options.max_seconds > 0.0) {
     // Budgeted soaks are wall-clock-bounded, not digest-reproducible; the
@@ -382,7 +382,6 @@ constexpr Flag kFlags[] = {
     {"--large-every", "K", set_count<&Soak::large_every>},
     {"--large-n", "N", set_count<&Soak::large_n, 1>},
     {"--log-every", "K", set_count<&Soak::log_every>},
-    {"--differential-max-n", "N", set_count<&Soak::differential_max_n>},
     // A zero-second budget would skip the whole soak and exit green.
     {"--max-seconds", "S",
      [](CliOptions& c, const char* v) {

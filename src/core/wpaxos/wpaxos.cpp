@@ -199,7 +199,6 @@ void WPaxos::start_proposal(mac::Context& ctx) {
   yes_ = 0;
   no_ = 0;
   best_prev_.reset();
-  highest_rejection_ = ProposalNumber::zero();
 
   const ProposerMsg msg{ProposerMsg::Kind::kPrepare, current_, 0};
   // Flood queue invariant: the newest own proposition supersedes anything
@@ -225,7 +224,6 @@ void WPaxos::consume_response(const AcceptorResponse& r, mac::Context& ctx) {
     }
   } else {
     no_ += r.count;
-    highest_rejection_ = std::max(highest_rejection_, r.max_committed);
     max_tag_ = std::max(max_tag_, r.max_committed.tag);
   }
   check_thresholds(ctx);

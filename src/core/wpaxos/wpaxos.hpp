@@ -222,7 +222,6 @@ class WPaxos final : public mac::Process {
   std::uint64_t yes_ = 0;
   std::uint64_t no_ = 0;
   std::optional<Proposal> best_prev_;
-  ProposalNumber highest_rejection_ = ProposalNumber::zero();
   int attempts_left_ = 0;
   std::uint64_t max_tag_ = 0;
 

@@ -767,8 +767,7 @@ Shard run_shard(const SoakOptions& options, std::size_t first,
     // Size-aware sampling: the frozen reference engine scans all n^2
     // pending slots per delivery, so replaying a 4096-node scenario there
     // would dominate the soak. Skips are counted, never silent.
-    const bool diff_too_large =
-        options.differential_max_n != 0 && s.n > options.differential_max_n;
+    const bool diff_too_large = s.n > kDifferentialMaxN;
     // The log-service family cannot replay on the frozen reference engine:
     // ReplicatedLog is written against mac::Network, launching slot
     // instances mid-run and retiring them, and the reference engine adds

@@ -100,7 +100,7 @@
 // same one-line `--replay` repro as everything else. The scenario's size
 // joins the signature as a saturated log4 bucket. Reference replays scan
 // all n^2 pending slots per delivery, so differential sampling skips
-// scenarios above `--differential-max-n` (counted in the summary); and
+// scenarios above kDifferentialMaxN nodes (counted in the summary); and
 // `--max-seconds S` bounds the whole soak by wall clock — each shard stops
 // starting new runs once the deadline passes (budgeted soaks trade digest
 // reproducibility for a predictable CI footprint).
@@ -493,6 +493,13 @@ struct ShrinkResult {
 
 // ---- soak loop ----------------------------------------------------------
 
+/// Differential replays are skipped for scenarios with n above this cap:
+/// the frozen ReferenceNetwork scans all n^2 pending slots per delivery, so
+/// one 4096-node replay would cost more than the rest of the soak combined.
+/// Skips are counted in SoakResult::differential_skipped and surfaced in
+/// the summary.
+inline constexpr std::size_t kDifferentialMaxN = 1024;
+
 struct SoakOptions {
   std::uint64_t seed_base = 1;
   std::size_t count = 500;
@@ -547,12 +554,6 @@ struct SoakOptions {
   /// machine) — the pinned-corpus lanes never set this; the nightly's
   /// bounded step asserts only violations, not digests.
   double max_seconds = 0.0;
-  /// Differential replays are skipped for scenarios with n above this cap
-  /// (--differential-max-n; 0 = unlimited): the frozen ReferenceNetwork
-  /// scans all n^2 pending slots per delivery, so one 4096-node replay
-  /// would cost more than the rest of the soak combined. Skips are counted
-  /// in SoakResult::differential_skipped and surfaced in the summary.
-  std::size_t differential_max_n = 1024;
   /// Pre-seeded mutation bases (--corpus-in), run before anything else.
   std::vector<Scenario> initial_corpus;
   /// Progress callback after every scenario (may be empty).
@@ -618,8 +619,8 @@ struct SoakResult {
   std::size_t log_scenarios = 0;    ///< runs in the log-service family
                                     ///< (promoted, mutated, or pre-seeded)
   /// Differential replays skipped because the scenario's n exceeded
-  /// SoakOptions::differential_max_n (they still ran and were checked on
-  /// the calendar engine — only the reference A/B was skipped).
+  /// kDifferentialMaxN (they still ran and were checked on the calendar
+  /// engine — only the reference A/B was skipped).
   std::size_t differential_skipped = 0;
   /// Runs never started because the --max-seconds budget expired first.
   std::size_t budget_skipped = 0;

@@ -144,8 +144,6 @@ void normalize_scenario(Scenario& s) {
   const std::size_t count = build_graph(s).node_count();
   std::erase_if(s.crashes, [&](const CrashSpec& c) { return c.node >= count; });
   std::erase_if(s.holds, [&](const HoldSpec& h) { return h.sender >= count; });
-  std::erase_if(s.script,
-                [&](const ScriptSlot& t) { return t.sender >= count; });
   // Fault windows on out-of-range or self links are inert; so are finite
   // windows that close at or before they open. Dropping them keeps the
   // shrinker's "remove a window" steps canonical.
@@ -153,47 +151,10 @@ void normalize_scenario(Scenario& s) {
     return w.from >= count || w.to >= count || w.from == w.to ||
            (w.until_tick != mac::kForever && w.until_tick <= w.from_tick);
   });
+  // The scenario's fack is the scripted scheduler's effective bound, so
+  // decide-round bucketing and spec lines stay meaningful.
   if (s.scheduler == SchedulerKind::kScripted) {
-    // Slot well-formedness mirrors ScriptedScheduler's contracts; the
-    // scenario's fack mirrors the scheduler's effective bound (max scripted
-    // ack, with the synchronous length-1 fallback), so decide-round
-    // bucketing and spec lines stay meaningful. Per-receiver slots are
-    // canonicalized: out-of-range receivers dropped, later-wins dedupe,
-    // receiver-sorted, delays clamped into [1, ack], and `recv` mirrors the
-    // largest listed delay (ScriptedScheduler gives unlisted receivers
-    // delay 1).
-    mac::Time max_ack = 1;
-    for (auto& t : s.script) {
-      if (t.ack < 1) t.ack = 1;
-      if (!t.delays.empty()) {
-        std::vector<std::pair<NodeId, mac::Time>> kept;
-        for (const auto& [receiver, delay] : t.delays) {
-          if (receiver >= count) continue;
-          const mac::Time d = std::clamp<mac::Time>(delay, 1, t.ack);
-          bool replaced = false;
-          for (auto& k : kept) {
-            if (k.first == receiver) {
-              k.second = d;  // later-wins, like ScriptedScheduler's scan
-              replaced = true;
-            }
-          }
-          if (!replaced) kept.emplace_back(receiver, d);
-        }
-        std::sort(kept.begin(), kept.end());
-        t.delays = std::move(kept);
-      }
-      if (t.delays.empty()) {
-        if (t.recv < 1) t.recv = 1;
-        if (t.recv > t.ack) t.recv = t.ack;
-      } else {
-        t.recv = 1;
-        for (const auto& [receiver, delay] : t.delays) {
-          t.recv = std::max(t.recv, delay);
-        }
-      }
-      max_ack = std::max(max_ack, t.ack);
-    }
-    s.fack = max_ack;
+    s.fack = mac::canonicalize_script(s.script, count);
   }
   if (envelope(s.algorithm).crashes == CrashEnvelope::kUpToF) {
     const std::size_t max_f = (count - 1) / 2;
@@ -656,12 +617,8 @@ void clamp_to_envelope(Scenario& s) {
   for (auto& c : s.crashes) c.when = clamp_time(c.when, 1, kMaxMutatedCrashTime);
   if (s.script.size() > kMaxScriptSlots) s.script.resize(kMaxScriptSlots);
   for (auto& t : s.script) {
-    if (t.index > kMaxScriptIndex) t.index = kMaxScriptIndex;
-    t.ack = clamp_time(t.ack, 1, kMaxScriptAck);
-    t.recv = clamp_time(t.recv, 1, t.ack);
-    for (auto& [receiver, delay] : t.delays) {
-      delay = clamp_time(delay, 1, t.ack);
-    }
+    t.index = std::min(t.index, kMaxScriptIndex);
+    t.ack = std::min(t.ack, kMaxScriptAck);
   }
   // Link faults stay inside the row's bounded-loss envelope (see
   // faults_allowed and friends above), and rates/windows inside mutation
@@ -1314,31 +1271,10 @@ BuiltScenario build_scenario(const Scenario& s) {
       if (!s.late_holds) apply_holds(s, b);
       break;
     }
-    case SchedulerKind::kScripted: {
-      auto sched = std::make_unique<mac::ScriptedScheduler>();
-      for (const auto& t : s.script) {
-        // Out-of-range or malformed slots (hand-edited specs) are dropped
-        // or clamped, mirroring normalize_scenario; duplicate
-        // (sender, index) slots resolve later-wins, deterministically.
-        if (t.sender >= count) continue;
-        const mac::Time ack = std::max<mac::Time>(1, t.ack);
-        if (t.delays.empty()) {
-          const mac::Time recv = std::clamp<mac::Time>(t.recv, 1, ack);
-          sched->script_uniform(t.sender, t.index, ack, recv);
-        } else {
-          std::vector<std::pair<NodeId, mac::Time>> delays;
-          delays.reserve(t.delays.size());
-          for (const auto& [receiver, delay] : t.delays) {
-            if (receiver >= count) continue;
-            delays.emplace_back(receiver,
-                                std::clamp<mac::Time>(delay, 1, ack));
-          }
-          sched->script(t.sender, t.index, ack, std::move(delays));
-        }
-      }
-      b.scheduler = std::move(sched);
+    case SchedulerKind::kScripted:
+      // Hand-edited slots are canonicalized by the scheduler itself.
+      b.scheduler = std::make_unique<mac::ScriptedScheduler>(s.script, count);
       break;
-    }
   }
 
   harness::AlgorithmParams params;

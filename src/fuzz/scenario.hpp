@@ -89,26 +89,15 @@ struct HoldSpec {
   mac::Time release = 0;
 };
 
-/// One scripted broadcast slot (kScripted only): the `index`-th broadcast
-/// of `sender` takes `ack` ticks to ack and delivers to every receiver
-/// after `recv` ticks (the dense uniform form of ScriptedScheduler).
-/// Unscripted broadcasts fall back to synchronous rounds of length 1, so a
-/// few slots suffice to build the paper's hand-crafted adversarial
-/// orderings (Theorem 3.3-style) while the rest of the run stays lock-step.
-///
-/// When `delays` is non-empty the slot is per-receiver instead of uniform:
-/// each listed receiver gets its own delay, unlisted receivers get delay 1,
-/// and `recv` mirrors the largest listed delay (normalize keeps them in
-/// sync). In the spec line the 4th slot field then reads `r-d+r-d+...`
-/// instead of a bare integer.
-struct ScriptSlot {
-  NodeId sender = kNoNode;
-  std::uint32_t index = 0;  ///< which broadcast of the sender (0-based)
-  mac::Time ack = 1;        ///< ack delay; >= recv and every listed delay
-  mac::Time recv = 1;       ///< shared receive delay, in [1, ack]
-  /// Per-receiver (receiver, delay) overrides; empty means uniform `recv`.
-  std::vector<std::pair<NodeId, mac::Time>> delays;
-};
+/// One scripted broadcast slot (kScripted only). Unscripted broadcasts
+/// fall back to synchronous rounds of length 1, so a few slots suffice to
+/// build the paper's hand-crafted adversarial orderings (Theorem 3.3-style)
+/// while the rest of the run stays lock-step. What a slot means, and the
+/// canonical form normalize_scenario keeps it in, is stated once on
+/// mac::ScriptSlot. In the spec line a uniform slot reads
+/// `sender@index@ack@recv`; a per-receiver one's 4th field reads
+/// `r-d+r-d+...` instead.
+using ScriptSlot = mac::ScriptSlot;
 
 /// One directed-link drop window for the fault plan (see
 /// mac/link_faults.hpp): deliveries on `from -> to` whose arrival tick

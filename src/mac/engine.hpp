@@ -110,9 +110,11 @@
 // receiver): copies are kept, deferred past a transient outage window,
 // permanently dropped, or duplicated at a bounded extra delay. An unfaulted
 // fan-out is the same pipeline with every copy kept and no per-copy
-// decision. Emission order is canonical and engine-independent — kept copies
-// at their original ticks first (a uniform schedule's kept subset is one
-// push_run entry), then deferred copies, then duplicates, each group in
+// decision. Per-link outages are plan windows only: HoldbackScheduler holds
+// whole senders, and holding back one directed link is a finite DropWindow.
+// Emission order is canonical and engine-independent — kept copies at their
+// original ticks first (a uniform schedule's kept subset is one push_run
+// entry), then deferred copies, then duplicates, each group in
 // schedule index order, then best-effort overlay copies — and the ack is
 // stretched to the latest emitted arrival so the layer's "receive before the
 // sender's ack" guarantee survives deferral and duplication (permanent

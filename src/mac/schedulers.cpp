@@ -1,5 +1,7 @@
 #include "mac/schedulers.hpp"
 
+#include <algorithm>
+
 #include "util/hash.hpp"
 
 namespace amac::mac {
@@ -65,27 +67,11 @@ void HoldbackScheduler::schedule(NodeId sender, Time now,
   // base schedule (and its dense/uniform form, if any) passes through
   // untouched. Expired holds therefore re-enable the engine's batch
   // fan-out instead of densifying forever.
-  const auto sender_hold = held_senders_.find(sender);
-  const bool sender_live = sender_hold != held_senders_.end() &&
-                           hold_is_live(sender_hold->second, now);
-  bool edge_live = false;
-  for (auto it = held_edges_.lower_bound({sender, 0});
-       it != held_edges_.end() && it->first.first == sender; ++it) {
-    if (hold_is_live(it->second, now)) {
-      edge_live = true;
-      break;
-    }
-  }
-  if (!sender_live && !edge_live) return;
+  const auto hold = held_senders_.find(sender);
+  if (hold == held_senders_.end() || !hold_is_live(hold->second, now)) return;
   out.densify();  // holds adjust individual entries
-  for (std::size_t i = 0; i < out.receivers.size(); ++i) {
-    Time release = 0;
-    if (sender_hold != held_senders_.end()) release = sender_hold->second;
-    if (const auto edge_hold = held_edges_.find({sender, out.receivers[i]});
-        edge_hold != held_edges_.end()) {
-      release = std::max(release, edge_hold->second);
-    }
-    Time& delay = out.delays[i];
+  const Time release = hold->second;
+  for (Time& delay : out.delays) {
     if (now + delay < release) delay = release - now;
     out.ack_delay = std::max(out.ack_delay, delay);
   }
@@ -123,69 +109,100 @@ void LossyScheduler::schedule_unreliable(
   }
 }
 
-void ScriptedScheduler::script(NodeId sender, std::size_t index,
-                               Time ack_delay,
-                               std::vector<std::pair<NodeId, Time>> delays) {
-  AMAC_EXPECTS(ack_delay >= 1);
-  for (const auto& [receiver, delay] : delays) {
-    AMAC_EXPECTS(delay >= 1 && delay <= ack_delay);
+Time canonicalize_script(std::vector<ScriptSlot>& slots,
+                         std::size_t node_count) {
+  std::erase_if(slots,
+                [&](const ScriptSlot& t) { return t.sender >= node_count; });
+  Time fack = 1;
+  for (ScriptSlot& t : slots) {
+    t.ack = std::max<Time>(t.ack, 1);
+    fack = std::max(fack, t.ack);
+    if (t.delays.empty()) {
+      t.recv = std::clamp<Time>(t.recv, 1, t.ack);
+      continue;
+    }
+    auto& delays = t.delays;
+    std::erase_if(delays,
+                  [&](const auto& d) { return d.first >= node_count; });
+    // A stable sort keeps each receiver's entries in listing order, so the
+    // last of each run is the later one, which wins.
+    std::stable_sort(delays.begin(), delays.end(), [](const auto& a,
+                                                      const auto& b) {
+      return a.first < b.first;
+    });
+    std::size_t kept = 0;
+    for (const auto& d : delays) {
+      if (kept > 0 && delays[kept - 1].first == d.first) --kept;
+      delays[kept++] = d;
+    }
+    delays.resize(kept);
+    t.recv = 1;
+    for (auto& [receiver, delay] : delays) {
+      delay = std::clamp<Time>(delay, 1, t.ack);
+      t.recv = std::max(t.recv, delay);
+    }
   }
-  max_ack_ = std::max(max_ack_, ack_delay);
-  script_[{sender, index}] = Entry{ack_delay, 0, std::move(delays)};
+  return fack;
 }
 
-void ScriptedScheduler::script_uniform(NodeId sender, std::size_t index,
+ScriptedScheduler::ScriptedScheduler(std::vector<ScriptSlot> slots,
+                                     std::size_t node_count) {
+  canonicalize_script(slots, node_count);
+  for (ScriptSlot& t : slots) add(std::move(t));
+}
+
+void ScriptedScheduler::script(NodeId sender, std::uint32_t index,
+                               Time ack_delay,
+                               std::vector<std::pair<NodeId, Time>> delays) {
+  AMAC_EXPECTS(sender != kNoNode && ack_delay >= 1);
+  for (const auto& [receiver, delay] : delays) {
+    AMAC_EXPECTS(receiver != kNoNode && delay >= 1 && delay <= ack_delay);
+  }
+  std::vector<ScriptSlot> slot{
+      {sender, index, ack_delay, 1, std::move(delays)}};
+  canonicalize_script(slot, kNoNode);  // sorts and dedupes; drops nothing
+  add(std::move(slot.front()));
+}
+
+void ScriptedScheduler::script_uniform(NodeId sender, std::uint32_t index,
                                        Time ack_delay, Time receive_delay) {
   AMAC_EXPECTS(ack_delay >= 1);
   AMAC_EXPECTS(receive_delay >= 1 && receive_delay <= ack_delay);
-  max_ack_ = std::max(max_ack_, ack_delay);
-  script_[{sender, index}] = Entry{ack_delay, receive_delay, {}};
+  add(ScriptSlot{sender, index, ack_delay, receive_delay, {}});
 }
 
-std::vector<ScriptedScheduler::SlotView> ScriptedScheduler::slots() const {
-  std::vector<SlotView> out;
-  out.reserve(script_.size());
-  for (const auto& [key, entry] : script_) {
-    SlotView v;
-    v.sender = key.first;
-    v.index = key.second;
-    v.ack_delay = entry.ack_delay;
-    v.uniform_delay = entry.uniform_delay;
-    v.listed_receivers = entry.delays.size();
-    out.push_back(v);
-  }
-  return out;
-}
-
-std::size_t ScriptedScheduler::broadcasts_issued(NodeId sender) const {
-  const auto it = broadcast_counts_.find(sender);
-  return it == broadcast_counts_.end() ? 0 : it->second;
+void ScriptedScheduler::add(ScriptSlot slot) {
+  max_ack_ = std::max(max_ack_, slot.ack);
+  const std::pair<NodeId, std::size_t> key{slot.sender, slot.index};
+  slots_.insert_or_assign(key, std::move(slot));
 }
 
 void ScriptedScheduler::schedule(NodeId sender, Time /*now*/,
                                  const std::vector<NodeId>& neighbors,
                                  BroadcastSchedule& out) {
   out.reset();
+  if (sender >= broadcast_counts_.size()) {
+    broadcast_counts_.resize(sender + 1, 0);
+  }
   const std::size_t index = broadcast_counts_[sender]++;
-  const auto it = script_.find({sender, index});
-  if (it == script_.end()) {
+  const auto it = slots_.find({sender, index});
+  if (it == slots_.end()) {
     out.ack_delay = 1;
     out.assign_uniform(neighbors, 1);
     return;
   }
-  const Entry& entry = it->second;
-  out.ack_delay = entry.ack_delay;
-  if (entry.uniform_delay > 0) {
+  const ScriptSlot& slot = it->second;
+  out.ack_delay = slot.ack;
+  if (slot.delays.empty()) {
     // Dense uniform slot: one shared delay, batch fan-out downstream.
-    out.assign_uniform(neighbors, entry.uniform_delay);
+    out.assign_uniform(neighbors, slot.recv);
     return;
   }
   for (const NodeId v : neighbors) {
-    Time delay = 1;
-    for (const auto& [receiver, d] : entry.delays) {
-      if (receiver == v) delay = d;
-    }
-    out.push(v, delay);
+    const auto listed = std::lower_bound(
+        slot.delays.begin(), slot.delays.end(), std::pair<NodeId, Time>{v, 0});
+    const bool found = listed != slot.delays.end() && listed->first == v;
+    out.push(v, found ? listed->second : 1);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "mac/scheduler.hpp"
 #include "util/rng.hpp"
@@ -69,13 +70,16 @@ class SkewedScheduler final : public Scheduler {
   std::uint64_t seed_;
 };
 
-/// Wraps a base scheduler and withholds deliveries on selected directed
-/// edges until a release tick. This is the shape of both partition
-/// adversaries in the paper: the §3.2 alpha_A scheduler (hold everything the
-/// bridge q sends) and the §3.3 semi-synchronous scheduler (hold everything
-/// the L_{D-1} endpoint w sends). Held deliveries also push the sender's ack
+/// Wraps a base scheduler and withholds every delivery of selected senders
+/// until a release tick. This is the shape of both partition adversaries in
+/// the paper: the §3.2 alpha_A scheduler (hold everything the bridge q
+/// sends) and the §3.3 semi-synchronous scheduler (hold everything the
+/// L_{D-1} endpoint w sends). Held deliveries also push the sender's ack
 /// past the release tick, which is legal: F_ack is finite but unknown to the
-/// nodes, so no node can detect the hold.
+/// nodes, so no node can detect the hold. To delay a single directed link
+/// instead, install a finite DropWindow{from, to, 0, release} in a
+/// LinkFaultPlan (link_faults.hpp): it defers that link's copies to the
+/// release tick and stretches the ack the same way.
 class HoldbackScheduler final : public Scheduler {
  public:
   HoldbackScheduler(std::unique_ptr<Scheduler> base, Time release)
@@ -85,52 +89,29 @@ class HoldbackScheduler final : public Scheduler {
 
   /// Withholds every delivery from `sender` (to any neighbor) until the
   /// scheduler's release tick.
-  void hold_sender(NodeId sender) {
-    held_senders_[sender] = release_;
-    fack_dirty_ = true;
-  }
+  void hold_sender(NodeId sender) { held_senders_[sender] = release_; }
 
   /// Same, with a per-sender release (staggered wake-ups).
   void hold_sender_until(NodeId sender, Time release) {
     held_senders_[sender] = release;
-    fack_dirty_ = true;
-  }
-
-  /// Withholds deliveries from `sender` to `receiver` until release.
-  void hold_edge(NodeId sender, NodeId receiver) {
-    held_edges_[{sender, receiver}] = release_;
-    fack_dirty_ = true;
   }
 
   void schedule(NodeId sender, Time now, const std::vector<NodeId>& neighbors,
                 BroadcastSchedule& out) override;
 
-  /// The effective bound: base F_ack plus the largest hold window. Cached —
-  /// the engine and experiment loops call fack() per broadcast, and
-  /// re-walking both hold maps there made a query of a static quantity
-  /// O(holds) per event.
+  /// The effective bound: base F_ack plus the latest release.
   [[nodiscard]] Time fack() const override {
-    if (fack_dirty_) {
-      Time latest = release_;
-      for (const auto& [sender, release] : held_senders_) {
-        latest = std::max(latest, release);
-      }
-      for (const auto& [edge, release] : held_edges_) {
-        latest = std::max(latest, release);
-      }
-      cached_fack_ = latest + base_->fack();
-      fack_dirty_ = false;
+    Time latest = release_;
+    for (const auto& [sender, release] : held_senders_) {
+      latest = std::max(latest, release);
     }
-    return cached_fack_;
+    return latest + base_->fack();
   }
 
  private:
   std::unique_ptr<Scheduler> base_;
   Time release_;
   std::map<NodeId, Time> held_senders_;
-  std::map<std::pair<NodeId, NodeId>, Time> held_edges_;
-  mutable Time cached_fack_ = 0;
-  mutable bool fack_dirty_ = true;
 };
 
 /// Receiver-side contention: a radio decodes one frame at a time, so each
@@ -201,57 +182,75 @@ class LossyScheduler final : public Scheduler {
   Time cutoff_ = kForever;
 };
 
+/// One scripted broadcast slot: the `index`-th broadcast (0-based) of
+/// `sender` acks after `ack` ticks. With `delays` empty the slot is uniform:
+/// every receiver hears it after `recv` ticks (the dense form the engine
+/// fans out as one run). Otherwise each listed (receiver, delay) pair
+/// overrides one receiver and unlisted receivers hear it after 1 tick.
+///
+/// canonicalize_script() is the one statement of what slots mean on a graph
+/// of `node_count` nodes, and ScriptedScheduler replays only its output:
+///   * a slot whose sender is not a node is dropped;
+///   * `ack` is at least 1;
+///   * listed receivers that are not nodes are dropped, delays are clamped
+///     into [1, ack], a receiver listed twice keeps its later delay, and the
+///     list is sorted by receiver; `recv` is then the largest listed delay,
+///     or 1 when the slot listed receivers but none is left (it is the
+///     uniform slot every unlisted receiver already gets);
+///   * a uniform slot's `recv` is clamped into [1, ack];
+///   * duplicate (sender, index) slots all stay; the later one is replayed;
+///   * the effective F_ack is the largest `ack` of any kept slot, and at
+///     least 1 (unscripted broadcasts run in synchronous rounds of 1).
+struct ScriptSlot {
+  NodeId sender = kNoNode;
+  std::uint32_t index = 0;  ///< which broadcast of the sender (0-based)
+  Time ack = 1;             ///< ack delay; >= recv and every listed delay
+  Time recv = 1;            ///< shared receive delay, in [1, ack]
+  /// Per-receiver (receiver, delay) overrides; empty means uniform `recv`.
+  std::vector<std::pair<NodeId, Time>> delays;
+};
+
+/// Rewrites `slots` into canonical form for a graph of `node_count` nodes
+/// (rules on ScriptSlot) and returns the effective F_ack.
+Time canonicalize_script(std::vector<ScriptSlot>& slots,
+                         std::size_t node_count);
+
 /// Fully scripted delays for exact adversarial timelines in tests,
 /// counterexample reproductions, and the fuzzer's timeline mutation: the
-/// i-th broadcast of a sender uses its scripted (ack delay, per-receiver
-/// delays); unscripted broadcasts fall back to synchronous rounds of
-/// length 1.
+/// i-th broadcast of a sender uses its scripted slot (see ScriptSlot);
+/// unscripted broadcasts fall back to synchronous rounds of length 1.
 class ScriptedScheduler final : public Scheduler {
  public:
   ScriptedScheduler() = default;
 
-  /// One scripted slot, as seen through the introspection API (tests read
-  /// these back; the fuzzer's timeline mutator edits Scenario::script).
-  struct SlotView {
-    NodeId sender = kNoNode;
-    std::size_t index = 0;      ///< which broadcast of the sender
-    Time ack_delay = 1;
-    Time uniform_delay = 0;     ///< nonzero: every receiver gets this delay
-    std::size_t listed_receivers = 0;  ///< per-receiver entries (0 if uniform)
-  };
+  /// Replays `slots` on a graph of `node_count` nodes after
+  /// canonicalize_script(), so any slot list (a spec line's included) is
+  /// accepted.
+  ScriptedScheduler(std::vector<ScriptSlot> slots, std::size_t node_count);
 
   /// Scripts the `index`-th broadcast (0-based) of `sender`. Receivers not
-  /// listed get delay 1. Requires ack_delay >= every listed delay.
-  void script(NodeId sender, std::size_t index, Time ack_delay,
+  /// listed get delay 1. Requires ack_delay >= every listed delay >= 1.
+  void script(NodeId sender, std::uint32_t index, Time ack_delay,
               std::vector<std::pair<NodeId, Time>> delays);
 
   /// Scripts the `index`-th broadcast of `sender` with ONE shared delay for
   /// every receiver — the dense uniform form (the engine queues it as one
   /// run-length calendar entry, so scripted timelines exercise the push_run
   /// path). Requires 1 <= receive_delay <= ack_delay.
-  void script_uniform(NodeId sender, std::size_t index, Time ack_delay,
+  void script_uniform(NodeId sender, std::uint32_t index, Time ack_delay,
                       Time receive_delay);
-
-  // --- introspection (tests) ---
-
-  [[nodiscard]] std::size_t slot_count() const { return script_.size(); }
-  /// Every scripted slot in deterministic (sender, index) order.
-  [[nodiscard]] std::vector<SlotView> slots() const;
-  /// How many broadcasts `sender` has issued so far (scripted or fallback).
-  [[nodiscard]] std::size_t broadcasts_issued(NodeId sender) const;
 
   void schedule(NodeId sender, Time now, const std::vector<NodeId>& neighbors,
                 BroadcastSchedule& out) override;
   [[nodiscard]] Time fack() const override { return max_ack_; }
 
  private:
-  struct Entry {
-    Time ack_delay = 1;
-    Time uniform_delay = 0;  ///< nonzero: uniform slot, delays ignored
-    std::vector<std::pair<NodeId, Time>> delays;
-  };
-  std::map<std::pair<NodeId, std::size_t>, Entry> script_;
-  std::map<NodeId, std::size_t> broadcast_counts_;
+  /// Indexes one canonical slot; a later slot replaces an earlier one.
+  void add(ScriptSlot slot);
+
+  std::map<std::pair<NodeId, std::size_t>, ScriptSlot> slots_;
+  /// sender -> broadcasts issued so far, grown on demand (dense node ids).
+  std::vector<std::size_t> broadcast_counts_;
   Time max_ack_ = 1;
 };
 

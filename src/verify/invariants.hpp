@@ -10,9 +10,10 @@
 // and responded counts acceptors whose log shows an affirmative response to
 // p. (responded(p) <= a(p), so this implies the lemma's invariant.)
 //
-// Lemma 4.4 (bounded tags): proposal-number tags stay polynomial in n; the
-// monitor tracks the largest tag and the per-node change-event counts that
-// bound it.
+// Lemma 4.4 (bounded tags): proposal-number tags stay polynomial in n. This
+// monitor does not track them: the largest tag and the change events that
+// bound it are ProtocolStats::max_round and ::change_events, read through
+// harness::collect_protocol_stats.
 //
 // Reliable-delivery caveat: Lemma 4.2's accounting assumes the abstract
 // MAC layer's delivery guarantee. Under a non-empty LinkFaultPlan a

@@ -172,11 +172,12 @@ TEST(FuzzSpec, PerReceiverScriptSlotsRoundTripExactly) {
 }
 
 TEST(FuzzSpec, PerReceiverDelaysAreCanonicalizedByNormalize) {
-  // normalize_scenario canonicalizes messy per-receiver lists the same
-  // way ScriptedScheduler resolves them: later entries win duplicates,
-  // out-of-range receivers are dropped, delays clamp into [1, ack], the
-  // list sorts by receiver, and recv becomes the maximum listed delay —
-  // so format/parse round-trips exactly on the result.
+  // normalize_scenario canonicalizes messy per-receiver lists through
+  // mac::canonicalize_script, the form ScriptedScheduler replays: later
+  // entries win duplicates, out-of-range receivers are dropped, delays
+  // clamp into [1, ack], the list sorts by receiver, and recv becomes the
+  // maximum listed delay — so format/parse round-trips exactly on the
+  // result.
   Scenario s = generate_scenario(1);
   s.algorithm = Algorithm::kFlooding;
   s.topology = TopologyKind::kClique;
@@ -204,6 +205,44 @@ TEST(FuzzSpec, PerReceiverDelaysAreCanonicalizedByNormalize) {
   const auto parsed = parse_spec(format_spec(s));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(format_spec(*parsed), format_spec(s));
+}
+
+TEST(FuzzSpec, NormalizedScriptReplaysAtTheParsedFingerprint) {
+  // Every shrink candidate is a normalized line, so normalizing must not
+  // change a run. Here each per-receiver slot lists only receivers outside
+  // the graph; such a slot replays as the uniform slot recv = 1 (what every
+  // unlisted receiver gets), and its normalized line must say so rather
+  // than keep the slot's old recv.
+  struct Case {
+    const char* spec;
+    const char* normalized_script;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {"amacfuzz1:seed=5:alg=flooding:topo=ring:n=4:aux=0:sched=scripted:"
+       "fack=4:late=0:in=alt:ids=identity:f=0:hz=1000000:script=0@0@4@9-3",
+       "0@0@4@1", 0x303d090613c611c1ULL},
+      {"amacfuzz1:seed=9:alg=wpaxos:topo=grid:n=9:aux=3:sched=scripted:"
+       "fack=6:late=0:in=alt:ids=perm:f=0:hz=1000000:"
+       "script=2@0@6@11-5+12-6,4@1@3@2",
+       "2@0@6@1,4@1@3@2", 0x2d995b1874195b96ULL},
+  };
+  for (const Case& c : cases) {
+    const auto parsed = parse_spec(c.spec);
+    ASSERT_TRUE(parsed.has_value()) << c.spec;
+    Scenario normalized = *parsed;
+    normalize_scenario(normalized);
+    const std::string line = format_spec(normalized);
+    const std::size_t at = line.find(":script=");
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::size_t from = at + std::string_view(":script=").size();
+    EXPECT_EQ(line.substr(from, line.find(':', from) - from),
+              c.normalized_script);
+    const RunReport as_parsed = run_scenario(*parsed);
+    EXPECT_EQ(as_parsed.fingerprint, c.fingerprint) << c.spec;
+    EXPECT_EQ(run_scenario(normalized).fingerprint, as_parsed.fingerprint)
+        << line;
+  }
 }
 
 TEST(FuzzMutation, DeterministicGivenRngState) {

@@ -224,19 +224,22 @@ TEST(EngineDifferential, CrashesMidBroadcast) {
 
 TEST(EngineDifferential, HoldbackFarFutureReleases) {
   // Releases far beyond the calendar wheel force the overflow heap and the
-  // overflow->wheel migration path; a far crash rides along.
+  // overflow->wheel migration path; a far crash rides along. Link 4 -> 5
+  // is held back to the same release by a finite drop window.
   const auto g = net::make_ring(8);
   const std::vector<CrashPlan> crashes{{3, 6500}};
-  expect_engines_agree(
+  LinkFaultPlan plan;
+  plan.windows.push_back(DropWindow{4, 5, 0, 6000});
+  const auto a = expect_engines_agree(
       g, probe_factory(3),
       [] {
         auto hold = std::make_unique<HoldbackScheduler>(
             std::make_unique<SynchronousScheduler>(1), /*release=*/6000);
         hold->hold_sender(0);
-        hold->hold_edge(4, 5);
         return hold;
       },
-      crashes, StopWhen::kQuiescent, 1000000);
+      crashes, StopWhen::kQuiescent, 1000000, nullptr, &plan);
+  EXPECT_GT(a.stats.overflow_pushes, 0u);
 }
 
 TEST(EngineDifferential, LateHoldsOverflowTheWheel) {
@@ -247,16 +250,17 @@ TEST(EngineDifferential, LateHoldsOverflowTheWheel) {
   // to the reference heap engine, which never saw a wheel at all.
   const auto g = net::make_ring(8);
   const std::vector<CrashPlan> crashes{{5, 7100}};
+  // Link 3 -> 4 is held back to the construction-time release (4) by a
+  // finite drop window.
+  LinkFaultPlan plan;
+  plan.windows.push_back(DropWindow{3, 4, 0, 4});
   const auto run_one = [&](auto net_tag) {
     using Net = typename decltype(net_tag)::type;
     auto hold = std::make_unique<HoldbackScheduler>(
         std::make_unique<SynchronousScheduler>(1), /*release=*/4);
-    return run_traced<Net>(g, probe_factory(3), *hold, crashes,
-                           StopWhen::kQuiescent, 1000000, nullptr, [&hold] {
-                             hold->hold_sender_until(1, 7000);
-                             // Uses the construction-time release (4).
-                             hold->hold_edge(3, 4);
-                           });
+    return run_traced<Net>(
+        g, probe_factory(3), *hold, crashes, StopWhen::kQuiescent, 1000000,
+        nullptr, [&hold] { hold->hold_sender_until(1, 7000); }, &plan);
   };
   const auto a = run_one(std::type_identity<Network>{});
   const auto b = run_one(std::type_identity<ReferenceNetwork>{});

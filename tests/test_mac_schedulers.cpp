@@ -109,9 +109,8 @@ TEST(Schedulers, HoldbackLeavesOthersSynchronous) {
 }
 
 TEST(Schedulers, HoldbackPreservesUniformFastPathWhenNoHoldApplies) {
-  // No hold names this sender and no edge holds exist: the base's dense
-  // uniform schedule must pass through untouched (the engine's batch
-  // fan-out depends on it).
+  // No hold names this sender: the base's dense uniform schedule must pass
+  // through untouched (the engine's batch fan-out depends on it).
   auto base = std::make_unique<SynchronousScheduler>(2);
   HoldbackScheduler sched(std::move(base), 50);
   sched.hold_sender(7);
@@ -128,36 +127,10 @@ TEST(Schedulers, HoldbackRestoresUniformFastPathAfterRelease) {
   auto base = std::make_unique<SynchronousScheduler>(1);
   HoldbackScheduler sched(std::move(base), /*release=*/20);
   sched.hold_sender(0);
-  sched.hold_edge(0, 2);
   EXPECT_FALSE(sched.make_schedule(0, 10, kNeighbors).uniform);  // live hold
   const auto after = sched.make_schedule(0, /*now=*/30, kNeighbors);
   EXPECT_TRUE(after.uniform);
   EXPECT_EQ(after.uniform_delay, 1u);
-}
-
-TEST(Schedulers, HoldbackEdgeHoldOnOtherSenderKeepsFastPath) {
-  // A live edge hold belonging to a DIFFERENT sender must not densify this
-  // sender's schedule.
-  auto base = std::make_unique<SynchronousScheduler>(1);
-  HoldbackScheduler sched(std::move(base), /*release=*/20);
-  sched.hold_edge(5, 1);
-  const auto s = sched.make_schedule(0, 0, kNeighbors);
-  EXPECT_TRUE(s.uniform);
-  EXPECT_EQ(s.ack_delay, 1u);
-}
-
-TEST(Schedulers, HoldbackEdgeGranularity) {
-  auto base = std::make_unique<SynchronousScheduler>(1);
-  HoldbackScheduler sched(std::move(base), 20);
-  sched.hold_edge(0, 2);
-  const auto s = sched.make_schedule(0, 0, kNeighbors);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s.receivers[i] == 2) {
-      EXPECT_EQ(s.delay(i), 20u);
-    } else {
-      EXPECT_EQ(s.delay(i), 1u);
-    }
-  }
 }
 
 TEST(Schedulers, HoldbackNoEffectAfterRelease) {
@@ -195,23 +168,6 @@ TEST(Schedulers, HoldbackReleaseBoundaryOneTickLaterStretches) {
   EXPECT_EQ(s.ack_delay, 2u);
 }
 
-TEST(Schedulers, HoldbackEdgeHoldBoundaryAtNowPlusOneKeepsFastPath) {
-  // Same exact boundary for per-edge holds: an edge hold releasing at
-  // now + 1 must neither stretch the held edge nor densify the schedule.
-  auto base = std::make_unique<SynchronousScheduler>(1);
-  HoldbackScheduler sched(std::move(base), /*release=*/6);
-  sched.hold_edge(0, 2);
-  const auto at_boundary = sched.make_schedule(0, /*now=*/5, kNeighbors);
-  EXPECT_TRUE(at_boundary.uniform);
-  EXPECT_EQ(at_boundary.ack_delay, 1u);
-  // One tick earlier the same hold is live and stretches exactly edge 0->2.
-  const auto live = sched.make_schedule(0, /*now=*/4, kNeighbors);
-  EXPECT_FALSE(live.uniform);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live.delay(i), live.receivers[i] == 2 ? 2u : 1u);
-  }
-}
-
 TEST(Schedulers, HoldbackDeliveryAlreadyPastReleaseIsNotStretched) {
   // A live hold must stretch only the deliveries that would land BEFORE
   // the release; a base delay that already reaches it stays untouched.
@@ -223,17 +179,17 @@ TEST(Schedulers, HoldbackDeliveryAlreadyPastReleaseIsNotStretched) {
   EXPECT_EQ(s.ack_delay, 7u);
 }
 
-TEST(Schedulers, HoldbackFackCachedAndInvalidated) {
+TEST(Schedulers, HoldbackFackTracksLatestRelease) {
   auto base = std::make_unique<SynchronousScheduler>(3);
   HoldbackScheduler sched(std::move(base), /*release=*/20);
   EXPECT_EQ(sched.fack(), 23u);  // release + base fack
   sched.hold_sender_until(1, 100);
-  EXPECT_EQ(sched.fack(), 103u);  // cache invalidated by the new hold
-  sched.hold_edge(0, 2);          // release 20: does not raise the max
+  EXPECT_EQ(sched.fack(), 103u);  // a later hold raises the bound
+  sched.hold_sender(0);           // release 20: does not raise the max
   EXPECT_EQ(sched.fack(), 103u);
   sched.hold_sender_until(2, 500);
   EXPECT_EQ(sched.fack(), 503u);
-  EXPECT_EQ(sched.fack(), 503u);  // stable on repeated (cached) queries
+  EXPECT_EQ(sched.fack(), 503u);  // stable on repeated queries
 }
 
 TEST(Schedulers, ScratchScheduleReusesCapacity) {
@@ -324,36 +280,65 @@ TEST(Schedulers, ScriptedUniformSlotIsDenseUniform) {
   expect_within_contract(s, sched.fack());
 }
 
-TEST(Schedulers, ScriptedSlotIntrospection) {
-  // The fuzzer's timeline mutator reads slots back: deterministic
-  // (sender, index) order, uniform vs per-receiver form distinguished,
-  // per-sender issue counters exposed.
-  ScriptedScheduler sched;
-  sched.script_uniform(2, 1, 9, 4);
-  sched.script(0, 0, 5, {{1, 2}, {2, 5}});
-  sched.script_uniform(0, 3, 6, 6);
+TEST(Schedulers, ScriptCanonicalizationRules) {
+  // Every rule of canonicalize_script on one messy list for a 4-node
+  // graph: the canonical vector is what the scheduler replays.
+  std::vector<ScriptSlot> slots{
+      {9, 0, 5, 1, {}},                                // sender not a node
+      {0, 0, 0, 3, {}},                                // ack 0, recv > ack
+      {1, 2, 4, 1, {{3, 9}, {7, 1}, {2, 0}, {3, 2}}},  // messy receivers
+      {2, 1, 6, 4, {{8, 3}}},                          // no receiver left
+      {0, 0, 3, 2, {}},                                // duplicate of slot 2
+  };
+  EXPECT_EQ(canonicalize_script(slots, 4), 6u);  // largest ack kept
+  ASSERT_EQ(slots.size(), 4u);
+  EXPECT_EQ(slots[0].ack, 1u);
+  EXPECT_EQ(slots[0].recv, 1u);
+  // Receiver 7 dropped, 2's delay clamped up to 1, 3 listed twice keeps
+  // its later delay (not the larger), sorted; recv is the largest left.
+  EXPECT_EQ(slots[1].delays,
+            (std::vector<std::pair<NodeId, Time>>{{2, 1}, {3, 2}}));
+  EXPECT_EQ(slots[1].recv, 2u);
+  // Listed receivers, none left: the uniform slot unlisted receivers get.
+  EXPECT_TRUE(slots[2].delays.empty());
+  EXPECT_EQ(slots[2].recv, 1u);
+  EXPECT_EQ(slots[3].ack, 3u);  // duplicates stay in the vector
 
-  ASSERT_EQ(sched.slot_count(), 3u);
-  const auto slots = sched.slots();
-  ASSERT_EQ(slots.size(), 3u);
-  EXPECT_EQ(slots[0].sender, 0u);
-  EXPECT_EQ(slots[0].index, 0u);
-  EXPECT_EQ(slots[0].ack_delay, 5u);
-  EXPECT_EQ(slots[0].uniform_delay, 0u);
-  EXPECT_EQ(slots[0].listed_receivers, 2u);
-  EXPECT_EQ(slots[1].sender, 0u);
-  EXPECT_EQ(slots[1].index, 3u);
-  EXPECT_EQ(slots[1].uniform_delay, 6u);
-  EXPECT_EQ(slots[2].sender, 2u);
-  EXPECT_EQ(slots[2].index, 1u);
-  EXPECT_EQ(slots[2].uniform_delay, 4u);
+  // An empty list keeps the synchronous fallback's bound.
+  std::vector<ScriptSlot> none;
+  EXPECT_EQ(canonicalize_script(none, 4), 1u);
+}
+
+TEST(Schedulers, ScriptedSchedulerReplaysCanonicalSlots) {
+  // Built from raw slots, the scheduler replays their canonical form: the
+  // later duplicate wins, broadcasts are counted per sender, and fack() is
+  // canonicalize_script's bound (the overridden slot's ack included).
+  ScriptedScheduler sched(
+      {{2, 1, 9, 4, {}},
+       {0, 0, 5, 1, {{2, 5}, {1, 2}, {6, 3}}},
+       {0, 1, 8, 8, {}},
+       {0, 1, 6, 6, {}},
+       {7, 0, 30, 1, {}}},
+      /*node_count=*/4);
   EXPECT_EQ(sched.fack(), 9u);
 
-  EXPECT_EQ(sched.broadcasts_issued(0), 0u);
-  (void)sched.make_schedule(0, 0, kNeighbors);
-  (void)sched.make_schedule(0, 1, kNeighbors);
-  EXPECT_EQ(sched.broadcasts_issued(0), 2u);
-  EXPECT_EQ(sched.broadcasts_issued(2), 0u);
+  const auto s0 = sched.make_schedule(0, 0, kNeighbors);
+  EXPECT_FALSE(s0.uniform);
+  EXPECT_EQ(s0.ack_delay, 5u);
+  EXPECT_EQ(all_delays(s0), (std::vector<Time>{2, 5, 1}));  // 3 unlisted
+  const auto s1 = sched.make_schedule(0, 1, kNeighbors);
+  EXPECT_TRUE(s1.uniform);
+  EXPECT_EQ(s1.ack_delay, 6u);
+  EXPECT_EQ(s1.uniform_delay, 6u);
+  const auto s2 = sched.make_schedule(0, 2, kNeighbors);  // unscripted
+  EXPECT_TRUE(s2.uniform);
+  EXPECT_EQ(s2.ack_delay, 1u);
+
+  // Node 2's broadcast 0 is unscripted; its broadcast 1 is the slot.
+  EXPECT_EQ(sched.make_schedule(2, 0, kNeighbors).ack_delay, 1u);
+  const auto t1 = sched.make_schedule(2, 1, kNeighbors);
+  EXPECT_EQ(t1.ack_delay, 9u);
+  EXPECT_EQ(t1.uniform_delay, 4u);
 }
 
 TEST(Schedulers, ScriptedUniformSlotOverwriteIsLaterWins) {
@@ -363,7 +348,6 @@ TEST(Schedulers, ScriptedUniformSlotOverwriteIsLaterWins) {
   ScriptedScheduler sched;
   sched.script_uniform(0, 0, 4, 2);
   sched.script_uniform(0, 0, 8, 5);
-  ASSERT_EQ(sched.slot_count(), 1u);
   const auto s = sched.make_schedule(0, 0, kNeighbors);
   EXPECT_EQ(s.ack_delay, 8u);
   for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(s.delay(i), 5u);
