@@ -454,5 +454,82 @@ TEST(FuzzShrinker, DropsIrrelevantCrashes) {
   EXPECT_LT(shrunk.scenario.n, bloated.n);
 }
 
+TEST(FuzzShrinker, PinnedShrinkOutputs) {
+  // The exact minimal spec of each shrink, so a change to the shrinker's
+  // candidates or value walks shows up as a changed line. An output may
+  // only get shorter: a longer minimal repro is a regression.
+  struct Pin {
+    const char* input;
+    std::size_t budget;
+    const char* minimal;
+  };
+  const Pin pins[] = {
+      // Scripted slots: every slot's recv, ack and per-receiver delays walk
+      // toward their targets (ack toward the just-shrunk recv).
+      {"amacfuzz1:seed=1:alg=anonymous:topo=line:n=5:aux=0:sched=scripted:"
+       "fack=20:late=0:in=split:ids=identity:f=0:hz=1000000:"
+       "script=0@0@20@18,0@1@20@19,1@0@12@2-9+3-7,3@0@9@4",
+       400,
+       "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=scripted:"
+       "fack=3:late=0:in=split:ids=identity:f=0:hz=1000000:script=0@0@3@3"},
+      // A drop rate and two finite windows: the rate walks toward 0 and the
+      // surviving window's end toward its start + 1.
+      {"amacfuzz1:seed=1:alg=anonymous:topo=line:n=5:aux=0:sched=sync:"
+       "fack=3:late=0:in=split:ids=identity:f=0:hz=1000000:"
+       "drop=300:faults=0@1@0@400,3@4@5@90",
+       400,
+       "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=sync:"
+       "fack=1:late=0:in=split:ids=identity:f=0:hz=1000000:faults=0@1@0@3"},
+      // The inputs of StripsFaultNoiseToTheMinimalPlan,
+      // MinimizesAgreementCounterexample, DropsIrrelevantCrashes (its
+      // bloated scenario, normalized) and
+      // MinimizesHoldReleaseToExactThreshold.
+      {"amacfuzz1:seed=1:alg=anonymous:topo=line:n=5:aux=0:sched=sync:"
+       "fack=3:late=0:in=split:ids=identity:f=0:hz=1000000:"
+       "dup=200:faults=0@1@0@inf,3@4@5@90,2@1@10@60,4@3@0@40",
+       150,
+       "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=sync:"
+       "fack=1:late=0:in=split:ids=identity:f=0:hz=1000000:faults=0@1@0@inf"},
+      {"amacfuzz1:seed=1:alg=anonymous:topo=ring:n=8:aux=0:sched=holdback:"
+       "fack=3:late=0:in=alt:ids=identity:f=0:hz=1000000:"
+       "holds=0@400,2@400,4@400,6@400",
+       150,
+       "amacfuzz1:seed=1:alg=anonymous:topo=ring:n=3:aux=0:sched=holdback:"
+       "fack=1:late=0:in=alt:ids=identity:f=0:hz=1000000:holds=0@3,2@3"},
+      {"amacfuzz1:seed=1:alg=anonymous:topo=line:n=6:aux=0:sched=holdback:"
+       "fack=2:late=0:in=split:ids=identity:f=0:hz=1000000:"
+       "crashes=2@9000:holds=0@300,1@300,2@300",
+       150,
+       "amacfuzz1:seed=1:alg=anonymous:topo=line:n=4:aux=0:sched=holdback:"
+       "fack=1:late=0:in=split:ids=identity:f=0:hz=1000000:holds=2@4"},
+      {"amacfuzz1:seed=1:alg=anonymous:topo=ring:n=8:aux=0:sched=holdback:"
+       "fack=3:late=0:in=alt:ids=identity:f=0:hz=1000000:"
+       "holds=0@400,2@400,4@400,6@400",
+       400,
+       "amacfuzz1:seed=1:alg=anonymous:topo=ring:n=3:aux=0:sched=holdback:"
+       "fack=1:late=0:in=alt:ids=identity:f=0:hz=1000000:holds=0@3,2@3"},
+  };
+  for (const Pin& pin : pins) {
+    const auto scenario = parse_spec(pin.input);
+    ASSERT_TRUE(scenario.has_value()) << pin.input;
+    const ShrinkResult shrunk =
+        shrink_scenario(*scenario, FailureKind::kAgreement, pin.budget);
+    EXPECT_EQ(format_spec(shrunk.scenario), pin.minimal) << pin.input;
+  }
+
+  // An expected counterexample (ROADMAP 2.1): stability's kEnvelopes row
+  // roams every topology, though the algorithm is correct only on a
+  // standalone line under sync (Theorem 3.9's strawman). The generator's
+  // seed 30047583 puts it on a geometric graph, where it breaks agreement.
+  const Scenario stability = generate_scenario(30047583);
+  const RunReport r = run_scenario(stability);
+  ASSERT_EQ(r.failure, FailureKind::kAgreement) << r.detail;
+  EXPECT_EQ(r.end_time, 30u);
+  EXPECT_EQ(
+      format_spec(shrink_scenario(stability, FailureKind::kAgreement).scenario),
+      "amacfuzz1:seed=30047583:alg=stability:topo=geo:n=12:aux=0:sched=sync:"
+      "fack=1:late=0:in=alt:ids=perm:f=0:hz=1000000");
+}
+
 }  // namespace
 }  // namespace amac::fuzz
