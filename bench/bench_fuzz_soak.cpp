@@ -260,8 +260,11 @@ int run_soak_cli(const CliOptions& cli) {
   }
   if (options.log_every != 0 || result.log_scenarios > 0) {
     // log_scenarios counts family MEMBERSHIP (promoted + mutated-in +
-    // corpus pre-seeds), so it can be nonzero with --log-every 0.
-    std::printf("  log-service scenarios: %zu (every %zu)\n",
+    // corpus pre-seeds), so it can be nonzero with --log-every 0. The
+    // family never replays on the reference engine, and those runs are not
+    // counted as differential skips.
+    std::printf("  log-service scenarios: %zu (every %zu; never replayed "
+                "differentially)\n",
                 result.log_scenarios, options.log_every);
   }
   if (result.differential_skipped > 0) {

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -243,8 +244,8 @@ const char* failure_name(FailureKind k) {
 RunReport run_scenario(const Scenario& s, const RunOptions& options) {
   // The log-service family runs a whole replicated log, not a one-shot
   // instance; its report is synthesized from the service's own oracle plus
-  // the log-prefix check, and differential replay never applies (callers
-  // must not request it — the soak loop skips and counts those).
+  // the log-prefix check, and differential replay never applies (the soak
+  // loop never requests it).
   if (s.log_ops > 0) return run_log_scenario(s);
 
   RunReport r = run_on_engine<mac::Network>(s);
@@ -414,6 +415,29 @@ namespace {
     normalize_scenario(cand);
     if (format_spec(cand) != spec) out.push_back(std::move(cand));
   };
+  /// Each field's jump to its target, halving and decrement (leaving the
+  /// log family is log_ops' jump).
+  const auto steps = [&](std::span<const NumericField> fields) {
+    for (const NumericField& f : fields) {
+      for (std::size_t i = 0; i < f.count(s); ++i) {
+        const mac::Time v = f.get(s, i);
+        const mac::Time target = f.target.at(s, i);
+        if (f.forever && v == mac::kForever) continue;
+        mac::Time last = v;  // a step repeating the previous one adds nothing
+        for (const auto& [kind, to] : {std::pair{kShrinkJump, target},
+                                       std::pair{kShrinkHalve, v / 2},
+                                       std::pair{kShrinkDecrement, v - 1}}) {
+          if ((f.shrink & kind) == 0 || to < target || to >= v || to == last) {
+            continue;
+          }
+          Scenario cand = s;
+          f.set(cand, i, to);
+          add(std::move(cand));
+          last = to;
+        }
+      }
+    }
+  };
   const auto drop_each = [&](auto member) {
     for (std::size_t i = 0; i < (s.*member).size(); ++i) {
       Scenario cand = s;
@@ -422,41 +446,14 @@ namespace {
       add(std::move(cand));
     }
   };
-  const auto halve = [&](std::uint32_t Scenario::*member) {
-    if (s.*member > 1) {
-      Scenario cand = s;
-      cand.*member = s.*member / 2;
-      add(std::move(cand));
-    }
-  };
   // Biggest reductions first: the greedy loop restarts after every
-  // acceptance, so early wins compound.
-  if (s.n >= 4) {
-    Scenario cand = s;
-    cand.n = s.n / 2;
-    add(std::move(cand));
-  }
-  if (s.n >= 3) {
-    Scenario cand = s;
-    cand.n = s.n - 1;
-    add(std::move(cand));
-  }
+  // acceptance, so early wins compound. n leads the table.
+  steps(numeric_fields().first(1));
   drop_each(&Scenario::crashes);
   drop_each(&Scenario::holds);
   drop_each(&Scenario::script);
-  // Fault-plan reduction toward the empty plan: drop each window, zero
-  // each rate, and collapse per-receiver script slots back to uniform.
   drop_each(&Scenario::faults);
-  if (s.drop_rate_bp != 0) {
-    Scenario cand = s;
-    cand.drop_rate_bp = 0;
-    add(std::move(cand));
-  }
-  if (s.dup_rate_bp != 0) {
-    Scenario cand = s;
-    cand.dup_rate_bp = 0;
-    add(std::move(cand));
-  }
+  // Per-receiver script slots collapse back to uniform, or lose a receiver.
   for (std::size_t i = 0; i < s.script.size(); ++i) {
     if (s.script[i].delays.empty()) continue;
     Scenario cand = s;
@@ -469,28 +466,7 @@ namespace {
       add(std::move(cand));
     }
   }
-  if (s.fack > 1) {
-    Scenario cand = s;
-    cand.fack = s.fack / 2;
-    add(std::move(cand));
-    cand = s;
-    cand.fack = s.fack - 1;
-    add(std::move(cand));
-  }
-  // Log-service knobs. Leaving the family entirely (log_ops = 0) is the
-  // biggest reduction when the failure isn't service-specific; the halving
-  // probes use normalize's [1, ...] floors, deliberately below the mutation
-  // envelope's — a minimal repro may be smaller than anything the soak
-  // would generate.
-  if (s.log_ops > 0) {
-    Scenario cand = s;
-    cand.log_ops = 0;
-    add(std::move(cand));
-    halve(&Scenario::log_ops);
-    halve(&Scenario::log_batch);
-    halve(&Scenario::log_window);
-    halve(&Scenario::log_lease);
-  }
+  steps(numeric_fields().subspan(1));
   return out;
 }
 
@@ -521,21 +497,25 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
     return rep;
   };
 
-  /// Phase 2 worker: binary search for the smallest value in [floor,
-  /// current) that still reproduces the failure, committing every
-  /// successful probe. For monotone failures the committed value is the
-  /// exact threshold: one less provably does not reproduce.
-  const auto minimize_value =
-      [&](mac::Time floor, mac::Time current,
-          const std::function<void(Scenario&, mac::Time)>& set) -> bool {
+  /// Phase 2 worker: binary search for the smallest value of item `i` of
+  /// `f` in [target, current) that still reproduces the failure, committing
+  /// every successful probe (for monotone failures, one less provably does
+  /// not reproduce). A probe that normalize puts back to the current value
+  /// (a derived one, such as fack under kScripted) is not run.
+  const auto minimize_value = [&](const NumericField& f, std::size_t i) {
     bool reduced = false;
-    mac::Time lo = floor;
-    mac::Time hi = current;
+    mac::Time lo = f.target.at(res.scenario, i);
+    mac::Time hi = f.get(res.scenario, i);
+    if (f.forever && hi == mac::kForever) return false;
     while (lo < hi && res.attempts < max_attempts) {
       const mac::Time mid = lo + (hi - lo) / 2;
       Scenario cand = res.scenario;
-      set(cand, mid);
+      f.set(cand, i, mid);
       normalize_scenario(cand);
+      if (f.get(cand, i) == f.get(res.scenario, i)) {
+        hi = mid;
+        continue;
+      }
       if (auto rep = try_candidate(cand)) {
         res.scenario = std::move(cand);
         res.report = std::move(*rep);
@@ -570,68 +550,15 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
       }
     }
 
-    // Phase 2: schedule-space value minimization over what survived.
-    // Value edits never change entry counts, so indexing by position is
-    // stable across the pass; a successful pass loops back to phase 1
-    // (a smaller release can unlock further structural drops).
-    for (std::size_t i = 0; i < res.scenario.holds.size(); ++i) {
-      progress |= minimize_value(
-          0, res.scenario.holds[i].release,
-          [i](Scenario& c, mac::Time v) { c.holds[i].release = v; });
-    }
-    for (std::size_t i = 0; i < res.scenario.crashes.size(); ++i) {
-      progress |= minimize_value(
-          0, res.scenario.crashes[i].when,
-          [i](Scenario& c, mac::Time v) { c.crashes[i].when = v; });
-    }
-    // Scripted slots: receive delay toward 1, then ack toward the (possibly
-    // just-shrunk) receive delay — normalize keeps recv <= ack throughout.
-    for (std::size_t i = 0; i < res.scenario.script.size(); ++i) {
-      progress |= minimize_value(
-          1, res.scenario.script[i].recv,
-          [i](Scenario& c, mac::Time v) { c.script[i].recv = v; });
-      progress |= minimize_value(
-          res.scenario.script[i].recv, res.scenario.script[i].ack,
-          [i](Scenario& c, mac::Time v) { c.script[i].ack = v; });
-      // Per-receiver listed delays toward 1 (position-stable: normalize
-      // keeps them receiver-sorted and receivers are unique).
-      for (std::size_t j = 0; j < res.scenario.script[i].delays.size();
-           ++j) {
-        progress |= minimize_value(
-            1, res.scenario.script[i].delays[j].second,
-            [i, j](Scenario& c, mac::Time v) {
-              c.script[i].delays[j].second = v;
-            });
+    // Phase 2: every searchable numeric field toward its target, over what
+    // survived. Value edits never change entry counts, so indexing by
+    // position is stable across the pass; a successful pass loops back to
+    // phase 1 (a smaller release can unlock further structural drops).
+    for (const NumericField& f : numeric_fields()) {
+      if ((f.shrink & kShrinkSearch) == 0) continue;
+      for (std::size_t i = 0; i < f.count(res.scenario); ++i) {
+        progress |= minimize_value(f, i);
       }
-    }
-    // Fault plans: rates binary-search toward 0 (the fault-free envelope),
-    // finite drop windows narrow toward a single tick. kForever windows
-    // carry no searchable value; phase 1's removal candidates cover them.
-    progress |= minimize_value(0, res.scenario.drop_rate_bp,
-                               [](Scenario& c, mac::Time v) {
-                                 c.drop_rate_bp =
-                                     static_cast<std::uint32_t>(v);
-                               });
-    progress |= minimize_value(0, res.scenario.dup_rate_bp,
-                               [](Scenario& c, mac::Time v) {
-                                 c.dup_rate_bp =
-                                     static_cast<std::uint32_t>(v);
-                               });
-    for (std::size_t i = 0; i < res.scenario.faults.size(); ++i) {
-      const mac::Time from = res.scenario.faults[i].from_tick;
-      const mac::Time until = res.scenario.faults[i].until_tick;
-      if (until == mac::kForever) continue;
-      progress |= minimize_value(
-          from + 1, until,
-          [i](Scenario& c, mac::Time v) { c.faults[i].until_tick = v; });
-    }
-    // Scripted scenarios derive fack from their slots (normalize), so a
-    // direct fack probe would re-run an identical spec; the slot passes
-    // above already minimized it.
-    if (res.scenario.scheduler != SchedulerKind::kScripted) {
-      progress |= minimize_value(
-          1, res.scenario.fack,
-          [](Scenario& c, mac::Time v) { c.fack = v; });
     }
   }
   return res;
@@ -762,22 +689,17 @@ Shard run_shard(const SoakOptions& options, std::size_t first,
     }
 
     RunOptions run_options;
+    // The log-service family never replays on the frozen reference engine
+    // (run_log_scenario says why), so its runs are never due. Size-aware
+    // sampling: the reference engine scans all n^2 pending slots per
+    // delivery, so replaying a 4096-node scenario there would dominate the
+    // soak. Size skips are counted, never silent.
     const bool diff_due = options.differential_every != 0 &&
-                          i % options.differential_every == 0;
-    // Size-aware sampling: the frozen reference engine scans all n^2
-    // pending slots per delivery, so replaying a 4096-node scenario there
-    // would dominate the soak. Skips are counted, never silent.
+                          i % options.differential_every == 0 &&
+                          s.log_ops == 0;
     const bool diff_too_large = s.n > kDifferentialMaxN;
-    // The log-service family cannot replay on the frozen reference engine:
-    // ReplicatedLog is written against mac::Network, launching slot
-    // instances mid-run and retiring them, and the reference engine adds
-    // instances only before a run and never retires them. Count those
-    // skips with the size-based ones.
-    const bool diff_log = s.log_ops > 0;
-    run_options.differential = diff_due && !diff_too_large && !diff_log;
-    if (diff_due && (diff_too_large || diff_log)) {
-      ++result.differential_skipped;
-    }
+    run_options.differential = diff_due && !diff_too_large;
+    if (diff_due && diff_too_large) ++result.differential_skipped;
     const RunReport report = run_scenario(s, run_options);
 
     ++result.runs;

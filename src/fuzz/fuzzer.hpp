@@ -35,85 +35,59 @@
 //   ./bench_fuzz_soak --replay 42          # bare seed = generated scenario
 //
 // Coverage-steered mutation: every run folds its EngineStats, its
-// mac::ProtocolStats, and its run shape into a CoverageSignature (which
-// queue paths ran, how far the run went, crash/hold interaction bits — and
-// the PROTOCOL dimensions: round/phase depth, Ben-Or coin-flip depth,
-// wPAXOS proposal/change traffic, gather progress, all in the same
-// quarter-log buckets). Scenarios that produce a signature never seen
-// before enter a bounded in-memory corpus, and with
+// mac::ProtocolStats, and its run shape into a CoverageSignature.
+// Scenarios that produce a signature never seen before enter a bounded
+// in-memory corpus, and with
 //
 //   ./bench_fuzz_soak --count 20000 --mutate 0.35
 //
 // that fraction of runs is spent mutating corpus entries instead of blind
 // generation. Mutation bases are RARITY-WEIGHTED (CoverageCorpus::
-// select_base): an entry is drawn with probability inverse to how often
-// its signature has been hit across the soak, so the budget concentrates
-// on the thinly-explored frontier. The op set perturbs one fack/release/
-// crash tick, adds/drops/retimes a hold, splices the topology+scheduler
-// of two entries — and, since signature-space v2, perturbs SCRIPTED
-// TIMELINES: kScriptTimeline converts a base into a ScriptedScheduler
-// scenario with drawn per-broadcast slots, and retime/swap/duplicate/drop
-// ops then rearrange those slots, so the paper's hand-built
-// counterexample orderings (Theorem 3.3-style) are inside the search
-// space. Mutants are clamped back into each algorithm's guarantee
+// select_base), so the budget concentrates on the thinly-explored
+// frontier. The ops (fuzz::MutationOp) edit ticks, holds, crashes,
+// transports, fault plans and SCRIPTED TIMELINES, so the paper's
+// hand-built counterexample orderings (Theorem 3.3-style) are inside the
+// search space. Mutants are clamped back into each algorithm's guarantee
 // envelope (clamp_to_envelope; inside_envelope() checks the fixpoint), so
 // a mutant violation is always a real bug. The soak summary prints the
-// coverage table ("distinct coverage signatures: N" plus engine-only /
-// protocol-dimension splits); CI asserts the mutating soak strictly
-// widens full-signature AND protocol-dimension coverage over pure
-// generation at the same budget, and that the full signature count
-// strictly exceeds its engine-only projection.
+// coverage table; CI asserts the mutating soak strictly widens
+// full-signature AND protocol-dimension coverage over pure generation at
+// the same budget, and that the full signature count strictly exceeds its
+// engine-only projection.
 //
 // Unreliable links (signature-space v3): a scenario may carry a
-// mac::LinkFaultPlan — global drop/duplicate rates in basis points and
-// per-link drop windows. Spec grammar: `:drop=150` / `:dup=50` (parts per
-// 10000, omitted when zero) and `:faults=from@to@start@until,...` where
-// `until` is a tick (transient outage: deliveries in [start, until) are
-// DEFERRED to until, the ack stretching past them) or `inf` (permanent
-// cut: copies are lost outright). Every drop/duplicate decision is a pure
-// seed-salted hash of (broadcast, sender, receiver), so faulted runs
-// replay bit-identically on BOTH engines and differential sampling keeps
-// working under faults. The generator never draws faults — they enter
-// through the fault mutation ops (add/remove/widen/narrow a drop window,
-// perturb rates), the soak-wide --fault-rate/--dup-rate floors, and
-// hand-written specs — so the pinned seed-only corpus digest is untouched
-// by their existence.
+// mac::LinkFaultPlan — global drop/duplicate rates and per-link drop
+// windows (spec tokens on Scenario and FaultSpec). Every drop/duplicate
+// decision is a pure seed-salted hash of (broadcast, sender, receiver), so
+// faulted runs replay bit-identically on BOTH engines and differential
+// sampling keeps working under faults. Faults enter through mutation, the
+// soak-wide --fault-rate/--dup-rate floors and hand-written specs, never
+// the generator, so the pinned seed-only corpus digest is untouched.
 //
-// Bounded-loss envelope rules (clamp_to_envelope): synchronous-only
-// algorithms get no faults at all; the others keep deferral faults (finite
-// windows) always, and permanent loss and duplicate rates only where their
-// kEnvelopes row marks them safe (two-phase: no permanent loss; wPAXOS: no
-// duplicates). Termination is demanded only of fault-free or
-// deferral-only scenarios (rates zero, every window finite);
-// agreement/validity stay demanded ALWAYS. The Lemma 4.2 monitor assumes
-// reliable delivery, so it is gated off whenever the plan is non-empty.
-// The drop/duplicate magnitudes join the coverage signature as two
-// saturated log4 buckets, and the shrinker reduces fault plans toward the
-// empty plan (drop windows removed, rates binary-searched toward 0) before
-// value-minimizing what survives.
+// Mutants take faults only where their kEnvelopes row keeps safety
+// (clamp_to_envelope); termination is demanded only of fault-free or
+// deferral-only scenarios (termination_expected), agreement/validity
+// ALWAYS. The Lemma 4.2 monitor assumes reliable delivery, so it is gated
+// off whenever the plan is non-empty. The drop/duplicate magnitudes join
+// the coverage signature as two saturated log4 buckets.
 //
 // Large topologies (signature-space v4): `--large-every K --large-n N`
 // promotes every K-th generated scenario to an N-node counterpart
-// (fuzz::promote_to_large — bounded-degree sparse shapes, clique-locked
-// algorithms remapped to flooding, a shortened safety horizon), so scale
-// bugs (lane sizing, wheel spill at depth, batch reservation) get the
-// same one-line `--replay` repro as everything else. The scenario's size
-// joins the signature as a saturated log4 bucket. Reference replays scan
-// all n^2 pending slots per delivery, so differential sampling skips
-// scenarios above kDifferentialMaxN nodes (counted in the summary); and
+// (fuzz::promote_to_large), so scale bugs (lane sizing, wheel spill at
+// depth, batch reservation) get the same one-line `--replay` repro as
+// everything else. The scenario's size joins the signature as a saturated
+// log4 bucket, differential sampling skips scenarios above
+// kDifferentialMaxN nodes (counted in the summary), and
 // `--max-seconds S` bounds the whole soak by wall clock — each shard stops
 // starting new runs once the deadline passes (budgeted soaks trade digest
 // reproducibility for a predictable CI footprint).
 //
-// The log-service family (signature-space v6): a scenario with `log=ops@
-// batch@window@lease` fields runs log::ReplicatedLog — a slot sequence with
-// elected leases, CommitFlood fast-path slots, stalled-slot recovery, and
-// post-crash re-election — instead of a one-shot instance. `--log-every K`
-// promotes every K-th generated scenario into the family
-// (fuzz::promote_to_log_service, knobs drawn from the scenario's seed), and
-// the kLogService/kPerturbLogKnobs mutation ops enter and explore it from
-// the corpus; the generator itself never draws it, so the pinned seed-only
-// corpus digest is untouched. Service runs are judged by the service's own
+// The log-service family (signature-space v6): a scenario with `log=`
+// fields runs log::ReplicatedLog instead of a one-shot instance (see
+// Scenario::log_ops). `--log-every K` promotes every K-th generated
+// scenario into the family (fuzz::promote_to_log_service), and the
+// kLogService/kPerturbLogKnobs mutation ops enter and explore it from the
+// corpus. Service runs are judged by the service's own
 // per-slot oracle PLUS a log-level one: verify::check_log_prefix folds each
 // live replica's contiguous decided prefix into a digest and demands
 // equality across replicas (replicated-state-machine consistency, not just
@@ -122,10 +96,8 @@
 // flag bits for "ran the service" and "lease broken at exit" — so a soak
 // that promotes into the family reaches engine-signature corners an
 // instance-only soak cannot, which CI asserts as a set difference over the
-// printed engine-key lists. Differential replay is skipped for the family
-// (ReplicatedLog runs on mac::Network only: the frozen ReferenceNetwork adds
-// instances only before a run and has no retire_instance), counted with the
-// other skips in the summary.
+// printed engine-key lists. The family never replays differentially
+// (ReplicatedLog needs mac::Network), so its runs are not counted as skips.
 //
 //   --corpus-out FILE   write the final corpus as spec lines (one per line)
 //   --corpus-in FILE    pre-seed the mutation corpus from such a file
@@ -140,13 +112,6 @@
 // from the frontier instead of rediscovering it. Bump
 // kSignatureSpaceVersion whenever a signature dimension is added/removed/
 // re-bucketed so stale frontiers are dropped.
-//
-// Shrinking is two-phase: greedy structural reduction (drop crashes/holds,
-// shrink n, halve fack) followed by schedule-space value minimization —
-// each surviving hold release and crash time is binary-searched toward 0
-// (and fack toward 1), so the printed minimal spec carries threshold
-// VALUES, not just the fewest entries: a hold at release=37 in a minimal
-// repro means 36 provably does not reproduce (for monotone failures).
 //
 // Sharded parallel soak: --jobs N splits the seed range into N contiguous
 // per-shard seed streams and runs each shard on its own thread with a
@@ -188,21 +153,24 @@
 // generator edit shows up as a reviewable corpus-digest change in the
 // smoke test, never as silent drift (mutation never alters seed-only
 // generation; the digest with --mutate 0 is bit-identical to PR 2/3).
-// Scenarios that once exposed bugs are pinned FOREVER as full spec lines
-// (not bare seeds) in tests/test_fuzz_regressions.cpp, immune to generator
-// AND mutator evolution.
+// Mutant streams are pinned separately: FuzzSoak.PinnedMutatingSoakDigest
+// and the bench_fuzz_soak_cli_*_digest ctest entries. Scenarios that once
+// exposed bugs are pinned FOREVER as full spec lines (not bare seeds) in
+// tests/test_fuzz_regressions.cpp, immune to generator AND mutator
+// evolution.
 //
 // Extending coverage: a new algorithm joins by extending
 // harness::Algorithm + algorithm_factory and adding its row to kEnvelopes
-// (fuzz/scenario.hpp: synchronous-only, single-hop, knows-D, multivalued,
-// crash envelope, loss and duplicate safety). The generator, the mutation
-// clamp, the termination oracle and the builders all read that row; a new
-// scheduler joins via SchedulerKind + build_scenario. Everything downstream — oracle, differential replay,
-// coverage signatures, mutation, shrinking, soak lane, repro specs — is
-// inherited. A new engine-path counter becomes a coverage dimension by
-// extending CoverageSignature and coverage_signature(); a new ALGORITHM
-// observable becomes one by overriding mac::Process::protocol_stats and
-// bucketing the field here. Either way, bump kSignatureSpaceVersion.
+// (fuzz/scenario.hpp), which the generator, the mutation clamp, the
+// termination oracle and the builders all read; a new scheduler joins via
+// SchedulerKind + build_scenario, and a bounded numeric Scenario value via
+// one NumericField descriptor (its range, clamp and shrink target).
+// Everything downstream — oracle, differential replay, coverage
+// signatures, mutation, shrinking, soak lane, repro specs — is inherited.
+// A new engine-path counter becomes a coverage dimension by extending
+// CoverageSignature and coverage_signature(); a new ALGORITHM observable
+// becomes one by overriding mac::Process::protocol_stats and bucketing the
+// field here. Either way, bump kSignatureSpaceVersion.
 // ---------------------------------------------------------------------------
 #pragma once
 
@@ -476,12 +444,11 @@ struct ShrinkResult {
   std::size_t reductions = 0;  ///< accepted shrink steps
 };
 
-/// Two-phase scenario minimization. Phase 1 (structural, greedy):
-/// repeatedly tries dropping crashes and holds, halving/decrementing n,
-/// and lowering the delay bound, keeping any transform after which the run
-/// still fails with the SAME FailureKind. Phase 2 (schedule-space):
-/// binary-searches each surviving hold release and crash time toward 0 and
-/// fack toward 1, so the minimal spec carries threshold values — for
+/// Two-phase scenario minimization, keeping every candidate that still
+/// fails with the SAME FailureKind. Phase 1 (structural, greedy) drops list
+/// items and takes each numeric_fields() jump (log_ops' leaves the log
+/// family), halving and decrement. Phase 2 binary-searches every field
+/// toward its target, so the minimal spec carries threshold values — for
 /// monotone failures, decrementing any minimized value makes the violation
 /// disappear. The phases alternate until a fixpoint or `max_attempts`
 /// candidate runs are spent. Candidates replay on the reference engine too
@@ -497,7 +464,8 @@ struct ShrinkResult {
 /// the frozen ReferenceNetwork scans all n^2 pending slots per delivery, so
 /// one 4096-node replay would cost more than the rest of the soak combined.
 /// Skips are counted in SoakResult::differential_skipped and surfaced in
-/// the summary.
+/// the summary. Log-family runs never replay differentially, so they are
+/// not skips.
 inline constexpr std::size_t kDifferentialMaxN = 1024;
 
 struct SoakOptions {
@@ -524,9 +492,8 @@ struct SoakOptions {
   /// Soak-wide link-fault floors (--fault-rate / --dup-rate, fractions in
   /// [0, 1]): every scenario's drop/duplicate rate is raised to at least
   /// this much, then clamped back into its algorithm's bounded-loss
-  /// envelope (synchronous-only algorithms stay fault-free, two-phase
-  /// drops its drop rate, wpaxos its duplicate rate). 0 (the default)
-  /// leaves scenarios untouched, so the pinned corpus digest is preserved.
+  /// envelope (clamp_to_envelope). 0 (the default) leaves scenarios
+  /// untouched, so the pinned corpus digest is preserved.
   double fault_rate = 0.0;
   double dup_rate = 0.0;
   /// Every k-th GENERATED (never mutated) scenario is promoted to a
@@ -620,7 +587,8 @@ struct SoakResult {
                                     ///< (promoted, mutated, or pre-seeded)
   /// Differential replays skipped because the scenario's n exceeded
   /// kDifferentialMaxN (they still ran and were checked on the calendar
-  /// engine — only the reference A/B was skipped).
+  /// engine — only the reference A/B was skipped). Log-family runs are
+  /// never due a replay, so they never count here.
   std::size_t differential_skipped = 0;
   /// Runs never started because the --max-seconds budget expired first.
   std::size_t budget_skipped = 0;

@@ -97,14 +97,9 @@ const char* scheduler_name(SchedulerKind k) {
 }
 
 bool termination_expected(const Scenario& s) {
-  // Bounded-loss envelope: rate faults drop copies permanently and a
-  // kForever window severs a link for good, so no algorithm owes
-  // termination under either (agreement/validity stay unconditional).
-  // Finite windows merely defer deliveries — the engine stretches the ack
-  // past every deferred arrival — so they never cost liveness by
-  // themselves. Duplicate rates are conservatively excluded too: the
-  // oracle only promises termination on fault-free (or deferral-only)
-  // runs.
+  // The bounded-loss envelope (see the header). Duplicate rates are
+  // excluded too: the oracle only promises termination on fault-free (or
+  // deferral-only) runs.
   if (s.drop_rate_bp != 0 || s.dup_rate_bp != 0) return false;
   for (const auto& w : s.faults) {
     if (w.until_tick == mac::kForever) return false;
@@ -167,41 +162,182 @@ void normalize_scenario(Scenario& s) {
 
 namespace {
 
-// Mutation value bounds. Wider than the generator's draw ranges on purpose
-// (that is where the new coverage lives) but small enough that a mutant
-// still runs in fuzz-soak time: releases stay a few thousand ticks out and
-// crash times inside every horizon the clamp can pick.
-constexpr mac::Time kMaxMutatedFack = 64;
-constexpr mac::Time kMaxMutatedRelease = 4000;
-constexpr mac::Time kMaxMutatedCrashTime = 5000;
-constexpr std::size_t kMaxMutatedHolds = 6;
-constexpr std::size_t kMaxMutatedCrashes = 4;
-constexpr std::uint32_t kMaxMutatedNodes = 24;
-// Scripted-timeline bounds: slots stay few (unscripted broadcasts fall back
-// to lock-step, so a handful of slots already builds the paper's
-// counterexample shapes), indices reachable in soak time, acks inside the
-// wheel's initial span so scripted runs stress the batch path, not the heap.
-constexpr std::size_t kMaxScriptSlots = 6;
-constexpr std::uint32_t kMaxScriptIndex = 12;
-constexpr mac::Time kMaxScriptAck = 32;
-// Link-fault bounds: a handful of windows in the first few thousand ticks
-// already builds partition-and-heal shapes, and rates cap at 20%
-// so faulted soak runs still make protocol progress worth covering.
-constexpr std::size_t kMaxFaultWindows = 4;
-constexpr mac::Time kMaxFaultTick = 4000;
-constexpr std::uint32_t kMaxFaultRateBp = 2000;
-// Log-service bounds: every slot is a full consensus instance, so ops stay
-// soak-sized; batch/window stay small enough that pipelining and stalls
-// interleave, and leases stay short so renewals — and re-elections after a
-// leader crash — happen several times per run.
-constexpr std::uint32_t kMinMutatedLogOps = 8;
-constexpr std::uint32_t kMaxMutatedLogOps = 256;
-constexpr std::uint32_t kMaxMutatedLogBatch = 16;
-constexpr std::uint32_t kMaxMutatedLogWindow = 8;
-constexpr std::uint32_t kMaxMutatedLogLease = 32;
-
 [[nodiscard]] mac::Time clamp_time(mac::Time t, mac::Time lo, mac::Time hi) {
   return t < lo ? lo : (t > hi ? hi : t);
+}
+
+// Link faults only go where SAFETY survives them (termination_expected
+// separately withdraws the liveness demand on lossy plans), so a faulted
+// mutant violation is a real bug. Synchronous-only rows get no faults at
+// all; the others take deferral faults always, and permanent loss and
+// duplicates as their kEnvelopes row says.
+[[nodiscard]] bool faults_allowed(const Scenario& s) {
+  // The log family is fault-free by choice: ReplicatedLog::network() would
+  // take a LinkFaultPlan before drive(), but the family's runs never install
+  // one (so clamp_to_envelope scrubs faults, and fault ops skip the family).
+  return !envelope(s.algorithm).synchronous_only && s.log_ops == 0;
+}
+
+[[nodiscard]] bool permanent_loss_allowed(const Scenario& s) {
+  return faults_allowed(s) && envelope(s.algorithm).permanent_loss_safe;
+}
+
+[[nodiscard]] bool duplicates_allowed(const Scenario& s) {
+  return faults_allowed(s) && envelope(s.algorithm).duplicates_safe;
+}
+
+// ---- the numeric-field table ---------------------------------------------
+//
+// One descriptor per bounded numeric value. Ranges are wider than the
+// generator's draws (that is where new coverage lives) but keep a mutant
+// soak-sized: releases a few thousand ticks out, crash times inside every
+// horizon the clamp picks, slot indices reachable, script acks inside the
+// wheel's initial span (so scripted runs stress the batch path, not the
+// heap), rates at most 20% so faulted runs still progress, and log knobs
+// small enough that pipelining, stalls, renewals and re-elections
+// interleave. Shrink targets may sit below a range: a minimal repro may be
+// smaller than anything the soak mutates (release 0 holds nothing; log
+// knobs halve to normalize's floors).
+
+/// A scalar Scenario member M.
+template <auto M>
+constexpr NumericField scalar(NumericField f) {
+  f.get = [](const Scenario& s, std::size_t) { return mac::Time{s.*M}; };
+  f.set = [](Scenario& s, std::size_t, mac::Time v) {
+    s.*M = static_cast<std::remove_reference_t<decltype(s.*M)>>(v);
+  };
+  return f;
+}
+
+/// Member M of item i of list L.
+template <auto L, auto M>
+[[nodiscard]] mac::Time item(const Scenario& s, std::size_t i) {
+  return mac::Time{(s.*L)[i].*M};
+}
+
+/// Member M of every item of list L.
+template <auto L, auto M>
+constexpr NumericField member(NumericField f) {
+  f.items = [](const Scenario& s) { return (s.*L).size(); };
+  f.get = item<L, M>;
+  f.set = [](Scenario& s, std::size_t i, mac::Time v) {
+    auto& x = (s.*L)[i].*M;
+    x = static_cast<std::remove_reference_t<decltype(x)>>(v);
+  };
+  return f;
+}
+
+/// The slot holding per-receiver delay `k` (delays numbered across all
+/// slots in slot order); `k` becomes the delay's place in that slot.
+template <typename S>
+auto& delay_slot(S& s, std::size_t& k) {
+  std::size_t i = 0;
+  while (k >= s.script[i].delays.size()) k -= s.script[i++].delays.size();
+  return s.script[i];
+}
+
+[[nodiscard]] bool in_log_family(const Scenario& s) { return s.log_ops > 0; }
+
+template <auto M>
+constexpr NumericField log_knob(mac::Time lo, mac::Time hi) {
+  return scalar<M>({.lo = {lo}, .hi = {hi}, .target = {1},
+                    .shrink = kShrinkHalve, .applies = in_log_family,
+                    .perturbed_by = MutationOp::kPerturbLogKnobs});
+}
+
+constexpr NumericField kNodes = scalar<&Scenario::n>(
+    {.lo = {2}, .hi = {24}, .target = {2},
+     .shrink = kShrinkHalve | kShrinkDecrement});
+/// Scripted scenarios derive fack from their slots (normalize_scenario).
+constexpr NumericField kFack = scalar<&Scenario::fack>(
+    {.lo = {1}, .hi = {64}, .target = {1},
+     .shrink = kShrinkHalve | kShrinkDecrement | kShrinkSearch,
+     .applies = [](const Scenario& s) {
+       return s.scheduler != SchedulerKind::kScripted;
+     },
+     .perturbed_by = MutationOp::kPerturbFack});
+/// The generator draws releases >= fack + 1 >= 2.
+constexpr NumericField kRelease = member<&Scenario::holds, &HoldSpec::release>(
+    {.lo = {2}, .hi = {4000}, .target = {0}, .shrink = kShrinkSearch,
+     .perturbed_by = MutationOp::kPerturbHoldRelease});
+constexpr NumericField kCrashTime =
+    member<&Scenario::crashes, &CrashSpec::when>(
+        {.lo = {1}, .hi = {5000}, .target = {0}, .shrink = kShrinkSearch,
+         .perturbed_by = MutationOp::kPerturbCrashTime});
+constexpr NumericField kSlotIndex =
+    member<&Scenario::script, &ScriptSlot::index>({.lo = {0}, .hi = {12}});
+/// Receive delays shrink before acks, so an ack walks toward its slot's
+/// shrunk receive delay (the canonical slot keeps recv <= ack).
+constexpr NumericField kSlotRecv = member<&Scenario::script, &ScriptSlot::recv>(
+    {.lo = {1}, .hi = {0, item<&Scenario::script, &ScriptSlot::ack>},
+     .target = {1}, .shrink = kShrinkSearch});
+constexpr NumericField kSlotAck = member<&Scenario::script, &ScriptSlot::ack>(
+    {.lo = {1}, .hi = {32},
+     .target = {0, item<&Scenario::script, &ScriptSlot::recv>},
+     .shrink = kShrinkSearch});
+constexpr NumericField kReceiverDelay{
+    .items = [](const Scenario& s) {
+      std::size_t k = 0;
+      for (const auto& t : s.script) k += t.delays.size();
+      return k;
+    },
+    .get = [](const Scenario& s, std::size_t k) {
+      return delay_slot(s, k).delays[k].second;
+    },
+    .set = [](Scenario& s, std::size_t k, mac::Time v) {
+      delay_slot(s, k).delays[k].second = v;
+    },
+    .lo = {1},
+    .hi = {0, [](const Scenario& s, std::size_t k) {
+             return delay_slot(s, k).ack;
+           }},
+    .target = {1},
+    .shrink = kShrinkSearch};
+constexpr NumericField kDropRate = scalar<&Scenario::drop_rate_bp>(
+    {.lo = {0}, .hi = {2000}, .target = {0},
+     .shrink = kShrinkJump | kShrinkSearch, .applies = permanent_loss_allowed});
+constexpr NumericField kDupRate = scalar<&Scenario::dup_rate_bp>(
+    {.lo = {0}, .hi = {2000}, .target = {0},
+     .shrink = kShrinkJump | kShrinkSearch, .applies = duplicates_allowed});
+constexpr NumericField kWindowStart =
+    member<&Scenario::faults, &FaultSpec::from_tick>({.lo = {0}, .hi = {3999}});
+/// A finite window is at least one tick long, and narrows toward that; a
+/// kForever one has no value to search (the structural pass removes it).
+constexpr FieldBound kAfterStart{
+    1, item<&Scenario::faults, &FaultSpec::from_tick>};
+constexpr NumericField kWindowEnd =
+    member<&Scenario::faults, &FaultSpec::until_tick>(
+        {.lo = kAfterStart, .hi = {4000}, .target = kAfterStart,
+         .shrink = kShrinkSearch, .forever = true});
+/// Shrinking jumps to 0, out of the family: the biggest reduction when the
+/// failure is not service-specific.
+constexpr NumericField kLogOps = scalar<&Scenario::log_ops>(
+    {.lo = {8}, .hi = {256}, .target = {0},
+     .shrink = kShrinkJump | kShrinkHalve, .applies = in_log_family,
+     .perturbed_by = MutationOp::kPerturbLogKnobs});
+
+/// Walk order: n leads (the shrinker halves it before dropping list
+/// items), a window's end clamps against its clamped start, the value
+/// pass searches fack last, and kPerturbLogKnobs draws its field in this
+/// order.
+constexpr std::array kNumericFields{
+    kNodes,       kRelease,     kCrashTime, kSlotIndex, kSlotRecv,
+    kSlotAck,     kReceiverDelay,           kDropRate,  kDupRate,
+    kWindowStart, kWindowEnd,   kFack,      kLogOps,
+    log_knob<&Scenario::log_batch>(1, 16),
+    log_knob<&Scenario::log_window>(1, 8),
+    log_knob<&Scenario::log_lease>(1, 32)};
+
+// List lengths a mutant may reach: a handful of slots (unscripted
+// broadcasts fall back to lock-step) or windows already builds the paper's
+// counterexample shapes or partition-and-heal ones.
+constexpr std::size_t kMaxHolds = 6;
+constexpr std::size_t kMaxCrashes = 4;
+constexpr std::size_t kMaxScriptSlots = 6;
+constexpr std::size_t kMaxFaultWindows = 4;
+
+[[nodiscard]] bool applies(const NumericField& f, const Scenario& s) {
+  return f.applies == nullptr || f.applies(s);
 }
 
 /// Halve, double, or nudge a tick value (the perturb-* ops).
@@ -215,102 +351,87 @@ constexpr std::uint32_t kMaxMutatedLogLease = 32;
   }
 }
 
+/// The perturb ops' one edit path: draw one of the op's fields when it has
+/// several, then an item when the field is a list member, then the edit,
+/// clamped into the field's range at once (a log_ops halved to 0 would
+/// leave the family).
+bool perturb(Scenario& s, MutationOp op, util::Rng& rng) {
+  std::array<const NumericField*, kNumericFields.size()> fields{};
+  std::size_t count = 0;
+  for (const NumericField& f : kNumericFields) {
+    if (f.perturbed_by != op) continue;
+    if (!applies(f, s) || f.count(s) == 0) return false;
+    fields[count++] = &f;
+  }
+  const NumericField& f = *fields[count == 1 ? 0 : rng.uniform(0, count - 1)];
+  const std::size_t i = f.items == nullptr ? 0 : rng.uniform(0, f.count(s) - 1);
+  const mac::Time v = perturb_time(f.get(s, i), rng);
+  f.set(s, i, clamp_time(v, f.lo.at(s, i), f.hi.at(s, i)));
+  return true;
+}
+
 /// How many crashes a mutant may carry: none for crash-intolerant rows,
 /// the mutation cap for safety-only ones, and Ben-Or's declared f.
 [[nodiscard]] std::size_t crash_cap(const Scenario& s) {
   switch (envelope(s.algorithm).crashes) {
     case CrashEnvelope::kNone: return 0;
-    case CrashEnvelope::kSafetyOnly: return kMaxMutatedCrashes;
+    case CrashEnvelope::kSafetyOnly: return kMaxCrashes;
     case CrashEnvelope::kUpToF: return s.benor_f;
   }
   AMAC_ASSERT(false);
   return 0;
 }
 
-// Link faults only go where SAFETY survives them (termination_expected
-// separately withdraws the liveness demand on lossy plans), so a faulted
-// mutant violation is a real bug. Synchronous-only rows get no faults at
-// all; the others take deferral faults always, and permanent loss and
-// duplicates as their kEnvelopes row says.
-[[nodiscard]] bool faults_allowed(const Scenario& s) {
-  // The log family is fault-free by choice: ReplicatedLog::network() would
-  // take a LinkFaultPlan before drive(), but the family's runs never install
-  // one (clamp scrubs faults; the gate here just keeps fault ops from
-  // producing no-op mutants).
-  return !envelope(s.algorithm).synchronous_only && s.log_ops == 0;
-}
-
-[[nodiscard]] bool permanent_loss_allowed(const Scenario& s) {
-  return faults_allowed(s) && envelope(s.algorithm).permanent_loss_safe;
-}
-
-[[nodiscard]] bool duplicates_allowed(const Scenario& s) {
-  return faults_allowed(s) && envelope(s.algorithm).duplicates_safe;
+/// Erases one uniformly drawn item; false when there is none.
+template <typename T>
+bool erase_one(std::vector<T>& v, util::Rng& rng) {
+  if (v.empty()) return false;
+  v.erase(v.begin() +
+          static_cast<std::ptrdiff_t>(rng.uniform(0, v.size() - 1)));
+  return true;
 }
 
 /// Applies `op` to `s` in place. Returns false when the op does not apply
-/// to this scenario's shape (no holds to drop, wrong scheduler, ...).
+/// to this scenario's shape (no holds to drop, wrong scheduler, ...). Ops
+/// draw inside the numeric fields' ranges where a range is what they draw
+/// from, and leave the rest to the clamp that follows every op.
 bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
                     util::Rng& rng) {
   switch (op) {
     case MutationOp::kPerturbFack:
-      // Scripted scenarios derive fack from their slots (normalize); perturb
-      // the slots instead.
-      if (s.scheduler == SchedulerKind::kScripted) return false;
-      s.fack = clamp_time(perturb_time(s.fack, rng), 1, kMaxMutatedFack);
-      return true;
-    case MutationOp::kPerturbHoldRelease: {
-      if (s.holds.empty()) return false;
-      auto& h = s.holds[rng.uniform(0, s.holds.size() - 1)];
-      h.release =
-          clamp_time(perturb_time(h.release, rng), 2, kMaxMutatedRelease);
-      return true;
-    }
-    case MutationOp::kPerturbCrashTime: {
-      if (s.crashes.empty()) return false;
-      auto& c = s.crashes[rng.uniform(0, s.crashes.size() - 1)];
-      c.when = clamp_time(perturb_time(c.when, rng), 1, kMaxMutatedCrashTime);
-      return true;
-    }
+    case MutationOp::kPerturbHoldRelease:
+    case MutationOp::kPerturbCrashTime:
+    case MutationOp::kPerturbLogKnobs:
+      return perturb(s, op, rng);
     case MutationOp::kRetimeHold: {
       if (s.holds.empty()) return false;
       auto& h = s.holds[rng.uniform(0, s.holds.size() - 1)];
-      h.release = clamp_time(rng.uniform(2, 40 * s.fack + 200), 2,
-                             kMaxMutatedRelease);
+      h.release = rng.uniform(kRelease.lo.value, 40 * s.fack + 200);
       return true;
     }
     case MutationOp::kAddHold: {
       if (s.scheduler != SchedulerKind::kHoldback ||
-          s.holds.size() >= kMaxMutatedHolds) {
+          s.holds.size() >= kMaxHolds) {
         return false;
       }
       HoldSpec h;
       h.sender = static_cast<NodeId>(rng.uniform(0, s.n - 1));
-      h.release = clamp_time(rng.uniform(s.fack + 1, 20 * s.fack + 40), 2,
-                             kMaxMutatedRelease);
+      h.release = rng.uniform(s.fack + 1, 20 * s.fack + 40);
       s.holds.push_back(h);
       return true;
     }
     case MutationOp::kRemoveHold:
-      if (s.holds.empty()) return false;
-      s.holds.erase(s.holds.begin() + static_cast<std::ptrdiff_t>(
-                                          rng.uniform(0, s.holds.size() - 1)));
-      return true;
+      return erase_one(s.holds, rng);
     case MutationOp::kAddCrash: {
       if (s.crashes.size() >= crash_cap(s)) return false;
       CrashSpec c;
       c.node = static_cast<NodeId>(rng.uniform(0, s.n - 1));
-      c.when = clamp_time(rng.uniform(1, 6 * s.fack + 2 * s.n), 1,
-                          kMaxMutatedCrashTime);
+      c.when = rng.uniform(kCrashTime.lo.value, 6 * s.fack + 2 * s.n);
       s.crashes.push_back(c);
       return true;
     }
     case MutationOp::kRemoveCrash:
-      if (s.crashes.empty()) return false;
-      s.crashes.erase(s.crashes.begin() +
-                      static_cast<std::ptrdiff_t>(
-                          rng.uniform(0, s.crashes.size() - 1)));
-      return true;
+      return erase_one(s.crashes, rng);
     case MutationOp::kToggleLateHolds:
       if (s.scheduler != SchedulerKind::kHoldback || s.holds.empty()) {
         return false;
@@ -344,17 +465,15 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       if (envelope(s.algorithm).synchronous_only || s.log_ops > 0) {
         return false;
       }
-      s.scheduler = SchedulerKind::kScripted;
-      s.holds.clear();
-      s.late_holds = false;
+      s.scheduler = SchedulerKind::kScripted;  // normalize drops the holds
       s.script.clear();
       const std::size_t slots = rng.uniform(1, 4);
       for (std::size_t i = 0; i < slots; ++i) {
         ScriptSlot t;
         t.sender = static_cast<NodeId>(rng.uniform(0, s.n - 1));
         t.index = static_cast<std::uint32_t>(rng.uniform(0, 5));
-        t.ack = rng.uniform(1, kMaxScriptAck);
-        t.recv = rng.uniform(1, t.ack);
+        t.ack = rng.uniform(kSlotAck.lo.value, kSlotAck.hi.value);
+        t.recv = rng.uniform(kSlotRecv.lo.value, t.ack);
         s.script.push_back(t);
       }
       return true;
@@ -362,8 +481,8 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
     case MutationOp::kRetimeScriptSlot: {
       if (s.script.empty()) return false;
       auto& t = s.script[rng.uniform(0, s.script.size() - 1)];
-      t.ack = rng.uniform(1, kMaxScriptAck);
-      t.recv = rng.uniform(1, t.ack);
+      t.ack = rng.uniform(kSlotAck.lo.value, kSlotAck.hi.value);
+      t.recv = rng.uniform(kSlotRecv.lo.value, t.ack);
       return true;
     }
     case MutationOp::kSwapScriptSlots: {
@@ -391,11 +510,7 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       // Keep at least one slot: a slotless scripted scenario is just the
       // synchronous scheduler in disguise (normalize can still empty the
       // script when a shrunk topology drops every scripted sender).
-      if (s.script.size() <= 1) return false;
-      s.script.erase(s.script.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         rng.uniform(0, s.script.size() - 1)));
-      return true;
+      return s.script.size() > 1 && erase_one(s.script, rng);
     case MutationOp::kAddDropWindow: {
       if (!faults_allowed(s) || s.faults.size() >= kMaxFaultWindows ||
           s.n < 2) {
@@ -405,7 +520,7 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       w.from = static_cast<NodeId>(rng.uniform(0, s.n - 1));
       w.to = static_cast<NodeId>(rng.uniform(0, s.n - 2));
       if (w.to >= w.from) ++w.to;  // distinct endpoints
-      w.from_tick = rng.uniform(0, kMaxFaultTick - 1);
+      w.from_tick = rng.uniform(kWindowStart.lo.value, kWindowStart.hi.value);
       if (permanent_loss_allowed(s) && rng.chance(0.2)) {
         w.until_tick = mac::kForever;  // sever the link for good
       } else {
@@ -415,19 +530,15 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       return true;
     }
     case MutationOp::kRemoveDropWindow:
-      if (s.faults.empty()) return false;
-      s.faults.erase(s.faults.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         rng.uniform(0, s.faults.size() - 1)));
-      return true;
+      return erase_one(s.faults, rng);
     case MutationOp::kWidenDropWindow: {
       if (s.faults.empty()) return false;
       auto& w = s.faults[rng.uniform(0, s.faults.size() - 1)];
-      const bool can_earlier = w.from_tick > 0;
+      const mac::Time room = w.from_tick - kWindowStart.lo.value;
       const bool can_later = w.until_tick != mac::kForever;
-      if (!can_earlier && !can_later) return false;
-      if (can_earlier && (!can_later || rng.chance(0.5))) {
-        w.from_tick -= rng.uniform(1, std::min<mac::Time>(w.from_tick, 32));
+      if (room == 0 && !can_later) return false;
+      if (room > 0 && (!can_later || rng.chance(0.5))) {
+        w.from_tick -= rng.uniform(1, std::min<mac::Time>(room, 32));
       } else {
         w.until_tick += rng.uniform(1, 64);
       }
@@ -441,9 +552,10 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
         w.until_tick = w.from_tick + rng.uniform(1, 64);
         return true;
       }
+      // The window keeps kWindowEnd's least length.
       const mac::Time span = w.until_tick - w.from_tick;
-      if (span <= 1) return false;
-      const mac::Time cut = rng.uniform(1, span - 1);
+      if (span <= kAfterStart.value) return false;
+      const mac::Time cut = rng.uniform(1, span - kAfterStart.value);
       if (rng.chance(0.5)) {
         w.from_tick += cut;
       } else {
@@ -452,22 +564,21 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       return true;
     }
     case MutationOp::kPerturbFaultRates: {
-      const bool drop_ok = permanent_loss_allowed(s);
-      const bool dup_ok = duplicates_allowed(s);
+      const bool drop_ok = applies(kDropRate, s);
+      const bool dup_ok = applies(kDupRate, s);
       if (!drop_ok && !dup_ok) return false;
-      const bool pick_drop = drop_ok && (!dup_ok || rng.chance(0.5));
-      std::uint32_t& rate = pick_drop ? s.drop_rate_bp : s.dup_rate_bp;
+      const NumericField& f =
+          drop_ok && (!dup_ok || rng.chance(0.5)) ? kDropRate : kDupRate;
+      const mac::Time rate = f.get(s, 0);
       switch (rng.uniform(0, 2)) {
         case 0:  // fresh light rate (turns faults on)
-          rate = static_cast<std::uint32_t>(rng.uniform(1, 500));
+          f.set(s, 0, rng.uniform(1, 500));
           break;
         case 1:  // intensify
-          rate = std::min<std::uint32_t>(
-              kMaxFaultRateBp,
-              rate + static_cast<std::uint32_t>(rng.uniform(1, 250)));
+          f.set(s, 0, rate + rng.uniform(1, 250));
           break;
         default:  // back toward the fault-free envelope
-          rate /= 2;
+          f.set(s, 0, rate / 2);
           break;
       }
       return true;
@@ -479,7 +590,8 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       if (s.script.empty()) return false;
       auto& t = s.script[rng.uniform(0, s.script.size() - 1)];
       const NodeId receiver = static_cast<NodeId>(rng.uniform(0, s.n - 1));
-      const mac::Time delay = rng.uniform(1, std::max<mac::Time>(1, t.ack));
+      const mac::Time lo = kReceiverDelay.lo.value;
+      const mac::Time delay = rng.uniform(lo, std::max(lo, t.ack));
       bool replaced = false;
       for (auto& [r, d] : t.delays) {
         if (r == receiver) {
@@ -491,13 +603,9 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       return true;
     }
     case MutationOp::kSpliceFaultWindows: {
-      // Window-granular crossover (contrast kSpliceTransport, which copies
-      // the partner's whole plan along with its transport): slot i of the
-      // child takes parent A's or parent B's window i by a fair coin,
-      // falling back to whichever parent still has a window there. The
-      // global rates recombine the same way, and clamp_to_envelope +
-      // normalize keep the child inside the algorithm's bounded-loss
-      // envelope (out-of-range links are dropped, not remapped).
+      // Slot i of the child takes parent A's or parent B's window i by a
+      // fair coin, falling back to whichever parent still has a window
+      // there (out-of-range links are later dropped, not remapped).
       if (splice == nullptr || !faults_allowed(s)) return false;
       if (s.faults.empty() && splice->faults.empty()) return false;
       const std::size_t slots = std::min<std::size_t>(
@@ -525,33 +633,10 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       // the transport) carry over; clamp applies the family envelope.
       if (s.log_ops > 0) return false;
       s.log_ops = static_cast<std::uint32_t>(
-          rng.uniform(kMinMutatedLogOps, kMaxMutatedLogOps / 2));
+          rng.uniform(kLogOps.lo.value, kLogOps.hi.value / 2));
       s.log_batch = static_cast<std::uint32_t>(rng.uniform(1, 8));
       s.log_window = static_cast<std::uint32_t>(rng.uniform(1, 4));
       s.log_lease = static_cast<std::uint32_t>(rng.uniform(1, 16));
-      return true;
-    }
-    case MutationOp::kPerturbLogKnobs: {
-      if (s.log_ops == 0) return false;
-      const auto nudge = [&](std::uint32_t v, std::uint32_t lo,
-                             std::uint32_t hi) {
-        return static_cast<std::uint32_t>(
-            clamp_time(perturb_time(v, rng), lo, hi));
-      };
-      switch (rng.uniform(0, 3)) {
-        case 0:
-          s.log_ops = nudge(s.log_ops, kMinMutatedLogOps, kMaxMutatedLogOps);
-          break;
-        case 1:
-          s.log_batch = nudge(s.log_batch, 1, kMaxMutatedLogBatch);
-          break;
-        case 2:
-          s.log_window = nudge(s.log_window, 1, kMaxMutatedLogWindow);
-          break;
-        default:
-          s.log_lease = nudge(s.log_lease, 1, kMaxMutatedLogLease);
-          break;
-      }
       return true;
     }
   }
@@ -565,35 +650,23 @@ void clamp_to_envelope(Scenario& s) {
   // Log-service family envelope (log_ops > 0): the service IS the wPAXOS
   // renewal + leased CommitFlood stack, so the algorithm is pinned.
   // Per-broadcast scripts index a one-shot instance's traffic, not a slot
-  // sequence, so they are scrubbed; link faults are scrubbed by choice (the
-  // family runs fault-free, though ReplicatedLog::network() could take a
-  // LinkFaultPlan before drive()). Crashes stay — a crash that takes
-  // the lease holder is exactly the re-election/recovery coverage this
-  // family exists for (the wPAXOS cap below still applies).
+  // sequence, so they are scrubbed; link faults are scrubbed by choice
+  // below (faults_allowed). Crashes stay — a crash that takes the lease
+  // holder is exactly the re-election/recovery coverage this family exists
+  // for (the wPAXOS cap below still applies).
   if (s.log_ops > 0) {
     s.algorithm = Algorithm::kWPaxos;
-    if (s.scheduler == SchedulerKind::kScripted) {
-      s.scheduler = SchedulerKind::kUniformRandom;
-      s.script.clear();
-    }
     // The contention scheduler's declared fack bound covers ONE instance's
     // broadcast density; a pipelined slot sequence sustains arrivals above
     // the 1-frame-per-tick decode rate, so the receiver backlog — and with
     // it the worst delay — grows with the slot count and would trip the
     // scheduler's bound contract by design. No static bound fits a
-    // service-length run; the family runs without that scheduler.
-    if (s.scheduler == SchedulerKind::kContention) {
+    // service-length run; the family runs without that scheduler, and
+    // without a script (normalize drops the slots).
+    if (s.scheduler == SchedulerKind::kScripted ||
+        s.scheduler == SchedulerKind::kContention) {
       s.scheduler = SchedulerKind::kUniformRandom;
     }
-    s.drop_rate_bp = 0;
-    s.dup_rate_bp = 0;
-    s.faults.clear();
-    s.log_ops = std::clamp<std::uint32_t>(s.log_ops, kMinMutatedLogOps,
-                                          kMaxMutatedLogOps);
-    s.log_batch = std::clamp<std::uint32_t>(s.log_batch, 1, kMaxMutatedLogBatch);
-    s.log_window =
-        std::clamp<std::uint32_t>(s.log_window, 1, kMaxMutatedLogWindow);
-    s.log_lease = std::clamp<std::uint32_t>(s.log_lease, 1, kMaxMutatedLogLease);
   }
   // The algorithm's kEnvelopes row, as generate_scenario draws it.
   const Envelope& env = envelope(s.algorithm);
@@ -611,40 +684,28 @@ void clamp_to_envelope(Scenario& s) {
   if (!env.multivalued && s.inputs == InputPattern::kMultivalued) {
     s.inputs = InputPattern::kSplit;
   }
-  s.fack = clamp_time(s.fack, 1, kMaxMutatedFack);
-  if (s.n > kMaxMutatedNodes) s.n = kMaxMutatedNodes;
-  for (auto& h : s.holds) h.release = clamp_time(h.release, 1, kMaxMutatedRelease);
-  for (auto& c : s.crashes) c.when = clamp_time(c.when, 1, kMaxMutatedCrashTime);
   if (s.script.size() > kMaxScriptSlots) s.script.resize(kMaxScriptSlots);
-  for (auto& t : s.script) {
-    t.index = std::min(t.index, kMaxScriptIndex);
-    t.ack = std::min(t.ack, kMaxScriptAck);
-  }
   // Link faults stay inside the row's bounded-loss envelope (see
-  // faults_allowed and friends above), and rates/windows inside mutation
-  // bounds.
-  if (!faults_allowed(s)) {
-    s.drop_rate_bp = 0;
-    s.dup_rate_bp = 0;
-    s.faults.clear();
-  }
+  // faults_allowed and friends above).
+  if (!faults_allowed(s)) s.faults.clear();
   if (!permanent_loss_allowed(s)) {
     s.drop_rate_bp = 0;
     for (auto& w : s.faults) {
       if (w.until_tick == mac::kForever) {
-        w.until_tick = std::min<mac::Time>(w.from_tick + 64, kMaxFaultTick);
+        w.until_tick = w.from_tick + 64;  // the range clamp below caps it
       }
     }
   }
   if (!duplicates_allowed(s)) s.dup_rate_bp = 0;
-  s.drop_rate_bp = std::min(s.drop_rate_bp, kMaxFaultRateBp);
-  s.dup_rate_bp = std::min(s.dup_rate_bp, kMaxFaultRateBp);
   if (s.faults.size() > kMaxFaultWindows) s.faults.resize(kMaxFaultWindows);
-  for (auto& w : s.faults) {
-    if (w.from_tick > kMaxFaultTick - 1) w.from_tick = kMaxFaultTick - 1;
-    if (w.until_tick != mac::kForever) {
-      w.until_tick =
-          std::clamp<mac::Time>(w.until_tick, w.from_tick + 1, kMaxFaultTick);
+  // Every value into its range; one that does not apply is the rules' above
+  // (rates) or normalize's (fack under kScripted, log knobs off the family).
+  for (const NumericField& f : kNumericFields) {
+    if (!applies(f, s)) continue;
+    for (std::size_t i = 0; i < f.count(s); ++i) {
+      const mac::Time v = f.get(s, i);
+      if (f.forever && v == mac::kForever) continue;
+      f.set(s, i, clamp_time(v, f.lo.at(s, i), f.hi.at(s, i)));
     }
   }
   normalize_scenario(s);
@@ -652,6 +713,8 @@ void clamp_to_envelope(Scenario& s) {
   // only runs stop once the interesting prefix has played out.
   s.horizon = termination_expected(s) ? 1'000'000 : 30'000;
 }
+
+std::span<const NumericField> numeric_fields() { return kNumericFields; }
 
 bool inside_envelope(const Scenario& s) {
   Scenario clamped = s;

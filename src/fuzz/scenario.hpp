@@ -23,6 +23,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -281,32 +282,23 @@ static_assert(
 void normalize_scenario(Scenario& s);
 
 /// Rewrites a generated scenario into its large-topology counterpart at
-/// `n` nodes (n >= 16): the topology is forced into a bounded-degree,
-/// low-diameter family (grid/torus/tree/star — a 4096-clique is ~8.4M
-/// edges and a 4096-ring gives D-knowledge algorithms a quadratic run),
-/// clique-locked algorithms (two-phase, Ben-Or) become flooding, and the
-/// safety-only horizon shrinks so non-terminating runs stay soak-sized.
-/// Deterministic in (s, n); every other dimension — seed, scheduler,
-/// inputs, ids, crashes, holds, faults — is kept, so the large family
-/// inherits the generator's variety. NOT called by generate_scenario: the
-/// pinned seed-only corpus digest never sees it. Large scenarios enter via
-/// SoakOptions::large_every, hand-written specs, and --replay.
+/// `n` nodes (n >= 16): a bounded-degree, low-diameter topology, flooding
+/// for clique-locked algorithms, and a shorter safety-only horizon (the
+/// definition says why). Deterministic in (s, n); every other dimension is
+/// kept, so the large family inherits the generator's variety. NOT called
+/// by generate_scenario: the pinned seed-only corpus digest never sees it.
+/// Large scenarios enter via SoakOptions::large_every, hand-written specs,
+/// and --replay.
 void promote_to_large(Scenario& s, std::uint32_t n);
 
 /// Rewrites a generated scenario into its log-service counterpart: the
 /// service knobs (ops/batch/window/lease) are drawn deterministically from
 /// the scenario's seed (own salt), then clamp_to_envelope applies the
-/// family's envelope — the algorithm becomes wPAXOS (the service IS wPAXOS
-/// renewals plus leased CommitFlood slots), scripted timelines are scrubbed
-/// (per-broadcast scripts index a one-shot instance's traffic, not a slot
-/// sequence), link faults are scrubbed because the family runs fault-free
-/// by choice (ReplicatedLog::network() could take a LinkFaultPlan before
-/// drive(); the family never installs one), and crashes
-/// are kept — a crash that takes the lease holder is exactly the
-/// re-election/recovery coverage this family exists for. Deterministic in
-/// `s`; NOT called by generate_scenario (the pinned seed-only corpus digest
-/// never sees it). Log scenarios enter via SoakOptions::log_every, the
-/// kLogService mutation, hand-written specs, and --replay.
+/// family's envelope (wPAXOS, no script, no faults, crashes kept).
+/// Deterministic in `s`; NOT called by generate_scenario (the pinned
+/// seed-only corpus digest never sees it). Log scenarios enter via
+/// SoakOptions::log_every, the kLogService mutation, hand-written specs,
+/// and --replay.
 void promote_to_log_service(Scenario& s);
 
 // ---- mutation -----------------------------------------------------------
@@ -315,11 +307,13 @@ void promote_to_log_service(Scenario& s);
 /// fuzzer (see fuzz/fuzzer.hpp). Every op goes through clamp_to_envelope
 /// afterwards, so mutants are always well-formed AND inside the mutated
 /// algorithm's guarantee envelope — a mutant "violation" is a real bug,
-/// never an expected counterexample.
+/// never an expected counterexample. Every value an op draws or edits stays
+/// inside its NumericField range (numeric_fields()).
 enum class MutationOp : std::uint8_t {
-  kPerturbFack = 0,      ///< nudge/halve/double the delay bound
-  kPerturbHoldRelease = 1,  ///< nudge/halve/double one hold's release tick
-  kPerturbCrashTime = 2,    ///< nudge/halve/double one crash tick
+  // The perturb ops halve, double or nudge one value, through one edit path.
+  kPerturbFack = 0,      ///< the delay bound
+  kPerturbHoldRelease = 1,  ///< one hold's release tick
+  kPerturbCrashTime = 2,    ///< one crash tick
   kRetimeHold = 3,       ///< redraw one hold's release from a wide range
   kAddHold = 4,          ///< add one hold (holdback scenarios only)
   kRemoveHold = 5,       ///< drop one hold
@@ -337,9 +331,7 @@ enum class MutationOp : std::uint8_t {
   kDuplicateScriptSlot = 14, ///< replay a slot at the sender's next index
   kDropScriptSlot = 15,      ///< remove one slot
   // Link-fault ops: perturb the scenario's LinkFaultPlan (drop windows,
-  // rates). Clamp keeps every mutant inside the bounded-loss termination
-  // envelope per algorithm (see clamp_to_envelope), so a faulted mutant
-  // violation is still a real bug.
+  // rates).
   kAddDropWindow = 16,     ///< add one per-link drop window
   kRemoveDropWindow = 17,  ///< drop one window
   kWidenDropWindow = 18,   ///< stretch one window (later until / earlier from)
@@ -356,16 +348,61 @@ enum class MutationOp : std::uint8_t {
   // mutation-only entry mirrors kScriptTimeline — generated scenarios never
   // carry log= fields, so the pinned corpus digest is unchanged).
   kLogService = 23,      ///< convert into a log-service scenario
-  kPerturbLogKnobs = 24, ///< nudge ops/batch/window/lease (log family only)
+  kPerturbLogKnobs = 24, ///< one of ops/batch/window/lease (a perturb op)
 };
 inline constexpr std::size_t kMutationOpCount = 25;
 
+/// A range end or shrink target: `value`, plus another value of the same
+/// item when `base` is set (a window's end is bounded by its start).
+struct FieldBound {
+  mac::Time value = 0;
+  mac::Time (*base)(const Scenario&, std::size_t item) = nullptr;
+  [[nodiscard]] mac::Time at(const Scenario& s, std::size_t item) const {
+    return base == nullptr ? value : base(s, item) + value;
+  }
+};
+
+/// NumericField::shrink bits: the structural pass's jump to the target,
+/// halving and decrement, and the value pass's search of [target, current).
+enum ShrinkStep : std::uint8_t {
+  kShrinkJump = 1, kShrinkHalve = 2, kShrinkDecrement = 4, kShrinkSearch = 8
+};
+
+/// One bounded numeric value of Scenario: a scalar, or a member of every
+/// item of a list (`items` counts them). Mutation draws and edits it inside
+/// [lo, hi], clamp_to_envelope clamps it there, and the shrinker walks it
+/// toward `target`.
+struct NumericField {
+  std::size_t (*items)(const Scenario&) = nullptr;  ///< null: a scalar
+  mac::Time (*get)(const Scenario&, std::size_t item) = nullptr;
+  void (*set)(Scenario&, std::size_t item, mac::Time value) = nullptr;
+  FieldBound lo{}, hi{};  ///< the mutation range
+  FieldBound target{};    ///< where the shrinker walks it
+  std::uint8_t shrink = 0;  ///< ShrinkStep bits
+  /// Where mutation and the clamp treat the value (null: everywhere). The
+  /// shrinker ignores it, so a hand-written spec outside the envelope
+  /// still shrinks.
+  bool (*applies)(const Scenario&) = nullptr;
+  std::optional<MutationOp> perturbed_by{};  ///< the perturb op editing it
+  /// mac::kForever is a value of its own (a window that never ends), which
+  /// the range and the shrink steps leave alone.
+  bool forever = false;
+
+  [[nodiscard]] std::size_t count(const Scenario& s) const {
+    return items == nullptr ? 1 : items(s);
+  }
+};
+
+/// Every NumericField, in walk order (the table and each field's range and
+/// target are in scenario.cpp).
+[[nodiscard]] std::span<const NumericField> numeric_fields();
+
 /// Clamps a mutated scenario back inside its algorithm's kEnvelopes row
 /// (synchronous-only algorithms lose adversarial schedulers, single-hop
-/// algorithms return to the clique, crashes and link faults go only where
-/// the row covers them), bounds values to the mutation ranges, then
+/// ones return to the clique, crashes and link faults go only where the
+/// row covers them) and every numeric_fields() value into its range, then
 /// normalizes and recomputes the horizon. Mutation applies this after
-/// every op; hand-written specs remain free to step outside the envelope.
+/// every op; hand-written specs may step outside the envelope.
 void clamp_to_envelope(Scenario& s);
 
 /// True iff the scenario is a fixpoint of clamp_to_envelope — i.e. already

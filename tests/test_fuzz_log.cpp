@@ -211,5 +211,20 @@ TEST(FuzzLogSoak, DigestStableAcrossJobsAndWidensEngineCoverage) {
          "soak missed";
 }
 
+TEST(FuzzLogSoak, LogRunsAreNotDifferentialSkips) {
+  // The family never replays on the reference engine, so its runs are not
+  // due a replay: only n > kDifferentialMaxN skips are counted.
+  SoakOptions options;
+  options.count = 30;
+  options.seed_base = 1;
+  options.differential_every = 7;
+  options.log_every = 1;
+  options.shrink_failures = false;
+  const SoakResult result = run_soak(options);
+  EXPECT_EQ(result.log_scenarios, 30u);
+  EXPECT_EQ(result.differential_runs, 0u);
+  EXPECT_EQ(result.differential_skipped, 0u);
+}
+
 }  // namespace
 }  // namespace amac::fuzz

@@ -448,6 +448,118 @@ TEST(FuzzMutation, DeliberatelyUnclampedScriptedMutantIsRejected) {
   EXPECT_TRUE(inside_envelope(bad));
 }
 
+TEST(FuzzMutation, ClampPinsEveryFieldRange) {
+  // Every bounded field set past both ends of its mutation range, and what
+  // clamp_to_envelope returns. The bounds are written out here, not read
+  // from numeric_fields(), so a dropped or edited descriptor fails.
+  Scenario lo;  // holdback flooding, every value below its range
+  lo.algorithm = Algorithm::kFlooding;
+  lo.topology = TopologyKind::kClique;
+  lo.n = 6;
+  lo.scheduler = SchedulerKind::kHoldback;
+  lo.fack = 0;
+  lo.holds = {{0, 0}, {1, 1}};
+  lo.crashes = {{2, 0}};
+  lo.faults = {{0, 1, 0, 0}, {1, 0, 50, 10}};
+  clamp_to_envelope(lo);
+  EXPECT_EQ(lo.fack, 1u);
+  ASSERT_EQ(lo.holds.size(), 2u);
+  EXPECT_EQ(lo.holds[0].release, 2u);
+  EXPECT_EQ(lo.holds[1].release, 2u);
+  ASSERT_EQ(lo.crashes.size(), 1u);
+  EXPECT_EQ(lo.crashes[0].when, 1u);
+  ASSERT_EQ(lo.faults.size(), 2u);
+  EXPECT_EQ(lo.faults[0].until_tick, 1u);  // from + 1
+  EXPECT_EQ(lo.faults[1].until_tick, 51u);
+
+  Scenario hi = lo;  // every value above its range
+  hi.n = 100;
+  hi.fack = 1000;
+  hi.holds = {{0, 99999}};
+  hi.crashes.clear();
+  for (NodeId u = 0; u < 6; ++u) hi.crashes.push_back({u, 99999});
+  hi.drop_rate_bp = 9999;
+  hi.dup_rate_bp = 9999;
+  hi.faults = {{0, 1, 99999, 100000},
+               {1, 2, 10, 99999},
+               {2, 3, 100, mac::kForever},
+               {3, 4, 5, 6},
+               {4, 5, 7, 8}};
+  clamp_to_envelope(hi);
+  EXPECT_EQ(hi.n, 24u);
+  EXPECT_EQ(hi.fack, 64u);
+  ASSERT_EQ(hi.holds.size(), 1u);
+  EXPECT_EQ(hi.holds[0].release, 4000u);
+  ASSERT_EQ(hi.crashes.size(), 4u);
+  for (const auto& c : hi.crashes) EXPECT_EQ(c.when, 5000u);
+  EXPECT_EQ(hi.drop_rate_bp, 2000u);
+  EXPECT_EQ(hi.dup_rate_bp, 2000u);
+  ASSERT_EQ(hi.faults.size(), 4u);
+  EXPECT_EQ(hi.faults[0].from_tick, 3999u);
+  EXPECT_EQ(hi.faults[0].until_tick, 4000u);
+  EXPECT_EQ(hi.faults[1].until_tick, 4000u);
+  EXPECT_EQ(hi.faults[2].until_tick, mac::kForever);
+  EXPECT_EQ(hi.faults[3].until_tick, 6u);
+
+  // Two-phase takes no permanent loss: an endless window heals 64 ticks
+  // after it opens, inside the window-end range, and the drop rate goes.
+  Scenario two_phase = hi;
+  two_phase.algorithm = Algorithm::kTwoPhase;
+  two_phase.crashes.clear();
+  two_phase.faults = {{0, 1, 10, mac::kForever}, {1, 0, 3990, mac::kForever}};
+  clamp_to_envelope(two_phase);
+  EXPECT_EQ(two_phase.drop_rate_bp, 0u);
+  EXPECT_EQ(two_phase.dup_rate_bp, 2000u);
+  ASSERT_EQ(two_phase.faults.size(), 2u);
+  EXPECT_EQ(two_phase.faults[0].until_tick, 74u);
+  EXPECT_EQ(two_phase.faults[1].until_tick, 4000u);
+
+  Scenario scripted = lo;  // scripted flooding: slot values at both ends
+  scripted.n = 8;
+  scripted.scheduler = SchedulerKind::kScripted;
+  scripted.faults.clear();
+  scripted.script = {{0, 0, 0, 0, {}}, {1, 99, 999, 0, {{2, 999}, {3, 0}}}};
+  for (NodeId u = 2; u < 7; ++u) {
+    scripted.script.push_back({u, 99, 999, 999, {}});
+  }
+  clamp_to_envelope(scripted);
+  ASSERT_EQ(scripted.script.size(), 6u);
+  EXPECT_EQ(scripted.script[0].index, 0u);
+  EXPECT_EQ(scripted.script[0].ack, 1u);
+  EXPECT_EQ(scripted.script[0].recv, 1u);
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(scripted.script[i].index, 12u);
+    EXPECT_EQ(scripted.script[i].ack, 32u);
+    EXPECT_EQ(scripted.script[i].recv, 32u);
+  }
+  ASSERT_EQ(scripted.script[1].delays.size(), 2u);
+  EXPECT_EQ(scripted.script[1].delays[0].second, 32u);
+  EXPECT_EQ(scripted.script[1].delays[1].second, 1u);
+  EXPECT_EQ(scripted.fack, 32u);  // derived from the slots
+
+  Scenario log_lo = lo;  // the log family's knobs at both ends
+  log_lo.log_ops = 1;
+  log_lo.log_batch = 0;
+  log_lo.log_window = 0;
+  log_lo.log_lease = 0;
+  clamp_to_envelope(log_lo);
+  EXPECT_EQ(log_lo.algorithm, Algorithm::kWPaxos);
+  EXPECT_EQ(log_lo.log_ops, 8u);
+  EXPECT_EQ(log_lo.log_batch, 1u);
+  EXPECT_EQ(log_lo.log_window, 1u);
+  EXPECT_EQ(log_lo.log_lease, 1u);
+  Scenario log_hi = lo;
+  log_hi.log_ops = 100000;
+  log_hi.log_batch = 99;
+  log_hi.log_window = 99;
+  log_hi.log_lease = 999;
+  clamp_to_envelope(log_hi);
+  EXPECT_EQ(log_hi.log_ops, 256u);
+  EXPECT_EQ(log_hi.log_batch, 16u);
+  EXPECT_EQ(log_hi.log_window, 8u);
+  EXPECT_EQ(log_hi.log_lease, 32u);
+}
+
 TEST(FuzzMutation, ScriptedMutantsRunCleanAndExerciseScriptedPaths) {
   // Scripted mutants inside their envelopes must run violation-free, and
   // the scripted scheduler really drives the runs (nonzero traffic,
