@@ -181,7 +181,7 @@ BENCHMARK(BM_RefEngineFanout)->Arg(16)->Arg(64)->Arg(1024);
 /// Network construction — the wheel was sized from the tiny pre-hold
 /// fack() — and re-armed as they release, so every broadcast of the run
 /// lands ~1200 ticks out (the recurring staggered-wake-up adversary).
-/// Every such event takes the overflow heap and the rebase migration:
+/// Every such event takes the overflow heap and pops from it in place:
 /// this row measures what the adversarial schedules of paper §3.2-3.3 pay
 /// for reaching past the ack bound the wheel is sized from.
 void BM_EngineLateHolds(benchmark::State& state) {
@@ -226,7 +226,7 @@ BENCHMARK(BM_EngineLateHolds);
 
 /// Raw calendar-queue push/pop stream where a third of pushes land far
 /// beyond the wheel window (held deliveries): every far push pays the
-/// overflow heap plus rebase migration.
+/// overflow heap push and pop.
 void BM_WheelLateHolds(benchmark::State& state) {
   for (auto _ : state) {
     mac::CalendarQueue q(4);

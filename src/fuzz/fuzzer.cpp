@@ -39,10 +39,13 @@ RunReport run_on_engine(const Scenario& s) {
   if (s.late_holds) apply_holds(s, b);
 
   RunReport r;
-  // The Lemma 4.2 monitor reads calendar-engine internals; differential
-  // replays on the reference engine skip it (it observes, never steers, so
-  // its absence cannot change the reference run).
+  // The Lemma 4.2 monitor and the mid-flight crash watch observe the
+  // calendar run only: they read calendar-engine internals or feed
+  // coverage, while a differential replay on the reference engine is read
+  // for its fingerprint alone. Both observe, never steer, so their absence
+  // cannot change the reference run.
   std::optional<verify::ResponseConservationMonitor> monitor;
+  std::vector<bool> seen_crashed;
   if constexpr (std::is_same_v<Net, mac::Network>) {
     // The Lemma 4.2 ledger assumes reliable delivery (every response copy
     // eventually arrives exactly once); a non-empty fault plan deliberately
@@ -51,26 +54,22 @@ RunReport run_on_engine(const Scenario& s) {
     if (s.algorithm == harness::Algorithm::kWPaxos && b.faults.empty()) {
       monitor.emplace(b.ids);
     }
-  }
-  std::vector<bool> seen_crashed(count, false);
-  const bool watch_crashes = !b.crashes.empty();
-  if (monitor.has_value() || watch_crashes) {
-    net.set_post_event_hook([&](Net& n) {
-      if (watch_crashes) {
-        for (NodeId u = 0; u < count; ++u) {
-          if (!seen_crashed[u] && n.crashed(u)) {
-            seen_crashed[u] = true;
-            // A crash with copies still pending exercises the non-atomic
-            // broadcast cancellation path (some neighbors receive, some
-            // never do).
-            if (n.in_flight_from(u) > 0) ++r.mid_flight_crashes;
-          }
+    if (monitor.has_value() || !b.crashes.empty()) {
+      seen_crashed.assign(count, false);
+      net.set_post_event_hook([&](Net& n) {
+        // Only planned crashees can crash, so the watch visits them alone.
+        for (const mac::CrashPlan& plan : b.crashes) {
+          const NodeId u = plan.node;
+          if (seen_crashed[u] || !n.crashed(u)) continue;
+          seen_crashed[u] = true;
+          // A crash with copies still pending exercises the non-atomic
+          // broadcast cancellation path (some neighbors receive, some
+          // never do).
+          if (n.in_flight_from(u) > 0) ++r.mid_flight_crashes;
         }
-      }
-      if constexpr (std::is_same_v<Net, mac::Network>) {
         if (monitor.has_value()) monitor->check(n);
-      }
-    });
+      });
+    }
   }
 
   const auto result = net.run(mac::StopWhen::kAllDecided, s.horizon);

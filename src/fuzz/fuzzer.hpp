@@ -213,7 +213,8 @@ struct RunReport {
   std::uint64_t monitor_checks = 0;
   std::size_t mid_flight_crashes = 0;  ///< crashes that cancelled in-flight
                                        ///< deliveries (the non-atomic
-                                       ///< broadcast edge case)
+                                       ///< broadcast edge case); counted
+                                       ///< on the calendar engine only
   bool differential_ran = false;
   std::uint64_t reference_fingerprint = 0;  ///< when differential_ran
   FailureKind failure = FailureKind::kNone;

@@ -731,8 +731,10 @@ Scenario mutate_scenario(const Scenario& base, const Scenario* splice,
         static_cast<MutationOp>(rng.uniform(0, kMutationOpCount - 1));
     applied = apply_mutation(s, op, splice, rng);
   }
-  // Every scenario admits a reseed, so a mutant never degenerates into a
-  // verbatim copy of its parent.
+  // Every scenario admits a reseed, so some op always applies. An applied
+  // op can still leave the spec unchanged — a perturb the clamp pulls back
+  // to its range end, an edit normalize undoes — so a small share of
+  // mutants equal their parent.
   if (!applied) apply_mutation(s, MutationOp::kReseed, splice, rng);
   clamp_to_envelope(s);
   return s;

@@ -12,15 +12,15 @@
 //     [base_, base_ + W). Bucket index is `t & (W-1)`; each bucket holds
 //     events of exactly one tick at a time (`tick_` tags which).
 //   * Within a bucket, events are segregated into one lane per EventKind.
-//     Global push order has monotonically increasing `seq`, so plain
-//     appends keep each lane seq-sorted; popping lane 0 (deliveries), then
-//     lane 1 (acks), then lane 2 (crashes) realizes the (t, kind, seq)
-//     ordering contract exactly (a run entry covers a seq range no other
-//     entry overlaps, so lanes stay sorted by first seq). Lane vectors are
-//     reused, never freed: when a bucket drains, its warmed lanes move to
-//     a spare pool and the next bucket to become occupied adopts them, so
-//     steady-state operation allocates nothing and a ring only ever warms
-//     as many lanes as it has simultaneously occupied buckets.
+//     Global push order has monotonically increasing `seq` and every event
+//     stays where it was pushed, so plain appends keep each lane
+//     seq-sorted; popping lane 0 (deliveries), then lane 1 (acks), then
+//     lane 2 (crashes) realizes the (t, kind, seq) ordering contract
+//     exactly (a run entry covers a seq range no other entry overlaps, so
+//     lanes stay sorted by first seq). Lane vectors are reused, never
+//     freed: a drained bucket clears its lanes and keeps their capacity,
+//     so once every bucket has seen its densest tick, steady-state
+//     operation allocates nothing.
 //   * `push_run` is the fan-out fast path: when a broadcast schedule is
 //     uniform, all of its kept deliver copies share one tick and take
 //     consecutive seqs, so the engine hands the queue the first copy and
@@ -36,20 +36,21 @@
 //     copies; `batch_reservations` counts the in-wheel runs alone.
 //   * `occupancy_` is a bitmap over buckets; finding the next non-empty
 //     tick is a word-wise circular scan from the cursor.
-//   * Events with t >= base_ + W go to `overflow_`, a (t, kind, seq)
-//     min-heap. When the overflow's minimum becomes the global minimum the
-//     queue rebases: the cursor jumps to that tick and every overflow event
-//     inside the new window migrates into the wheel. Migrated events may
-//     interleave with already-bucketed ones, so migration inserts by `seq`
-//     (the only non-append path, and only on the rare rebase).
+//   * Events with t >= base_ + W at push time go to `overflow_`, a
+//     (t, kind, seq) min-heap, and are popped from it in place. The cursor
+//     is the smaller of the wheel's next occupied tick and the heap top's
+//     tick. Once the cursor has moved on, the heap may hold events inside
+//     the window, even at the cursor tick beside a bucket: `pop` then
+//     compares the heap top with the bucket's head entry in
+//     (t, kind, seq) order and takes whichever comes first.
 //
 // One path for far events. The wheel is sized once, from the constructor's
 // horizon hint (the scheduler's F_ack at engine construction), and never
 // changes size. Every push beyond it — crash plans, holdback releases,
 // HoldbackScheduler holds registered after construction — takes the
-// overflow heap and later the rebase migration, so the heap's log factor is
-// paid only by the adversarial schedules of paper §3.2-3.3 that reach past
-// the ack bound.
+// overflow heap and pops from it, so the heap's log factor is paid only by
+// the adversarial schedules of paper §3.2-3.3 that reach past the ack
+// bound.
 //
 // The pop order is bit-identical to a binary heap ordered by
 // (t, kind, seq) — proved by the calendar-vs-reference differential test
@@ -102,10 +103,6 @@ class CalendarQueue {
   [[nodiscard]] Time span() const {
     return static_cast<Time>(buckets_.size());
   }
-  /// Warmed lane vectors currently parked in the recycling pool (tests).
-  [[nodiscard]] std::size_t spare_lane_count() const {
-    return spare_lanes_.size();
-  }
 
   /// Pushes one copy (`e.run` must be 1; runs go through push_run).
   void push(const Event& e) {
@@ -152,7 +149,7 @@ class CalendarQueue {
   }
 
   /// Time of the next event to pop. Requires !empty(). Advances the cursor
-  /// (and migrates due overflow events) but pops nothing.
+  /// but pops nothing.
   [[nodiscard]] Time next_time() {
     AMAC_EXPECTS(size_ > 0);
     position_cursor();
@@ -165,13 +162,20 @@ class CalendarQueue {
   Event pop() {
     AMAC_EXPECTS(size_ > 0);
     position_cursor();
+    if (overflow_first()) {
+      const Event e = overflow_.top();
+      overflow_.pop();
+      --size_;
+      return e;
+    }
     return take(1);
   }
 
   /// Drops the `n` copies that directly follow the one just popped — the
   /// rest of its run, or a prefix of it — without handing them out.
   /// Requires the previous call to have been pop() and its event's
-  /// `run` > n.
+  /// `run` > n (so it came from a wheel run entry: heap entries are single
+  /// copies).
   void discard_run(std::size_t n) {
     if (n != 0) static_cast<void>(take(n));
   }
@@ -179,7 +183,8 @@ class CalendarQueue {
  private:
   static constexpr std::size_t kLanes = 3;
   static constexpr std::size_t kMaxWheel = 4096;  ///< wheel size cap
-  /// Smallest capacity a lane vector is ever born with (see warm_lane).
+  /// Capacity a lane vector reserves on its first use, so a lane never
+  /// grows through the smallest doublings.
   static constexpr std::size_t kMinLaneCapacity = 16;
 
   struct Bucket {
@@ -189,39 +194,6 @@ class CalendarQueue {
     std::size_t count = 0;
   };
 
-  static bool lane_capacity_less(const std::vector<Event>& a,
-                                 const std::vector<Event>& b) {
-    return a.capacity() < b.capacity();
-  }
-
-  /// Gives a capacity-less lane storage: the largest parked spare when the
-  /// pool has one (adoption takes the biggest so a dense tick finds the
-  /// high-water vector instead of growing a small one), otherwise a fresh
-  /// reservation at the capacity floor so no tiny vector is ever born into
-  /// the circulating pool — either way lane capacities converge to the
-  /// demand profile after a handful of ticks instead of oscillating
-  /// through incremental doublings.
-  void warm_lane(std::vector<Event>& lane) {
-    if (!spare_lanes_.empty()) {
-      std::pop_heap(spare_lanes_.begin(), spare_lanes_.end(),
-                    lane_capacity_less);
-      lane = std::move(spare_lanes_.back());
-      spare_lanes_.pop_back();
-    } else {
-      lane.reserve(kMinLaneCapacity);
-    }
-  }
-
-  /// Parks a cleared lane vector. The pool is a max-heap on capacity, so
-  /// parking and largest-first adoption are O(log pool) — a bulk drain of
-  /// many occupied buckets stays linearithmic
-  /// instead of shifting a sorted vector per lane.
-  void park_spare(std::vector<Event>&& lane) {
-    spare_lanes_.push_back(std::move(lane));
-    std::push_heap(spare_lanes_.begin(), spare_lanes_.end(),
-                   lane_capacity_less);
-  }
-
   void set_occupied(std::size_t idx) {
     occupancy_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
   }
@@ -229,21 +201,35 @@ class CalendarQueue {
     occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
   }
 
-  /// Takes the first `n` copies of the cursor bucket's head entry (the
-  /// minimal one) and returns the entry as it stood. When the bucket
-  /// drains, its warmed lane storage circulates through the spare pool
-  /// instead of staying pinned to it: the next bucket to become occupied
-  /// (often a different ring slot entirely)
-  /// adopts it, so a revolution of the ring needs only as many warmed
-  /// lanes as there are simultaneously occupied buckets.
-  Event take(std::size_t n) {
-    Bucket& b = buckets_[base_ & mask_];
-    AMAC_ENSURES(b.count >= n && b.tick == base_);
+  /// Index of the first lane of `b` with an unpopped entry: that entry is
+  /// the bucket's (kind, seq)-minimal one. Requires b.count > 0.
+  static std::size_t head_lane(const Bucket& b) {
     std::size_t k = 0;
     while (b.head[k] == b.lane[k].size()) {
       ++k;
       AMAC_ENSURES(k < kLanes);
     }
+    return k;
+  }
+
+  /// True when the queue minimum is the overflow heap's top: it sits at the
+  /// cursor tick and the cursor bucket is empty or its head entry comes
+  /// after it. Requires a positioned cursor.
+  [[nodiscard]] bool overflow_first() const {
+    if (overflow_.empty() || overflow_.top().t != base_) return false;
+    const Bucket& b = buckets_[base_ & mask_];
+    if (b.count == 0) return true;
+    const std::size_t k = head_lane(b);
+    return event_after(b.lane[k][b.head[k]], overflow_.top());
+  }
+
+  /// Takes the first `n` copies of the cursor bucket's head entry and
+  /// returns the entry as it stood. A drained bucket clears its lanes and
+  /// keeps their capacity for the ticks that map onto it later.
+  Event take(std::size_t n) {
+    Bucket& b = buckets_[base_ & mask_];
+    AMAC_ENSURES(b.count >= n && b.tick == base_);
+    const std::size_t k = head_lane(b);
     Event& head = b.lane[k][b.head[k]];
     const Event taken = head;
     AMAC_EXPECTS(head.run >= n);
@@ -254,21 +240,16 @@ class CalendarQueue {
     wheel_count_ -= n;
     size_ -= n;
     if (b.count == 0) {
-      for (k = 0; k < kLanes; ++k) {
-        auto& lane = b.lane[k];
-        if (lane.capacity() != 0) {
-          lane.clear();
-          park_spare(std::move(lane));
-          lane = std::vector<Event>();
-        }
-        b.head[k] = 0;
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        b.lane[i].clear();
+        b.head[i] = 0;
       }
       clear_occupied(base_ & mask_);
     }
     return taken;
   }
 
-  /// Places `e` (a single copy or a run entry) in its bucket lane; the
+  /// Appends `e` (a single copy or a run entry) to its bucket lane; the
   /// bucket and wheel counts grow by its copy count.
   void wheel_insert(const Event& e) {
     Bucket& b = buckets_[e.t & mask_];
@@ -281,50 +262,37 @@ class CalendarQueue {
       AMAC_ENSURES(b.tick == e.t);
     }
     auto& lane = b.lane[static_cast<std::size_t>(e.kind)];
-    if (lane.capacity() == 0) warm_lane(lane);
-    // Run entries cover disjoint seq ranges (a run's seqs are taken in one
-    // fan-out), so comparing first seqs orders whole entries.
-    if (lane.empty() || lane.back().seq < e.seq) {
-      AMAC_CHECK_ENSURES(lane.empty() ||
-                         lane.back().seq + lane.back().run <= e.seq);
-      lane.push_back(e);  // the hot path: pushes arrive in seq order
-    } else {
-      // Overflow migration may slot an older-seq event behind newer ones.
-      auto it = lane.begin() + static_cast<std::ptrdiff_t>(
-                                   b.head[static_cast<std::size_t>(e.kind)]);
-      while (it != lane.end() && it->seq < e.seq) ++it;
-      lane.insert(it, e);
-    }
+    if (lane.capacity() == 0) lane.reserve(kMinLaneCapacity);
+    // Pushes arrive in seq order and run entries cover disjoint seq
+    // ranges (a run's seqs are taken in one fan-out), so appending keeps
+    // the lane sorted.
+    AMAC_CHECK_ENSURES(lane.empty() ||
+                       lane.back().seq + lane.back().run <= e.seq);
+    lane.push_back(e);
     b.count += e.run;
     wheel_count_ += e.run;
   }
 
-  /// Sets base_ to the tick of the queue minimum, migrating overflow events
-  /// into the wheel when the minimum lives there.
+  /// Sets base_ to the tick of the queue minimum: the smaller of the
+  /// wheel's next occupied tick and the overflow heap's top tick.
   void position_cursor() {
-    // Fast path: the cursor bucket still holds events, so base_ is already
-    // the minimum — every queued event has t >= base_ (push contract), and
-    // once the cursor is positioned the overflow only holds t >= base_ + W.
-    // This makes peek+pop pairs and multi-event ticks O(1), no bitmap scan.
+    // Fast path: the cursor bucket or the heap top still holds an event at
+    // base_, so base_ is already the minimum tick — every queued event has
+    // t >= base_ (push contract). This makes peek+pop pairs and
+    // multi-event ticks O(1), no bitmap scan.
     {
       const Bucket& b = buckets_[base_ & mask_];
       if (b.count > 0 && b.tick == base_) return;
+      if (!overflow_.empty() && overflow_.top().t == base_) return;
     }
-    if (wheel_count_ > 0) {
-      const Time wheel_min = scan_next_tick();
-      if (overflow_.empty() || overflow_.top().t > wheel_min) {
-        base_ = wheel_min;
-        return;
-      }
+    if (wheel_count_ == 0) {
+      AMAC_ENSURES(!overflow_.empty());
+      base_ = overflow_.top().t;
+      return;
     }
-    // The minimum is in the overflow: rebase the window onto it and pull in
-    // everything now within reach.
-    AMAC_ENSURES(!overflow_.empty());
-    base_ = overflow_.top().t;
-    while (!overflow_.empty() && overflow_.top().t - base_ < span()) {
-      wheel_insert(overflow_.top());
-      overflow_.pop();
-    }
+    const Time wheel_min = scan_next_tick();
+    base_ = overflow_.empty() ? wheel_min
+                              : std::min(wheel_min, overflow_.top().t);
   }
 
   /// First occupied tick at or after base_ (circular bitmap scan). Requires
@@ -356,12 +324,6 @@ class CalendarQueue {
   std::uint64_t wheel_pushes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
   std::uint64_t batch_reservations_ = 0;
-  /// Cleared lane vectors whose capacity is waiting to be adopted by the
-  /// next bucket that becomes occupied. Lane storage is conserved, not
-  /// duplicated: vectors move bucket -> pool on bucket drain and pool ->
-  /// bucket on first insert, so the pool is bounded by the ring's lane
-  /// count.
-  std::vector<std::vector<Event>> spare_lanes_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> overflow_;
 };
 

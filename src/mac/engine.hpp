@@ -46,17 +46,18 @@
 // sit within [now, now + F_ack]: CalendarQueue (calendar_queue.hpp) keeps a
 // power-of-two wheel of per-tick buckets sized from Scheduler::fack() —
 // push and pop are O(1) array traffic — with a (t, kind, seq) min-heap
-// spill-over for far-future events (crash plans, holdback releases). Bucket
-// lane vectors are cleared, never freed, so steady state allocates nothing.
+// spill-over for far-future events (crash plans, holdback releases). A
+// drained bucket clears its lane vectors and keeps their capacity, so once
+// every bucket has warmed, steady state allocates nothing.
 //
 // Far events. The wheel's span comes from fack() at construction and never
 // changes. Events past it — crash plans, holdback releases, Holdback holds
-// registered after construction — wait in the overflow heap and migrate
-// into the wheel when the cursor rebases onto them; the abstract MAC layer
-// bounds every other delay by F_ack, so only the adversarial schedules pay
-// the heap's log factor. The wheel_pushes / overflow_pushes fields of
-// EngineStats report which path events took (benches and the fuzzer's soak
-// summary read them).
+// registered after construction — wait in the overflow heap and pop from
+// it, ordered against a same-tick bucket by (t, kind, seq); the abstract
+// MAC layer bounds every other delay by F_ack, so only the adversarial
+// schedules pay the heap's log factor. The wheel_pushes / overflow_pushes
+// fields of EngineStats report which path events took (benches and the
+// fuzzer's soak summary read them).
 //
 // SoA broadcast fan-out. BroadcastSchedule is struct-of-arrays: parallel
 // receivers[] / delays[] written by every scheduler into the engine's
@@ -97,12 +98,14 @@
 // state holds the sender's flight slot directly: in_flight_from is O(1) and
 // for_each_in_flight is O(active flights), not O(all flights ever).
 //
-// Zero-allocation steady state. After warm-up (flight slots, lane and
-// scratch capacities grown), the broadcast -> deliver -> ack cycle performs
-// zero heap allocations: the scheduler writes into the engine's scratch
+// Zero-allocation steady state. After warm-up (flight slots, scratch
+// capacities, and each wheel bucket's lanes grown to the densest tick that
+// has mapped onto it), the broadcast -> deliver -> ack cycle performs zero
+// heap allocations: the scheduler writes into the engine's scratch
 // BroadcastSchedule, payload bytes reuse flight-slot capacity, events are
-// plain values in reused lanes, and Packet hands out references. Verified
-// by the allocation-counting test in tests/test_mac_event_core.cpp.
+// plain values in lanes that keep their capacity when their bucket drains,
+// and Packet hands out references. Verified by the allocation-counting
+// test in tests/test_mac_event_core.cpp.
 //
 // Unreliable links. An installed LinkFaultPlan (set_link_faults,
 // link_faults.hpp) partitions every reliable fan-out at broadcast time by

@@ -5,13 +5,15 @@
 // Coverage targets, each also hit by a dedicated deterministic test:
 //   * wheel wrap-around (the cursor circles the power-of-two ring many
 //     times over);
-//   * overflow promotion (far-future events heap first, migrate into the
-//     wheel when the cursor rebases onto them);
+//   * overflow residency (far-future events stay on the heap until they
+//     pop; once the cursor reaches their tick, a heap-resident older copy
+//     pops ahead of a newer same-tick wheel entry of its kind, and after
+//     one of an earlier kind, by the cursor-tick comparison);
 //   * heavy overflow traffic (a third of pushes far past a tiny wheel, and
 //     horizons tens of thousands of ticks out: the wheel never grows, so
-//     every one takes the heap and the rebase migration);
+//     every one takes the heap and pops from it);
 //   * the run-length fan-out path (push_run vs per-copy pushes, runs half
-//     consumed beside a migration, discard_run);
+//     consumed beside a heap-resident copy of the same tick, discard_run);
 //   * FIFO tie-break at equal timestamps (seq order within a kind, kind
 //     lanes at one tick).
 #include <gtest/gtest.h>
@@ -94,11 +96,11 @@ TEST(CalendarQueueProperty, NearHorizonInterleavingsMatchOracle) {
   }
 }
 
-TEST(CalendarQueueProperty, FarHorizonsRebaseInOrder) {
+TEST(CalendarQueueProperty, FarHorizonsPopFromHeapInOrder) {
   // Horizons tens of thousands of ticks past a 16-bucket wheel — the
   // regime a 4096-node soak's far timers live in. Far pushes land ~26k-31k
-  // and 70k-90k ticks out; every one stays on the overflow heap until the
-  // cursor rebases onto it, and pops in oracle order.
+  // and 70k-90k ticks out; every one stays on the overflow heap until it
+  // pops, in oracle order, also when later near pushes share its tick.
   util::Rng rng(0xCA11DA);
   CalendarQueue q(4);
   Oracle ref;
@@ -132,7 +134,7 @@ TEST(CalendarQueueProperty, FarHorizonsRebaseInOrder) {
 
 TEST(CalendarQueueProperty, HeavyOverflowPressureMatchesOracle) {
   // 35% of pushes land ~2000-4000 ticks out against a tiny wheel: a steady
-  // stream of heap pushes and rebase migrations, interleaved with pops.
+  // stream of heap pushes and heap pops, interleaved with wheel traffic.
   util::Rng rng(0xD15AB1E);
   for (int trial = 0; trial < 8; ++trial) {
     run_interleaving_trial(rng, 4, 0.35, 2000, 4000, 3000);
@@ -144,7 +146,8 @@ TEST(CalendarQueueProperty, RunPushMatchesPerCopyPushes) {
   // another: identical pop order, both match the oracle, and the two agree
   // on which copies took the wheel and which the overflow heap, and on the
   // peak size. Pops interleave with pushes, so runs are often half
-  // consumed when the next push (or a migration) arrives.
+  // consumed when the next push arrives or a heap copy of the same tick
+  // comes due.
   util::Rng rng(0xBA7C4);
   for (int trial = 0; trial < 10; ++trial) {
     CalendarQueue runs(8);
@@ -244,12 +247,13 @@ TEST(CalendarQueueProperty, RunBeyondTheWheelSpillsToOverflow) {
   drain_and_compare(q, ref);
 }
 
-TEST(CalendarQueueProperty, HalfConsumedRunBesideMigratedOlderCopy) {
+TEST(CalendarQueueProperty, HalfConsumedRunBesideHeapResidentOlderCopy) {
   // A run half popped at the cursor tick while an overflow copy pushed
   // early at tick 20 waits on the heap. A newer run then lands in the wheel
   // at tick 20 (now within reach of the cursor), so when the cursor
-  // rebases onto tick 20 the migrated older copy joins an occupied bucket
-  // and must be inserted ahead of the newer run (the insert-by-seq path).
+  // reaches tick 20 the heap-resident older copy shares the tick with an
+  // occupied bucket and must pop ahead of the newer run: pop compares the
+  // heap top with the bucket head in (t, kind, seq) order.
   CalendarQueue q(4);
   ASSERT_EQ(q.span(), 16u);
   Oracle ref;
@@ -271,8 +275,8 @@ TEST(CalendarQueueProperty, HalfConsumedRunBesideMigratedOlderCopy) {
   EXPECT_EQ(q.batch_reservations(), 2u);
   EXPECT_EQ(q.size(), 2u + 1u + 3u);
   EXPECT_EQ(q.wheel_pushes(), 4u + 3u);
-  // Remaining copies of the first run, then the migrated early copy, then
-  // the second run.
+  // Remaining copies of the first run, then the heap-resident early copy,
+  // then the second run.
   const std::pair<std::uint64_t, std::uint32_t> want[] = {
       {3, 2}, {4, 1}, {0, 1}, {5, 3}, {6, 2}, {7, 1}};
   for (const auto& [s, left] : want) {
@@ -286,7 +290,7 @@ TEST(CalendarQueueProperty, HalfConsumedRunBesideMigratedOlderCopy) {
   EXPECT_TRUE(ref.empty());
 }
 
-TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndRecyclesDrainedLanes) {
+TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndDrainsBuckets) {
   CalendarQueue q(4);
   Oracle ref;
   std::uint64_t seq = 0;
@@ -298,7 +302,6 @@ TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndRecyclesDrainedLanes) {
   q.push(ack);
   push_run_at(q, ref, seq, 4, 3);  // seqs 7..9
   ASSERT_EQ(q.size(), 10u);
-  EXPECT_EQ(q.spare_lane_count(), 0u);
 
   // Part of a run: the next pop continues right after the dropped copies.
   Event got = q.pop();
@@ -310,34 +313,28 @@ TEST(CalendarQueueProperty, DiscardRunDropsCopiesAndRecyclesDrainedLanes) {
   EXPECT_EQ(got.seq, 3u);
   EXPECT_EQ(got.run, 3u);
   // The rest of a run: the deliver lane empties but the tick's ack keeps
-  // the bucket occupied, so nothing is recycled yet.
+  // the bucket occupied, so the cursor stays on tick 3.
   q.discard_run(2);  // seqs 4, 5
   EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.spare_lane_count(), 0u);
   EXPECT_EQ(q.next_time(), 3u);
   got = q.pop();
   EXPECT_EQ(got.kind, EventKind::kAck);
   EXPECT_EQ(got.seq, 6u);
-  // Tick 3 drained by a pop: its deliver and ack lanes park as spares.
-  EXPECT_EQ(q.spare_lane_count(), 2u);
 
-  // A discard that drains its bucket recycles the lane the same way.
+  // A discard that drains its bucket.
   got = q.pop();
   EXPECT_EQ(got.seq, 7u);
   q.discard_run(0);  // no-op
   EXPECT_EQ(q.size(), 2u);
   q.discard_run(2);  // seqs 8, 9
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.spare_lane_count(), 3u);
   // Counters stay in copy units; a discard never lowers the peak.
   EXPECT_EQ(q.peak_size(), 10u);
   EXPECT_EQ(q.wheel_pushes(), 10u);
 
-  // The next occupied bucket adopts a parked lane, and the queue keeps
-  // ordering correctly after the drained ticks.
+  // The queue keeps ordering correctly after the drained ticks.
   Oracle fresh;
   push_run_at(q, fresh, seq, 9, 2);
-  EXPECT_EQ(q.spare_lane_count(), 2u);
   drain_and_compare(q, fresh);
 }
 
@@ -368,10 +365,13 @@ TEST(CalendarQueueProperty, WheelWrapAroundManyRevolutions) {
   EXPECT_EQ(q.overflow_pushes(), 0u);  // everything stayed in-window
 }
 
-TEST(CalendarQueueProperty, OverflowPromotionPreservesSeqInterleave) {
-  // Far events pushed early (low seq) must, after migrating into the
-  // wheel, pop BEFORE same-tick same-kind events pushed later (higher
-  // seq): the migration insert-by-seq path.
+TEST(CalendarQueueProperty, HeapAndSameTickWheelCopiesPopInKindSeqOrder) {
+  // Far events pushed early (low seq) stay on the overflow heap; once the
+  // cursor reaches their tick, same-tick events pushed later (higher seq)
+  // land in the wheel. Pop compares the heap top with the bucket head in
+  // (t, kind, seq) order: the older heap deliveries pop BEFORE the newer
+  // wheel deliveries, and the older heap ack waits for them, because kind
+  // outranks seq.
   CalendarQueue q(4);  // span 16
   std::uint64_t seq = 0;
   for (int i = 0; i < 5; ++i) {
@@ -381,22 +381,29 @@ TEST(CalendarQueueProperty, OverflowPromotionPreservesSeqInterleave) {
     e.seq = seq++;  // seqs 0..4 into the overflow heap
     q.push(e);
   }
+  Event far_ack;
+  far_ack.t = 1000;
+  far_ack.kind = EventKind::kAck;
+  far_ack.seq = seq++;  // seq 5 into the overflow heap
+  q.push(far_ack);
   Event near;
   near.t = 2;
   near.kind = EventKind::kDeliver;
   near.seq = seq++;
   q.push(near);
   EXPECT_EQ(q.pop().t, 2u);
-  // Cursor rebases onto t=1000; now push MORE events at the same tick.
+  // The cursor moves onto t=1000; now push MORE events at the same tick.
   EXPECT_EQ(q.next_time(), 1000u);
   for (int i = 0; i < 3; ++i) {
     Event e;
     e.t = 1000;
     e.kind = EventKind::kDeliver;
-    e.seq = seq++;  // seqs 6..8, appended to the already-migrated bucket
+    e.seq = seq++;  // seqs 7..9, in-window now: the wheel
     q.push(e);
   }
-  for (std::uint64_t want : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u}) {
+  EXPECT_EQ(q.wheel_pushes(), 1u + 3u);
+  EXPECT_EQ(q.overflow_pushes(), 6u);
+  for (std::uint64_t want : {0u, 1u, 2u, 3u, 4u, 7u, 8u, 9u, 5u}) {
     ASSERT_EQ(q.pop().seq, want);
   }
   EXPECT_TRUE(q.empty());
@@ -459,7 +466,7 @@ TEST(CalendarQueueProperty, WheelAndOverflowEventsPopExactlyOnce) {
 
 TEST(CalendarQueueProperty, SentinelHorizonsStayOnOverflowHeap) {
   // kForever-style sentinels (crash plans that never fire) live on the
-  // heap, and popping them rebases the cursor next to kForever without
+  // heap, and popping them moves the cursor next to kForever without
   // wrapping the window test.
   CalendarQueue q(4);
   Oracle ref;

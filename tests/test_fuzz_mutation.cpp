@@ -5,7 +5,8 @@
 //   * every mutant — including chains of mutants — survives the
 //     clamp_to_envelope round-trip: spec-exact (format/parse), inside its
 //     algorithm's guarantee envelope, and buildable;
-//   * mutation is deterministic given the rng state;
+//   * mutation is deterministic given the rng state, and a long chained
+//     mutant stream is pinned by digest;
 //   * CoverageSignature is stable, discriminates engine paths, and the
 //     corpus is bounded with exact novelty detection;
 //   * a mutating soak strictly widens distinct-signature coverage over
@@ -18,6 +19,7 @@
 #include <algorithm>
 
 #include "fuzz/fuzzer.hpp"
+#include "util/hash.hpp"
 
 namespace amac::fuzz {
 namespace {
@@ -119,23 +121,44 @@ TEST(FuzzMutation, MutantChainsSurviveRoundTripAndStayInEnvelope) {
   // Chains of mutants (mutant-of-mutant, with occasional splice partners)
   // must stay spec-exact and inside the guarantee envelope — this is what
   // makes a mutant violation a real bug and its printed spec replayable.
+  // The folded spec stream pins the mutator itself: any change to an op,
+  // its rng draws or the clamp moves the digest, while the soak pins only
+  // see such a change through run fingerprints. The chains are long enough
+  // for every list to reach its cap.
   util::Rng rng(0xC07E4A6E);
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+  util::Hasher stream;
+  std::size_t full_holds = 0;
+  std::size_t full_crashes = 0;
+  std::size_t full_script = 0;
+  std::size_t full_faults = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     Scenario s = generate_scenario(seed);
     const Scenario partner = generate_scenario(seed + 1000);
-    for (int step = 0; step < 8; ++step) {
+    for (int step = 0; step < 24; ++step) {
       const Scenario* splice = (step % 3 == 2) ? &partner : nullptr;
       s = mutate_scenario(s, splice, rng);
+      const std::string spec = format_spec(s);
+      stream.mix_string(spec);
       const std::string context = "seed " + std::to_string(seed) + " step " +
-                                  std::to_string(step) + ": " +
-                                  format_spec(s);
+                                  std::to_string(step) + ": " + spec;
       // Spec round-trip is exact.
-      const auto parsed = parse_spec(format_spec(s));
+      const auto parsed = parse_spec(spec);
       ASSERT_TRUE(parsed.has_value()) << context;
-      EXPECT_EQ(format_spec(*parsed), format_spec(s)) << context;
+      EXPECT_EQ(format_spec(*parsed), spec) << context;
       expect_in_envelope(s, context);
+      full_holds += s.holds.size() == 6 ? 1 : 0;
+      full_crashes += s.crashes.size() == 4 ? 1 : 0;
+      full_script += s.script.size() == 6 ? 1 : 0;
+      full_faults += s.faults.size() == 4 ? 1 : 0;
     }
   }
+  EXPECT_EQ(stream.digest(), 0xc2815d1af921fdccULL);
+  // Each list cap (6 holds, 4 crashes, 6 script slots, 4 fault windows)
+  // is reached.
+  EXPECT_GT(full_holds, 0u);
+  EXPECT_GT(full_crashes, 0u);
+  EXPECT_GT(full_script, 0u);
+  EXPECT_GT(full_faults, 0u);
 }
 
 TEST(FuzzSpec, PerReceiverScriptSlotsRoundTripExactly) {

@@ -73,7 +73,7 @@ TEST(FuzzRegressions, CrashDuringInFlightAckStaysCleanAndBitIdentical) {
 
 // Holdback holds applied AFTER Network construction (late=1): the calendar
 // wheel was sized from the pre-hold fack(), so the held deliveries land
-// past it and take the overflow heap and the rebase migration. Pinned as
+// past it and take the overflow heap, popping from it in place. Pinned as
 // full specs: the far deliveries must keep spilling — and stay
 // bit-identical to the (wheel-less) reference engine — no matter how the
 // generator evolves.

@@ -2,7 +2,7 @@
 // engine (PR: calendar-queue event core).
 //
 //   * CalendarQueue vs a (t, kind, seq) binary heap: identical pop order on
-//     randomized workloads, including far-future overflow + migration.
+//     randomized workloads, including far-future overflow-heap traffic.
 //   * Network (calendar) vs ReferenceNetwork (frozen heap engine): same
 //     trace digest, stats, decisions, and crash outcomes across schedulers,
 //     topologies, crash plans, link-fault plans, and the unreliable
@@ -43,7 +43,8 @@ TEST(CalendarQueue, MatchesReferenceHeapPopOrder) {
     Time now = 0;
     const auto push_random = [&] {
       Event e;
-      // 10% far-future pushes exercise the overflow heap and migration.
+      // 10% far-future pushes exercise the overflow heap, whose copies
+      // later share ticks with newer wheel pushes.
       e.t = now + (rng.chance(0.1) ? rng.uniform(3000, 9000)
                                    : rng.uniform(0, 15));
       e.kind = static_cast<EventKind>(rng.uniform(0, 2));
@@ -223,9 +224,9 @@ TEST(EngineDifferential, CrashesMidBroadcast) {
 }
 
 TEST(EngineDifferential, HoldbackFarFutureReleases) {
-  // Releases far beyond the calendar wheel force the overflow heap and the
-  // overflow->wheel migration path; a far crash rides along. Link 4 -> 5
-  // is held back to the same release by a finite drop window.
+  // Releases far beyond the calendar wheel force the overflow heap, whose
+  // copies pop beside same-tick wheel pushes; a far crash rides along.
+  // Link 4 -> 5 is held back to the same release by a finite drop window.
   const auto g = net::make_ring(8);
   const std::vector<CrashPlan> crashes{{3, 6500}};
   LinkFaultPlan plan;
@@ -556,10 +557,9 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingRandomDelays) {
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
               sched);
   // Warm-up long enough for the rare dense ticks of the random delay
-  // distribution to have grown the circulating lane pool to its high-water
-  // mark (lane storage is shared ring-wide through the spare pool, so the
-  // mark is the peak CONCURRENT demand, reached a little later than the
-  // old per-bucket peaks were).
+  // distribution to have grown every bucket's lanes to their high-water
+  // mark (a drained bucket keeps its lane capacity, so each bucket warms
+  // once, to the densest tick that has mapped onto it).
   net.run(StopWhen::kQuiescent, 6000);
   const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 16000);
@@ -571,8 +571,8 @@ TEST(EngineAllocation, SteadyStateCycleAllocatesNothingRandomDelays) {
 TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
   // Same zero-allocation contract at soak scale: a 32x32 torus (n = 1024,
   // degree 4) with every node re-broadcasting on ack. The warm-up run
-  // grows the flight slots, per-node pending arrays, and the circulating
-  // lane set to their n=1024 high-water marks; after that, millions of
+  // grows the flight slots, per-node pending arrays, and the bucket lanes
+  // to their n=1024 high-water marks; after that, millions of
   // broadcast->deliver->ack cycles must not allocate once. Guards the
   // large-n hot path specifically: a per-delivery or per-retire
   // allocation that is invisible at n=16 dominates the profile at 4096.
@@ -615,10 +615,10 @@ TEST(EngineAllocation, LateHoldOverflowSteadyStateIsAllocationFree) {
   // Late Holdback holds (registered after construction, so the wheel was
   // sized from the tiny pre-hold fack: 16 buckets), re-armed as they
   // release: every broadcast lands ~100 ticks out, past the wheel, and
-  // takes the overflow heap and the rebase migration. Once the heap's
-  // storage and the circulating lanes have warmed, that path must
-  // allocate nothing — the heap reuses its vector and migrated events
-  // land in lanes adopted from the spare pool.
+  // takes the overflow heap and pops from it. Once the heap's storage and
+  // the bucket lanes have warmed, that path must allocate nothing — the
+  // heap reuses its vector and the wheel pushes beside it land in lanes
+  // that kept their capacity.
   constexpr std::size_t n = 8;
   const auto g = net::make_clique(n);
   HoldbackScheduler hold(std::make_unique<SynchronousScheduler>(1),
@@ -653,10 +653,11 @@ TEST(EngineAllocation, LateHoldOverflowSteadyStateIsAllocationFree) {
 }
 
 TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {
-  // The duplicate re-enqueue path rides the same bucket-lane spare pool as
-  // ordinary deliveries: once warmed, a steady state that keeps dropping
-  // AND duplicating frames must stay allocation-free (the extra copies are
-  // plan-driven pushes into already-circulating lanes, not new storage).
+  // The duplicate re-enqueue path rides the same bucket lanes as ordinary
+  // deliveries: once warmed, a steady state that keeps dropping AND
+  // duplicating frames must stay allocation-free (the extra copies are
+  // plan-driven pushes into lanes that kept their capacity, not new
+  // storage).
   const auto g = net::make_ring(8);
   SynchronousScheduler sched(2);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },
@@ -667,8 +668,7 @@ TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {
   plan.dup_rate_bp = 1500;
   net.set_link_faults(plan);
   // Warm-up: duplicate arrivals spread over 1..kMaxDuplicateExtra extra
-  // ticks, so the circulating lane set peaks later than the unfaulted
-  // cycle's does.
+  // ticks, so the bucket lanes peak later than the unfaulted cycle's do.
   net.run(StopWhen::kQuiescent, 4000);
   const std::uint64_t before = testutil::alloc_count();
   net.run(StopWhen::kQuiescent, 12000);
