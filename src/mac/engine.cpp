@@ -24,7 +24,8 @@ std::size_t Network::in_flight_from(NodeId sender,
                                     InstanceId instance) const {
   AMAC_EXPECTS(sender < nodes_.size());
   AMAC_EXPECTS(instance < instances_.size());
-  const std::uint32_t slot = instances_[instance].nodes[sender].flight_slot;
+  if (!has_table(instance)) return 0;  // recycled: no flight left
+  const std::uint32_t slot = live_node(instance, sender).flight_slot;
   if (slot == kNoFlight) return 0;
   // Live (non-tombstoned) pending entries; tracks pending occupancy exactly
   // because each entry is retired by exactly one deliver copy, popped or
@@ -38,8 +39,9 @@ void Network::for_each_in_flight(
     // A crashed sender's undelivered copies will never arrive; they are no
     // longer "in flight" for accounting purposes.
     if (nodes_[u].crashed) continue;
-    for (const Instance& inst : instances_) {
-      const std::uint32_t slot = inst.nodes[u].flight_slot;
+    for (InstanceId i = 0; i < instances_.size(); ++i) {
+      if (!has_table(i)) continue;  // recycled: no flight left
+      const std::uint32_t slot = live_node(i, u).flight_slot;
       if (slot == kNoFlight) continue;
       const Flight& flight = flights_[slot];
       for (const NodeId receiver : flight.pending) {
@@ -58,16 +60,18 @@ void Network::release_flight(std::uint32_t slot) {
   AMAC_ENSURES(inst.stats.live_pool_slots > 0);
   --inst.stats.live_pool_slots;
   inst.stats.live_pool_bytes -= flight.payload.size();
-  AMAC_ENSURES(inst.nodes[flight.sender].flight_slot == slot);
-  inst.nodes[flight.sender].flight_slot = kNoFlight;
+  InstanceNode& st = live_node(flight.instance, flight.sender);
+  AMAC_ENSURES(st.flight_slot == slot);
+  st.flight_slot = kNoFlight;
   free_flights_.push_back(slot);
+  unpin_table(flight.instance);
 }
 
 void Network::start_broadcast(NodeId u, InstanceId instance,
                               const util::Buffer& payload) {
   if (nodes_[u].crashed) return;
   Instance& inst = instances_[instance];
-  auto& st = inst.nodes[u];
+  InstanceNode& st = live_node(instance, u);
   if (st.busy) {
     // Model rule: extra broadcasts while one is outstanding are discarded.
     // Busy is per (node, instance): each instance has its own logical MAC
@@ -162,6 +166,7 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     flight.first_seq = next_seq_;
     AMAC_ENSURES(flight.pending.empty() && flight.undrained_events == 0);
     st.flight_slot = slot;
+    ++inst.table_refs;
     ++inst.stats.live_pool_slots;
     inst.stats.peak_pool_slots = std::max(inst.stats.peak_pool_slots,
                                           inst.stats.live_pool_slots);
@@ -246,6 +251,7 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
   ack.node = u;
   ack.broadcast_id = id;
   ack.instance = instance;
+  ++inst.table_refs;
   events_.push(ack);
 }
 
@@ -290,7 +296,8 @@ void Network::process_event(const Event& e) {
       Instance& inst = instances_[e.instance];
       // A retired instance's events are pure bookkeeping: the flight still
       // drains (releasing its slot) but no callback or counter runs.
-      Process* const process = inst.nodes[e.node].process.get();
+      // The flight pins the instance's table (Instance::table_refs).
+      Process* const process = live_node(e.instance, e.node).process.get();
       if (!cancelled && !nodes_[e.node].crashed && process != nullptr) {
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
@@ -321,15 +328,23 @@ void Network::process_event(const Event& e) {
       return;
     }
     case EventKind::kAck: {
-      if (nodes_[e.node].crashed) return;
       Instance& inst = instances_[e.instance];
-      auto& st = inst.nodes[e.node];
-      AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
-      st.busy = false;
-      if (st.process == nullptr) return;  // retired mid-flight
-      ++inst.stats.acks;
-      NodeContext ctx(*this, e.node, e.instance);
-      st.process->on_ack(ctx);
+      if (!nodes_[e.node].crashed) {
+        // The ack pins the instance's table (Instance::table_refs).
+        InstanceNode& st = live_node(e.instance, e.node);
+        AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
+        st.busy = false;
+        if (st.process != nullptr) {
+          ++inst.stats.acks;
+          unpin_table(e.instance);  // live: the table stays
+          NodeContext ctx(*this, e.node, e.instance);
+          st.process->on_ack(ctx);
+          return;
+        }
+      }
+      // Retired mid-flight, or a crashed sender: bookkeeping only, and
+      // this pop may be the last reference to a retired table.
+      unpin_table(e.instance);
       return;
     }
   }

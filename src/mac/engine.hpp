@@ -143,9 +143,13 @@
 //     MAC channel per node: instance A being busy never discards instance
 //     B's broadcast, which is what makes interleaved instances behave
 //     exactly like solo runs (pinned by tests/test_multi_instance.cpp
-//     under stateless schedulers and empty fault plans). The undecided-alive
-//     count is per instance and kept nowhere else: all_alive_decided()
-//     reads every instance's.
+//     under stateless schedulers and empty fault plans). The first four
+//     are live state, in a node table of n 24-byte entries per instance.
+//     Decisions are durable: they sit in one network-wide column, entry
+//     instance * n + u, stored in fixed-size chunks that never move, so
+//     decision() references stay valid and the column never copies itself
+//     as it grows. The undecided-alive count is per instance and kept
+//     nowhere else: all_alive_decided() reads every instance's.
 //   * Shared substrate. The event queue, seq counter, broadcast-id counter,
 //     and flight slots are shared — instances multiplex over one MAC layer
 //     rather than simulating parallel networks, so the service layer's
@@ -161,7 +165,16 @@
 //     retire_instance() destroys a finished instance's processes and
 //     releases its flight slots as they drain; events addressed to a
 //     retired instance are consumed as pure bookkeeping (no callbacks, no
-//     delivery/ack counters).
+//     delivery/ack counters). Its node table goes once nothing can
+//     address it: every queued ack and every live flight of the instance
+//     holds one reference (an O(1) count per instance), and when the last
+//     one drops — a flight released, or an ack popped, a crashed node's
+//     included — the table is reset and put on a free list that the next
+//     add_instance reuses. From then on the instance keeps only its
+//     decisions and its 112-byte header (InstanceStats and counts):
+//     in_flight_from reads 0, for_each_in_flight skips it, and process()
+//     fails its precondition. A replicated log thus holds a few live
+//     tables however many slots it has decided.
 //   * Completion hook. An instance COMPLETES when its undecided_alive
 //     count reaches 0: on the decide of its last live undecided node, on a
 //     crash that takes that node, or vacuously when add_instance finds no
@@ -241,7 +254,9 @@ class Network : public EngineCore {
   /// Destroys a finished instance's processes. Subsequent events addressed
   /// to it are consumed as pure bookkeeping (flights still drain and
   /// release their slots, busy flags still clear) with no callbacks and no
-  /// delivery/ack counters. Decisions and InstanceStats remain readable.
+  /// delivery/ack counters. Decisions and InstanceStats remain readable;
+  /// the node table is recycled once the instance's last queued ack and
+  /// live flight are gone (design doc: "Instance multiplexing › Lifecycle").
   using EngineCore::retire_instance;
 
   /// Invoked after every processed event; used by invariant monitors

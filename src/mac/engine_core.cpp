@@ -7,9 +7,10 @@ namespace amac::mac {
 
 void EngineCore::NodeContext::decide(Value v) {
   Instance& inst = core_->instances_[instance_];
-  auto& st = inst.nodes[node_];
-  AMAC_EXPECTS(!st.decision.decided);
-  st.decision = Decision{true, v, core_->now_};
+  Decision& d =
+      core_->decisions_[instance_ * core_->nodes_.size() + node_];
+  AMAC_EXPECTS(!d.decided);
+  d = Decision{true, v, core_->now_};
   AMAC_ENSURES(inst.undecided_alive > 0);
   if (--inst.undecided_alive == 0) core_->completed_ = true;
 }
@@ -47,16 +48,25 @@ void EngineCore::set_link_faults(const LinkFaultPlan& plan) {
 
 InstanceId EngineCore::add_instance(const ProcessFactory& factory) {
   const auto id = static_cast<InstanceId>(instances_.size());
-  Instance inst;
-  inst.nodes.resize(nodes_.size());
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
+  const std::size_t n = nodes_.size();
+  Instance& inst = instances_.emplace_back();
+  if (spare_tables_.empty()) {
+    // Table t starts at t * n; an empty graph's tables are all empty.
+    inst.table = n == 0 ? 0 : static_cast<std::uint32_t>(tables_.size() / n);
+    tables_.resize(tables_.size() + n);
+  } else {
+    inst.table = spare_tables_.back();
+    spare_tables_.pop_back();
+  }
+  for (NodeId u = 0; u < n; ++u) {
     if (nodes_[u].crashed) continue;  // mid-run launch: the dead stay dead
-    inst.nodes[u].process = factory(u);
-    AMAC_ENSURES(inst.nodes[u].process != nullptr);
+    InstanceNode& st = live_node(id, u);
+    st.process = factory(u);
+    AMAC_ENSURES(st.process != nullptr);
     ++inst.undecided_alive;
   }
   if (inst.undecided_alive == 0) completed_ = true;  // every node crashed
-  instances_.push_back(std::move(inst));
+  decisions_.resize(decisions_.size() + n);
   // Launched mid-run (e.g. a pipelined log slot): start callbacks fire
   // now, at the current tick — local computation takes zero time.
   if (started_) start_instance(id);
@@ -68,13 +78,31 @@ void EngineCore::retire_instance(InstanceId instance) {
   Instance& inst = instances_[instance];
   if (inst.retired) return;
   inst.retired = true;
-  for (auto& node : inst.nodes) node.process.reset();
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    live_node(instance, u).process.reset();
+  }
   inst.undecided_alive = 0;
+  if (inst.table_refs == 0) recycle_table(instance);
+}
+
+void EngineCore::unpin_table(InstanceId instance) {
+  Instance& inst = instances_[instance];
+  AMAC_ENSURES(inst.table_refs > 0);
+  if (--inst.table_refs == 0 && inst.retired) recycle_table(instance);
+}
+
+void EngineCore::recycle_table(InstanceId instance) {
+  // Processes went at retire; a node that crashed while busy left its flag
+  // set, and current_broadcast is stale.
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    live_node(instance, u) = InstanceNode{};
+  }
+  spare_tables_.push_back(std::exchange(instances_[instance].table, kNoTable));
 }
 
 void EngineCore::start_instance(InstanceId instance) {
   for (NodeId u = 0; u < nodes_.size(); ++u) {
-    Process* const process = instances_[instance].nodes[u].process.get();
+    Process* const process = live_node(instance, u).process.get();
     if (process == nullptr) continue;
     NodeContext ctx(*this, u, instance);
     process->on_start(ctx);
@@ -93,8 +121,9 @@ void EngineCore::crash(NodeId u) {
   st.crashed = true;
   st.crash_time = now_;
   // Retired instances already left the count.
-  for (Instance& inst : instances_) {
-    if (inst.retired || inst.nodes[u].decision.decided) continue;
+  for (InstanceId i = 0; i < instances_.size(); ++i) {
+    Instance& inst = instances_[i];
+    if (inst.retired || decisions_[i * nodes_.size() + u].decided) continue;
     AMAC_ENSURES(inst.undecided_alive > 0);
     if (--inst.undecided_alive == 0) completed_ = true;
   }
@@ -121,7 +150,7 @@ RunResult EngineCore::finish_run(bool met) {
 const Decision& EngineCore::decision(NodeId u, InstanceId instance) const {
   AMAC_EXPECTS(u < nodes_.size());
   AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].nodes[u].decision;
+  return decisions_[instance * nodes_.size() + u];
 }
 
 bool EngineCore::crashed(NodeId u) const {
@@ -141,8 +170,9 @@ Process& EngineCore::process(NodeId u, InstanceId instance) {
 const Process& EngineCore::process(NodeId u, InstanceId instance) const {
   AMAC_EXPECTS(u < nodes_.size());
   AMAC_EXPECTS(instance < instances_.size());
-  AMAC_EXPECTS(instances_[instance].nodes[u].process != nullptr);
-  return *instances_[instance].nodes[u].process;
+  AMAC_EXPECTS(has_table(instance) &&
+               live_node(instance, u).process != nullptr);
+  return *live_node(instance, u).process;
 }
 
 bool EngineCore::all_alive_decided() const {

@@ -6,6 +6,7 @@
 // and trace mixing. Design doc: "Shared bookkeeping" in engine.hpp.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "mac/link_faults.hpp"
 #include "mac/process.hpp"
 #include "net/graph.hpp"
+#include "util/assert.hpp"
 #include "util/hash.hpp"
 
 namespace amac::mac {
@@ -24,7 +26,8 @@ struct CrashPlan {
   Time when = 0;
 };
 
-/// A node's decision record.
+/// A node's decision record: the one lasting output of a process (paper
+/// §2's irrevocable decide), kept for every instance, retired ones too.
 struct Decision {
   bool decided = false;
   Value value = -1;
@@ -172,26 +175,41 @@ class EngineCore {
     Time crash_time = kForever;
   };
 
-  /// One node's state within one instance. `flight_slot` is Network's live
-  /// flight index; ReferenceNetwork keeps its flights in a map and leaves
-  /// it kNoFlight.
+  /// One node's live state within one instance: what only the engine's own
+  /// events read. `flight_slot` is Network's live flight index;
+  /// ReferenceNetwork keeps its flights in a map and leaves it kNoFlight.
+  /// The node's decision is durable and lives in decisions_ instead.
   struct InstanceNode {
     std::unique_ptr<Process> process;
-    bool busy = false;
     std::uint64_t current_broadcast = 0;  ///< id of outstanding broadcast
     std::uint32_t flight_slot = kNoFlight;
-    Decision decision;
+    bool busy = false;
   };
-  // Most of what a retired instance keeps (n of these per slot): pinned
-  // so a layout change here is deliberate, as event.hpp pins Event.
-  static_assert(sizeof(InstanceNode) == 48);
+  // n of these per live instance: pinned so a layout change here is
+  // deliberate, as event.hpp pins Event.
+  static_assert(sizeof(InstanceNode) == 24);
 
+  /// Instance::table of an instance whose node table was recycled.
+  static constexpr std::uint32_t kNoTable = static_cast<std::uint32_t>(-1);
+
+  /// One protocol instance's durable part: its ledger and undecided count
+  /// (its decisions are in decisions_), plus the number of its live node
+  /// table in tables_. A retired instance keeps its table while anything
+  /// can still address it: each queued ack and each live flight of the
+  /// instance holds one of `table_refs`. When the last of them drops
+  /// (unpin_table), or at retire_instance if none is left, the table is
+  /// reset onto spare_tables_ and `table` becomes kNoTable for good.
+  /// Network counts the references; ReferenceNetwork never retires, so it
+  /// leaves the count at 0.
   struct Instance {
-    std::vector<InstanceNode> nodes;
     InstanceStats stats;
-    std::size_t undecided_alive = 0;
+    std::uint32_t undecided_alive = 0;
+    std::uint32_t table = kNoTable;
+    std::uint32_t table_refs = 0;  ///< queued acks + live flights
     bool retired = false;
   };
+  // All that a retired instance keeps besides its n decisions.
+  static_assert(sizeof(Instance) == 112);
 
   /// The Context a callback gets, bound to one (node, instance): decide,
   /// busy and now are core state; broadcast enters the engine's event core.
@@ -205,7 +223,7 @@ class EngineCore {
     }
     void decide(Value v) override;
     [[nodiscard]] bool busy() const override {
-      return core_->instances_[instance_].nodes[node_].busy;
+      return core_->live_node(instance_, node_).busy;
     }
     [[nodiscard]] Time now() const override { return core_->now_; }
 
@@ -234,8 +252,26 @@ class EngineCore {
   /// Adds an instance; once the run has started, its live nodes' on_start
   /// callbacks fire at the current tick.
   InstanceId add_instance(const ProcessFactory& factory);
-  /// Destroys an instance's processes and zeroes its undecided count.
+  /// Destroys an instance's processes and zeroes its undecided count; its
+  /// node table is recycled once no ack or flight addresses it.
   void retire_instance(InstanceId instance);
+  /// Drops one reference to an instance's node table (a popped ack or a
+  /// released flight); the last one recycles a retired instance's table.
+  void unpin_table(InstanceId instance);
+
+  /// Node u's state in `instance`, whose table must not be recycled yet.
+  /// add_instance may grow tables_ and move every table: hold no reference
+  /// across it.
+  [[nodiscard]] InstanceNode& live_node(InstanceId instance, NodeId u) {
+    return tables_[table_offset(instance) + u];
+  }
+  [[nodiscard]] const InstanceNode& live_node(InstanceId instance,
+                                              NodeId u) const {
+    return tables_[table_offset(instance) + u];
+  }
+  [[nodiscard]] bool has_table(InstanceId instance) const {
+    return instances_[instance].table != kNoTable;
+  }
 
   /// First call only: on_start for every pre-run instance, instance-major
   /// (each instance's nodes 0..n-1 before the next instance).
@@ -250,6 +286,15 @@ class EngineCore {
   const net::Graph* overlay_;  ///< unreliable edges (optional)
   std::vector<NodeState> nodes_;
   std::vector<Instance> instances_;
+  /// Every instance's decisions, instance-major: node u of instance i at
+  /// i * n + u. Chunked, so a growing column never moves or copies what
+  /// it holds and decision() references stay valid.
+  std::deque<Decision> decisions_;
+  /// Node tables of n entries each, table t at [t * n, (t + 1) * n): as
+  /// many as were ever live at once.
+  std::vector<InstanceNode> tables_;
+  /// Recycled tables, reset, for add_instance to reuse.
+  std::vector<std::uint32_t> spare_tables_;
   LinkFaultPlan faults_;
   Time now_ = 0;
   EngineStats stats_;
@@ -260,6 +305,12 @@ class EngineCore {
 
  private:
   void start_instance(InstanceId instance);
+  void recycle_table(InstanceId instance);
+  [[nodiscard]] std::size_t table_offset(InstanceId instance) const {
+    const std::uint32_t table = instances_[instance].table;
+    AMAC_CHECK_ENSURES(table != kNoTable);
+    return std::size_t{table} * nodes_.size();
+  }
 };
 
 }  // namespace amac::mac

@@ -49,7 +49,7 @@ void ReferenceNetwork::start_broadcast(NodeId u, InstanceId instance,
                                        const util::Buffer& payload) {
   if (nodes_[u].crashed) return;
   Instance& inst = instances_[instance];
-  auto& st = inst.nodes[u];
+  InstanceNode& st = live_node(instance, u);
   if (st.busy) {
     ++inst.stats.dropped_busy;
     return;
@@ -196,7 +196,7 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
         const Packet packet{e.sender, *e.payload, e.reliable};
-        inst.nodes[e.node].process->on_receive(packet, ctx);
+        live_node(e.instance, e.node).process->on_receive(packet, ctx);
       }
       if (drained) flights_.erase(flight_it);
       return;
@@ -204,7 +204,7 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
     case RefEventKind::kAck: {
       if (nodes_[e.node].crashed) return;
       Instance& inst = instances_[e.instance];
-      auto& st = inst.nodes[e.node];
+      InstanceNode& st = live_node(e.instance, e.node);
       AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
       st.busy = false;
       ++inst.stats.acks;

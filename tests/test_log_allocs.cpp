@@ -7,8 +7,10 @@
 // table stops growing once its keys exist. This binary counts global
 // operator new calls over drive() on a 16-clique and pins what a slot may
 // still cost: constructing its n processes plus a handful of container
-// allocations, below 2n per slot. A second test pins the same
-// configuration's virtual costs (engine counters) exactly.
+// allocations, below 2n per slot. A second test pins what the finished
+// service still holds per slot: a retired slot keeps its n decisions, not
+// its node table. A third pins the same configuration's virtual costs
+// (engine counters) exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -57,6 +59,26 @@ TEST(LogAllocations, LeasedSlotsStayNearProcessConstruction) {
   EXPECT_LT(per_slot, 2.0 * kNodes) << allocs << " allocations for "
                                     << stats.slots_total << " slots";
   std::printf("allocations per slot: %.1f\n", per_slot);
+}
+
+TEST(LogMemory, FinishedServiceKeepsDecisionsNotNodeTables) {
+  // What drive() leaves held, per slot. A retired slot keeps its Instance
+  // header (112 B, in a vector that grows by doubling: 4096 of them here)
+  // and its 16 decisions (256 B in the chunked column); the rest is the
+  // key-value state and the log's latency records. A retired slot that
+  // kept its 16-node table as well left about 1110 B.
+  LeasedClique clique;
+  const std::int64_t before = testutil::live_bytes();
+  const LogServiceStats& stats = clique.service.drive(mac::Time{1} << 40);
+  const std::int64_t retained = testutil::live_bytes() - before;
+
+  ASSERT_TRUE(stats.complete);
+  ASSERT_EQ(stats.slots_total, kOps / leased_config().batch_size);
+  const double per_slot =
+      static_cast<double>(retained) / static_cast<double>(stats.slots_total);
+  EXPECT_LT(per_slot, 600.0) << retained << " bytes held for "
+                             << stats.slots_total << " slots";
+  std::printf("bytes held per slot: %.1f\n", per_slot);
 }
 
 TEST(LogVirtualCosts, LeasedCliqueEngineCountersArePinned) {

@@ -17,7 +17,10 @@
 // firing on every event. And the retired-run fast path: a replicated log
 // whose retired slots' relay copies are dropped a run at a time
 // (CalendarQueue::discard_run) must be indistinguishable from the same
-// service popping every copy (forced by a no-op post-event hook).
+// service popping every copy (forced by a no-op post-event hook). And the
+// retired-table lifecycle: a retired instance keeps its decisions, but its
+// node table goes back to the engine once no queued ack and no live flight
+// addresses it, and the next add_instance reuses it.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -518,6 +521,131 @@ TEST(RetiredRuns, DiscardedCopiesLeaveTheInFlightSet) {
   ASSERT_TRUE(retired);
   EXPECT_GT(net.stats().discarded_copies, 0u);
   EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
+}
+
+// --- retired node tables: recycled once nothing addresses them ----------
+
+/// A Network that shows its node tables (EngineCore keeps them protected).
+class TableProbe : public Network {
+ public:
+  using Network::Network;
+
+  /// The number of the instance's node table, or kNoTable once recycled.
+  [[nodiscard]] std::uint32_t table(InstanceId i) const {
+    return instances_[i].table;
+  }
+  [[nodiscard]] const InstanceNode& node(InstanceId i, NodeId u) const {
+    return live_node(i, u);
+  }
+  static constexpr std::uint32_t kRecycled = kNoTable;
+};
+
+/// A passive tenant: no leader, so no node broadcasts or decides unprompted.
+ProcessFactory passive_factory() { return commit_flood_factory(kNoNode, 0); }
+
+/// A CommitFlood slot (leader 0, value 7) on a lock-step 8-clique, retired
+/// at t=1, the tick every node decides. Each follower's relay is queued
+/// for t=2; node 3's copy to node 5 is deferred to t=50, so node 3's flight
+/// and its stretched ack outlive every other reference to the table.
+struct RetiredSlot {
+  static constexpr std::size_t n = 8;
+  net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched{1};
+  TableProbe net{graph, commit_flood_factory(/*leader=*/0, 7), sched};
+
+  RetiredSlot() {
+    LinkFaultPlan plan;
+    plan.windows.push_back(DropWindow{3, 5, 0, 50});
+    net.set_link_faults(plan);
+  }
+
+  void retire_at_first_tick() {
+    ASSERT_FALSE(net.run(StopWhen::kQuiescent, 1).condition_met);
+    ASSERT_TRUE(net.instance_all_decided(0));
+    net.retire_instance(0);
+  }
+
+  void expect_decisions_readable() const {
+    for (NodeId u = 0; u < n; ++u) {
+      EXPECT_TRUE(net.decision(u, 0).decided) << "node " << u;
+      EXPECT_EQ(net.decision(u, 0).value, 7) << "node " << u;
+    }
+  }
+};
+
+TEST(RetiredTables, TableOutlivesQueuedFlightsAndAcksThenIsReused) {
+  RetiredSlot slot;
+  TableProbe& net = slot.net;
+  slot.retire_at_first_tick();
+  const std::uint32_t table = net.table(0);
+  ASSERT_NE(table, TableProbe::kRecycled);
+  // Retired with relays and acks queued: the table stays while they are.
+  for (Time t = 2; t < 50; ++t) {
+    ASSERT_FALSE(net.run(StopWhen::kQuiescent, t).condition_met);
+    ASSERT_EQ(net.table(0), table) << "t=" << t;
+    EXPECT_EQ(net.in_flight_from(3, 0), 1u) << "t=" << t;
+    EXPECT_TRUE(net.node(0, 3).busy) << "t=" << t;
+  }
+  // Node 3's deferred copy and its ack pop at t=50: the last references.
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 50).condition_met);
+  EXPECT_EQ(net.table(0), TableProbe::kRecycled);
+  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
+  slot.expect_decisions_readable();
+
+  const InstanceId next = net.add_instance(passive_factory());
+  EXPECT_EQ(net.table(next), table);  // the recycled table, reset
+  for (NodeId u = 0; u < RetiredSlot::n; ++u) {
+    EXPECT_NE(net.node(next, u).process, nullptr) << "node " << u;
+    EXPECT_FALSE(net.node(next, u).busy) << "node " << u;
+    EXPECT_EQ(net.node(next, u).flight_slot, kNoFlight) << "node " << u;
+    EXPECT_FALSE(net.decision(u, next).decided) << "node " << u;
+  }
+  slot.expect_decisions_readable();  // the new instance's column is its own
+}
+
+TEST(RetiredTables, NodeCrashedWhileBusyDoesNotPinTheTable) {
+  // Node 4 relays at t=1 and crashes at t=1, after its relay started: its
+  // copies are cancelled and its ack pops at t=2 for a crashed node.
+  RetiredSlot slot;
+  TableProbe& net = slot.net;
+  net.schedule_crash(CrashPlan{4, 1});
+  slot.retire_at_first_tick();
+  ASSERT_TRUE(net.crashed(4));
+  ASSERT_TRUE(net.node(0, 4).busy);
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  EXPECT_EQ(net.table(0), TableProbe::kRecycled);
+  slot.expect_decisions_readable();
+
+  // The crashed node gets no process in the next instance, and the busy
+  // flag it left behind does not carry over with the table.
+  const InstanceId next = net.add_instance(passive_factory());
+  EXPECT_EQ(net.node(next, 4).process, nullptr);
+  EXPECT_FALSE(net.node(next, 4).busy);
+}
+
+TEST(RetiredTables, RecycledInstanceHasNoFlightsOrProcesses) {
+  RetiredSlot slot;
+  TableProbe& net = slot.net;
+  slot.retire_at_first_tick();
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  ASSERT_EQ(net.table(0), TableProbe::kRecycled);
+
+  // A live tenant on the recycled table, with its leader's flight queued.
+  const InstanceId next = net.add_instance(commit_flood_factory(2, 9));
+  ASSERT_NE(net.table(next), TableProbe::kRecycled);
+  ASSERT_GT(net.in_flight_from(2, next), 0u);
+  std::size_t visited = 0;
+  net.for_each_in_flight([&](NodeId sender, NodeId, const util::Buffer&) {
+    EXPECT_EQ(sender, 2u);
+    ++visited;
+  });
+  std::size_t counted = 0;
+  for (NodeId u = 0; u < RetiredSlot::n; ++u) {
+    EXPECT_EQ(net.in_flight_from(u, 0), 0u) << "node " << u;
+    counted += net.in_flight_from(u, next);
+  }
+  EXPECT_EQ(visited, counted);
+  EXPECT_DEATH((void)net.process(0, 0), "precondition");
 }
 
 }  // namespace
