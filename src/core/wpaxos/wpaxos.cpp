@@ -128,11 +128,13 @@ void WPaxos::process_search(const SearchMsg& m, std::uint64_t from_id,
   // The cost is in virtual time, not messages. On a 4x4 grid under
   // sync(1) the trees are the same and complete by t=6 either way, but the
   // leader's change notifications arrive every 3 ticks instead of every 2,
-  // and the decision moves from t=32 to t=35. A node that relays no dead
-  // searches is often idle, and an idle node broadcasts on the first
-  // delivery of a tick; a change delivered later in that tick then waits a
-  // whole ack. Verbatim, dead searches keep every node busy until after
-  // the tick's deliveries, so one envelope carries them all.
+  // and the decision moves from t=32 to t=35 (from t=26 to t=30 when the
+  // leader also skips seen changes; tests/test_wpaxos_services.cpp pins
+  // all four). A node that relays no dead searches is often idle, and an
+  // idle node broadcasts on the first delivery of a tick; a change
+  // delivered later in that tick then waits a whole ack. Verbatim, dead
+  // searches keep every node busy until after the tick's deliveries, so
+  // one envelope carries them all.
   if (cfg_.prune_dead_roots && m.root < omega_) return;
   const auto it = tree_.find(m.root);
   const bool improves = it == tree_.end() || m.hops < it->second.dist;
@@ -153,7 +155,25 @@ void WPaxos::process_change(const ChangeMsg& m, mac::Context& ctx) {
   change_q_ = m;
   // Algorithm 3 UpdateQ: a node that currently believes itself leader
   // generates a new PAXOS proposal.
-  if (omega_ == id_) generate_new_proposal(ctx);
+  if (omega_ != id_) return;
+  // Seen-change skipping. A change stamped before the active proposal's
+  // launch happened before it: that proposal already runs on the Omega and
+  // trees the change produced, so restarting it only wastes a prepare
+  // flood. The change is still relayed above. The comparison is strict: a
+  // change stamped in the launch's own tick may have happened after it.
+  // Safety never reads this rule; it only decides when the leader
+  // proposes again. Liveness: after the last change, stamped T, nothing
+  // alters Omega or the leader's tree, and the leader's next proposal is
+  // launched no earlier than T: either it restarts when T's change
+  // arrives, or the proposal it keeps was launched after T. No later
+  // change exists to restart that proposal, so Theorem 4.6's argument for
+  // the proposal of the last notification runs unchanged. An idle leader
+  // restarts on any fresh change, as verbatim.
+  if (cfg_.skip_seen_changes && pphase_ != PropPhase::kIdle &&
+      m.timestamp < launched_at_) {
+    return;
+  }
+  generate_new_proposal(ctx);
 }
 
 void WPaxos::on_local_change(mac::Context& ctx) {
@@ -186,6 +206,7 @@ void WPaxos::tree_prioritize_leader() {
 void WPaxos::generate_new_proposal(mac::Context& ctx) {
   if (decided_) return;
   attempts_left_ = kProposalsPerChange;
+  launched_at_ = ctx.now();
   start_proposal(ctx);
 }
 
@@ -515,6 +536,11 @@ void WPaxos::digest(util::Hasher& h) const {
   h.mix_u64(yes_);
   h.mix_u64(no_);
   h.mix_u64(max_tag_);
+  // Only an active proposal's launch stamp can steer the run; mixing no
+  // more keeps the verbatim configuration's digests.
+  if (cfg_.skip_seen_changes && pphase_ != PropPhase::kIdle) {
+    h.mix_u64(launched_at_);
+  }
   h.mix_bool(decided_);
   h.mix_i64(decision_value_);
   h.mix_u64(response_q_.size());

@@ -12,6 +12,9 @@
 //     proposal whenever its change queue is refreshed — and a proposer
 //     attempts at most kProposalsPerChange proposal numbers per
 //     notification, which is what bounds proposals after stabilization.
+//     By default a leader whose proposal is active does not restart it for
+//     a relayed change stamped before that proposal's launch: the change
+//     cannot affect it (WPaxosConfig::skip_seen_changes).
 //   * Tree building (Algorithm 4): per-root Bellman-Ford (dist, parent)
 //     with the current leader's search messages prioritized, so the
 //     leader's tree completes soon after leader election stabilizes. By
@@ -56,16 +59,23 @@ namespace amac::core::wpaxos {
 /// WPaxos::check_thresholds).
 inline constexpr int kProposalsPerChange = 2;
 
-/// Feature switches. Defaults are the paper's algorithm plus dead-root
-/// pruning, which only stops relaying searches no node can use;
-/// prune_dead_roots = false is Algorithm 4 verbatim. Turning one of the
+/// Feature switches. Defaults are the paper's algorithm plus two
+/// deviations that only drop work no node can use: dead-root pruning, which
+/// stops relaying searches for trees nobody routes on, and skipping seen
+/// changes, which stops restarting a proposal for a change made before it
+/// launched. prune_dead_roots = false is Algorithm 4 verbatim and
+/// skip_seen_changes = false is Algorithm 3 verbatim. Turning one of the
 /// three design-choice switches off reproduces the strawman that motivates
-/// it (bench_ablations, which measures them with pruning off).
+/// it (bench_ablations, which measures them with both deviations off).
 struct WPaxosConfig {
   /// Drop searches for roots below Omega, and purge them from the tree
   /// queue when Omega rises (see WPaxos::process_search). Off = Algorithm
   /// 4 verbatim: every node builds every root's tree.
   bool prune_dead_roots = true;
+  /// While a proposal is active, a leader ignores a relayed change stamped
+  /// before that proposal's launch (see WPaxos::process_change). Off =
+  /// Algorithm 3 verbatim: every fresh change restarts the proposal.
+  bool skip_seen_changes = true;
   /// Algorithm 4's optimization: the current leader's search messages jump
   /// the tree queue. Off = plain FIFO Bellman-Ford.
   bool tree_priority = true;
@@ -224,6 +234,9 @@ class WPaxos final : public mac::Process {
   std::optional<Proposal> best_prev_;
   int attempts_left_ = 0;
   std::uint64_t max_tag_ = 0;
+  /// now() when generate_new_proposal last ran; the retries of that
+  /// notification keep it (skip_seen_changes).
+  mac::Time launched_at_ = 0;
 
   // decision
   bool decided_ = false;

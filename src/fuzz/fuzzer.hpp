@@ -125,7 +125,7 @@
 //   * the corpus digest folds every run fingerprint in seed order, so the
 //     merged digest is BIT-IDENTICAL to a single-threaded soak of the same
 //     range — `--jobs 4` on the pinned 504 corpus reports the same
-//     0x1ad39f21a7990f62 as `--jobs 1` (tests/test_fuzz_shard.cpp pins
+//     0x71b2d5e28ce93daf as `--jobs 1` (tests/test_fuzz_shard.cpp pins
 //     this, and the CI lanes assert it on every push);
 //   * coverage merges as the union of the shards' CoverageCorpus signature
 //     maps, and one pass over that union derives the coverage table and

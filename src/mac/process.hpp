@@ -5,8 +5,10 @@
 //     broadcast. If a broadcast is already outstanding the new one is
 //     DISCARDED, exactly as the model specifies (paper §2).
 //   * decide(v) — the single irrevocable consensus decision.
-//   * now() — an opaque timestamp (used only by wPAXOS's change service,
+//   * now() — the run's one clock (used only by wPAXOS's change service,
 //     mirroring Algorithm 3's time_stamp(); algorithms never learn F_ack).
+//     Stamps from different nodes are comparable; only liveness and
+//     decision time may depend on them, never safety.
 //
 // Determinism + value-style cloning + digest() make whole-system state
 // snapshots possible, which the FLP valency explorer (§3.1) and the
@@ -40,7 +42,12 @@ class Context {
   /// True while a broadcast is outstanding (no ack yet).
   [[nodiscard]] virtual bool busy() const = 0;
 
-  /// Opaque current timestamp. Monotone; carries no F_ack information.
+  /// Current timestamp. Monotone; carries no F_ack information. One clock
+  /// serves the whole run, so stamps taken at different nodes are
+  /// comparable: wPAXOS's change service orders change events by them
+  /// (freshness) and compares a relayed change against its own proposal's
+  /// launch (staleness). Only liveness and decision time depend on them,
+  /// never safety.
   [[nodiscard]] virtual Time now() const = 0;
 };
 

@@ -75,6 +75,9 @@ TEST(FuzzShardMerge, PinnedCorpusDigestIsJobCountInvariant) {
   // Omega (from 0x4bc22ec0b0a6e511 and 0x7ee0cd88051b10a7): its runs relay
   // fewer messages, and with fewer copies delivered the faulted ones fall
   // into new drop and duplicate buckets (160 -> 162 fault signatures).
+  // Both moved again when a wPAXOS leader stopped restarting its proposal
+  // for a change made before it launched (from 0x1ad39f21a7990f62 and
+  // 0x0d1eaf9ae12c46ee): its runs start fewer proposals.
   SoakOptions pinned;
   pinned.seed_base = 1;
   pinned.count = 504;
@@ -91,14 +94,14 @@ TEST(FuzzShardMerge, PinnedCorpusDigestIsJobCountInvariant) {
 
   pinned.jobs = 1;
   const SoakResult pinned_sequential = run_soak(pinned);
-  EXPECT_EQ(pinned_sequential.corpus_digest, 0x1ad39f21a7990f62ULL);
+  EXPECT_EQ(pinned_sequential.corpus_digest, 0x71b2d5e28ce93dafULL);
   families.jobs = 1;
   const SoakResult families_sequential = run_soak(families);
   EXPECT_EQ(families_sequential.log_scenarios, 8u);
   EXPECT_EQ(families_sequential.large_scenarios, 3u);
   EXPECT_EQ(families_sequential.coverage.large_sigs, 2u);
   EXPECT_EQ(families_sequential.coverage.fault_sigs, 162u);
-  EXPECT_EQ(families_sequential.corpus_digest, 0x0d1eaf9ae12c46eeULL);
+  EXPECT_EQ(families_sequential.corpus_digest, 0x847300f624501606ULL);
 
   for (const std::size_t jobs : {0u, 4u}) {
     SCOPED_TRACE(jobs);

@@ -448,8 +448,12 @@ TEST(FuzzSoak, PinnedCorpusDigestAndProtocolRefinement) {
   // when wPAXOS began dropping searches for roots below Omega: the
   // corpus's wPAXOS runs relay fewer messages, so their traces change;
   // no other algorithm's run moves (with WPaxosConfig::prune_dead_roots
-  // off the old constant returns).
-  constexpr std::uint64_t kPinned504Digest = 0x1ad39f21a7990f62ULL;
+  // off the old constant returns). Its successor 0x1ad39f21a7990f62 was
+  // re-pinned when a wPAXOS leader stopped restarting its proposal for a
+  // change made before that proposal launched: the corpus's wPAXOS runs
+  // start fewer proposals; again no other algorithm's run moves (with
+  // WPaxosConfig::skip_seen_changes off the old constant returns).
+  constexpr std::uint64_t kPinned504Digest = 0x71b2d5e28ce93dafULL;
 
   SoakOptions options;
   options.seed_base = 1;
@@ -476,8 +480,10 @@ TEST(FuzzSoak, PinnedMutatingSoakDigest) {
   // from 0x27dc7357cf4147d7 when the wheel stopped resizing itself: runs
   // are unchanged, but the signatures lost their resize bucket, so late-
   // hold mutants that once differed only in it now share a signature,
-  // corpus admission changes and the mutant stream with it.
-  constexpr std::uint64_t kPinnedMutatingDigest = 0x6991e7aee942c6b9ULL;
+  // corpus admission changes and the mutant stream with it. Re-pinned
+  // from 0x6991e7aee942c6b9 for seen-change skipping, as above: the wPAXOS
+  // runs and the log family's full-paxos slots restart fewer proposals.
+  constexpr std::uint64_t kPinnedMutatingDigest = 0x7bf1bbcec8e5bfccULL;
 
   SoakOptions options;
   options.seed_base = 1;

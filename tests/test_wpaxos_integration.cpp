@@ -187,24 +187,27 @@ TEST(WPaxosIntegration, AblationsStillSafe) {
   const std::size_t n = 9;
   util::Rng rng(8);
   for (const bool prune : {true, false}) {
-    for (const bool tree_priority : {true, false}) {
-      for (const bool aggregate : {true, false}) {
-        for (const bool gating : {true, false}) {
-          WPaxosConfig cfg;
-          cfg.prune_dead_roots = prune;
-          cfg.tree_priority = tree_priority;
-          cfg.aggregate_responses = aggregate;
-          cfg.change_gating = gating;
-          const auto inputs = harness::inputs_random(n, rng);
-          const auto ids = harness::permuted_ids(n, rng);
-          mac::UniformRandomScheduler sched(3, rng());
-          const auto outcome = harness::run_consensus(
-              g, harness::wpaxos_factory(inputs, ids, cfg), sched, inputs,
-              5'000'000);
-          ASSERT_TRUE(outcome.verdict.ok())
-              << "prune=" << prune << " prio=" << tree_priority
-              << " agg=" << aggregate << " gate=" << gating << ": "
-              << outcome.verdict.summary();
+    for (const bool skip_seen : {true, false}) {
+      for (const bool tree_priority : {true, false}) {
+        for (const bool aggregate : {true, false}) {
+          for (const bool gating : {true, false}) {
+            WPaxosConfig cfg;
+            cfg.prune_dead_roots = prune;
+            cfg.skip_seen_changes = skip_seen;
+            cfg.tree_priority = tree_priority;
+            cfg.aggregate_responses = aggregate;
+            cfg.change_gating = gating;
+            const auto inputs = harness::inputs_random(n, rng);
+            const auto ids = harness::permuted_ids(n, rng);
+            mac::UniformRandomScheduler sched(3, rng());
+            const auto outcome = harness::run_consensus(
+                g, harness::wpaxos_factory(inputs, ids, cfg), sched, inputs,
+                5'000'000);
+            ASSERT_TRUE(outcome.verdict.ok())
+                << "prune=" << prune << " skip=" << skip_seen
+                << " prio=" << tree_priority << " agg=" << aggregate
+                << " gate=" << gating << ": " << outcome.verdict.summary();
+          }
         }
       }
     }

@@ -43,10 +43,11 @@ TEST(Lemma42, HoldsWithoutAggregation) {
 }
 
 // The next two strawmen react to other roots' searches, which dead-root
-// pruning mostly removes, so they run against Algorithm 4 verbatim.
+// pruning mostly removes, so they run against Algorithms 3 and 4 verbatim.
 TEST(Lemma42, HoldsWithoutTreePriority) {
   core::wpaxos::WPaxosConfig cfg;
   cfg.prune_dead_roots = false;
+  cfg.skip_seen_changes = false;
   cfg.tree_priority = false;
   run_with_monitor(net::make_ring(8), 7, cfg);
 }
@@ -54,6 +55,7 @@ TEST(Lemma42, HoldsWithoutTreePriority) {
 TEST(Lemma42, HoldsUnderProposalStorm) {
   core::wpaxos::WPaxosConfig cfg;
   cfg.prune_dead_roots = false;
+  cfg.skip_seen_changes = false;
   cfg.change_gating = false;
   run_with_monitor(net::make_line(6), 8, cfg);
 }

@@ -101,25 +101,31 @@ TEST(TreeService, EveryNodeLearnsEveryRoot) {
 TEST(ChangeService, LeaderProposalsAreGated) {
   // With gating, the total number of proposals across a stabilized run is
   // small: every node proposes at start, and the leader re-proposes O(1)
-  // times per change notification it receives.
+  // times per change notification it receives. Algorithm 3 verbatim
+  // states the bound; skipping seen changes only removes restarts.
   const auto g = net::make_line(8);
   const std::size_t n = 8;
   const auto ids = harness::identity_ids(n);
   const auto inputs = harness::inputs_alternating(n);
-  mac::SynchronousScheduler sched(1);
-  mac::Network net = make_net(g, inputs, ids, sched);
-  net.run(mac::StopWhen::kAllDecided, 100000);
+  for (const bool skip_seen : {false, true}) {
+    WPaxosConfig cfg;
+    cfg.skip_seen_changes = skip_seen;
+    mac::SynchronousScheduler sched(1);
+    mac::Network net = make_net(g, inputs, ids, sched, cfg);
+    net.run(mac::StopWhen::kAllDecided, 100000);
 
-  const std::uint64_t total = harness::collect_protocol_stats(net).proposals;
-  // Generous bound: far below the ungated storm (compare the ablation
-  // bench); each node starts one, the leader a handful more.
-  EXPECT_LE(total, 4 * n);
+    const std::uint64_t total =
+        harness::collect_protocol_stats(net).proposals;
+    // Generous bound: far below the ungated storm (compare the ablation
+    // bench); each node starts one, the leader a handful more.
+    EXPECT_LE(total, 4 * n) << "skip_seen_changes=" << skip_seen;
+  }
 }
 
 TEST(ChangeService, UngatedProposesMore) {
-  // Algorithm 4 verbatim: the ungated strawman re-proposes on search
-  // events, and with dead-root pruning a line has too few of them left to
-  // tell the two apart (15 proposals either way).
+  // Algorithms 3 and 4 verbatim: the ungated strawman re-proposes on
+  // search events, and with dead-root pruning a line has too few of them
+  // left to tell the two apart (15 proposals either way).
   const auto g = net::make_line(8);
   const std::size_t n = 8;
   const auto ids = harness::identity_ids(n);
@@ -131,12 +137,39 @@ TEST(ChangeService, UngatedProposesMore) {
     WPaxosConfig cfg;
     cfg.change_gating = gating;
     cfg.prune_dead_roots = false;
+    cfg.skip_seen_changes = false;
     mac::SynchronousScheduler sched(1);
     mac::Network net = make_net(g, inputs, ids, sched, cfg);
     net.run(mac::StopWhen::kAllDecided, 100000);
     (gating ? gated : ungated) = harness::collect_protocol_stats(net).proposals;
   }
   EXPECT_GT(ungated, gated);
+}
+
+TEST(ChangeService, SkippingSeenChangesDecidesSoonerOnGrid) {
+  // One-shot wPAXOS on a 4x4 grid under sync(1). Algorithm 3 verbatim
+  // restarts the leader's proposal for every change relayed to it, even
+  // one made before the proposal launched; each such restart costs a
+  // prepare flood. WPaxos::process_search's virtual-time comment cites
+  // these four decision times.
+  const auto g = net::make_grid(4, 4);
+  const std::size_t n = g.node_count();
+  const auto ids = harness::identity_ids(n);
+  const auto inputs = harness::inputs_alternating(n);
+  const auto decided_at = [&](bool prune, bool skip_seen) {
+    WPaxosConfig cfg;
+    cfg.prune_dead_roots = prune;
+    cfg.skip_seen_changes = skip_seen;
+    mac::SynchronousScheduler sched(1);
+    const auto outcome = harness::run_consensus(
+        g, harness::wpaxos_factory(inputs, ids, cfg), sched, inputs, 100000);
+    EXPECT_TRUE(outcome.verdict.ok()) << outcome.verdict.summary();
+    return outcome.verdict.last_decision;
+  };
+  EXPECT_EQ(decided_at(true, true), 30u);   // the defaults
+  EXPECT_EQ(decided_at(true, false), 35u);  // pruning alone
+  EXPECT_EQ(decided_at(false, true), 26u);
+  EXPECT_EQ(decided_at(false, false), 32u);  // Algorithms 3 and 4 verbatim
 }
 
 TEST(Aggregation, MergesSiblingResponsesAtHub) {

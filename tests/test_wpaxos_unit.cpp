@@ -492,6 +492,97 @@ TEST(WPaxosUnit, ChangeMessagesFloodNewestOnly) {
   EXPECT_EQ(env.body.change->origin, 7u);
 }
 
+std::uint64_t proposals_of(const WPaxos& node) {
+  mac::ProtocolStats stats;
+  node.protocol_stats(stats);
+  return stats.proposals;
+}
+
+void deliver_change(WPaxos& node, FakeContext& ctx, mac::Time stamp) {
+  Envelope e;
+  e.change = ChangeMsg{stamp, 4};
+  ctx.deliver(node, 1, envelope_from(4, e));
+}
+
+// Seen-change skipping. Leader 9 (n = 5) launches its first proposal at
+// t=0; at t=10 a change stamped 3 restarts it, so the active proposal
+// launched at t=10 while the freshest change it has seen is stamped 3.
+void launch_at_ten(WPaxos& node, FakeContext& ctx) {
+  node.on_start(ctx);
+  ctx.ack(node);
+  ctx.advance(10);
+  deliver_change(node, ctx, 3);
+  ctx.ack(node);
+  ASSERT_EQ(proposals_of(node), 2u);
+  ASSERT_TRUE(node.proposer_snapshot().active);
+}
+
+TEST(WPaxosUnit, ChangeBeforeLaunchDoesNotRestartActiveProposal) {
+  WPaxos node(9, 5, 1);
+  FakeContext ctx;
+  ASSERT_NO_FATAL_FAILURE(launch_at_ten(node, ctx));
+  const auto tag = node.current_max_tag();
+  deliver_change(node, ctx, 5);  // fresh, but made before the launch
+  EXPECT_EQ(proposals_of(node), 2u);
+  EXPECT_EQ(node.current_max_tag(), tag);
+  // The change service still relays it.
+  const auto env = decode_last(ctx);
+  ASSERT_TRUE(env.body.change);
+  EXPECT_EQ(env.body.change->timestamp, 5u);
+  EXPECT_FALSE(env.body.proposer);
+}
+
+TEST(WPaxosUnit, ChangeAtOrAfterLaunchRestartsProposal) {
+  // Stamped in the launch's own tick: it may have happened after it.
+  WPaxos node(9, 5, 1);
+  FakeContext ctx;
+  ASSERT_NO_FATAL_FAILURE(launch_at_ten(node, ctx));
+  const auto tag = node.current_max_tag();
+  deliver_change(node, ctx, 10);
+  EXPECT_EQ(proposals_of(node), 3u);
+  EXPECT_EQ(node.current_max_tag(), tag + 1);
+  const auto env = decode_last(ctx);
+  ASSERT_TRUE(env.body.proposer);
+  EXPECT_EQ(env.body.proposer->kind, ProposerMsg::Kind::kPrepare);
+  EXPECT_EQ(env.body.proposer->pn.tag, tag + 1);
+}
+
+TEST(WPaxosUnit, VerbatimChangeServiceRestartsOnEveryFreshChange) {
+  WPaxosConfig verbatim;
+  verbatim.skip_seen_changes = false;
+  WPaxos node(9, 5, 1, verbatim);
+  FakeContext ctx;
+  ASSERT_NO_FATAL_FAILURE(launch_at_ten(node, ctx));
+  deliver_change(node, ctx, 5);
+  EXPECT_EQ(proposals_of(node), 3u);
+}
+
+TEST(WPaxosUnit, IdleLeaderRestartsOnStaleChange) {
+  WPaxos node(9, 5, 1);
+  FakeContext ctx;
+  ASSERT_NO_FATAL_FAILURE(launch_at_ten(node, ctx));
+  // Two majorities of rejections spend both attempts of the notification,
+  // leaving the leader idle.
+  for (int attempt = 0; attempt < kProposalsPerChange; ++attempt) {
+    AcceptorResponse reject;
+    reject.stage = AcceptorResponse::Stage::kPrepare;
+    reject.pn = node.proposer_snapshot().pn;
+    reject.positive = false;
+    reject.count = 3;
+    reject.max_committed = {node.current_max_tag() + 5, 8};
+    reject.dest = 9;
+    Envelope e;
+    e.response = reject;
+    ctx.deliver(node, 2, envelope_from(4, e));
+    while (ctx.busy()) ctx.ack(node);
+  }
+  ASSERT_FALSE(node.proposer_snapshot().active);
+  ASSERT_EQ(proposals_of(node), 3u);
+  deliver_change(node, ctx, 5);  // made before the last launch
+  EXPECT_EQ(proposals_of(node), 4u);
+  EXPECT_TRUE(node.proposer_snapshot().active);
+}
+
 // Dead-root pruning: a node that knows leader 9 hears a search for root 5,
 // and a node with searches for roots 5 and 7 queued learns leader 9.
 // Returns the node's tree afterwards and the roots of the searches it
