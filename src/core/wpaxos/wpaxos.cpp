@@ -508,13 +508,21 @@ void WPaxos::protocol_stats(mac::ProtocolStats& out) const {
 }
 
 void WPaxos::digest(util::Hasher& h) const {
+  // Every field that steers a later callback (Process::digest's contract);
+  // the counters and positive_log_ only feed stats and monitors.
   h.mix_u64(id_);
   h.mix_u64(n_);
   h.mix_i64(value_);
   h.mix_u64(omega_);
+  h.mix_bool(leader_q_.has_value());
+  if (leader_q_) h.mix_u64(leader_q_->leader_id);
   h.mix_u64(last_change_.first);
   h.mix_u64(last_change_.second);
-  // All distances, then all parents: the order the pinned digests hash.
+  h.mix_bool(change_q_.has_value());
+  if (change_q_) {
+    h.mix_u64(change_q_->timestamp);
+    h.mix_u64(change_q_->origin);
+  }
   for (const auto& [root, e] : tree_) {
     h.mix_u64(root);
     h.mix_u64(e.dist);
@@ -527,22 +535,35 @@ void WPaxos::digest(util::Hasher& h) const {
     h.mix_u64(s.root);
     h.mix_u64(s.hops);
   }
+  h.mix_bool(proposer_q_.has_value());
+  if (proposer_q_) {
+    h.mix_u8(static_cast<std::uint8_t>(proposer_q_->kind));
+    proposer_q_->pn.digest(h);
+    h.mix_i64(proposer_q_->value);
+  }
+  h.mix_bool(processed_any_);
+  last_processed_.first.digest(h);
+  h.mix_u8(last_processed_.second);
   promised_.digest(h);
   h.mix_bool(accepted_.has_value());
   if (accepted_) accepted_->digest(h);
+  max_pn_from_leader_.digest(h);
   h.mix_u8(static_cast<std::uint8_t>(pphase_));
   current_.digest(h);
   h.mix_i64(prop_value_);
   h.mix_u64(yes_);
   h.mix_u64(no_);
+  h.mix_bool(best_prev_.has_value());
+  if (best_prev_) best_prev_->digest(h);
+  h.mix_i64(attempts_left_);
   h.mix_u64(max_tag_);
-  // Only an active proposal's launch stamp can steer the run; mixing no
-  // more keeps the verbatim configuration's digests.
+  // Only an active proposal's launch stamp can steer the run.
   if (cfg_.skip_seen_changes && pphase_ != PropPhase::kIdle) {
     h.mix_u64(launched_at_);
   }
   h.mix_bool(decided_);
   h.mix_i64(decision_value_);
+  h.mix_bool(decide_relay_pending_);
   h.mix_u64(response_q_.size());
   for (const auto& r : response_q_) {
     h.mix_u8(static_cast<std::uint8_t>(r.stage));

@@ -184,6 +184,10 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
     submit_read(workload_.op(last - 1).key);
   }
 
+  // Retiring frees the instance's ledger: its traffic counts here.
+  const mac::InstanceStats& is = net_.instance_stats(rec.instance);
+  stats_.payload_bytes += is.payload_bytes;
+  stats_.broadcasts += is.broadcasts;
   net_.retire_instance(rec.instance);
 }
 
@@ -328,11 +332,6 @@ void ReplicatedLog::derive_stats() {
     // stall is part of its decide latency (relaunched_at keeps the relaunch
     // tick as a separate diagnostic).
     s.decide_latency[slot] = rec.decided_at - rec.launched_at;
-    // A decided slot's instance retired at its decide, so its traffic
-    // stopped counting there.
-    const mac::InstanceStats& is = net_.instance_stats(rec.instance);
-    s.payload_bytes += is.payload_bytes;
-    s.broadcasts += is.broadcasts;
   }
   s.ops_applied = kv_.applied();
   s.reads_issued = reads_.size();

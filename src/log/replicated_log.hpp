@@ -192,10 +192,10 @@ class ReplicatedLog {
   [[nodiscard]] mac::Network& network() { return net_; }
   /// The instance that decided (or was deciding) slot `slot` — a recovered
   /// slot reports its relaunched full-paxos instance. A retired instance
-  /// keeps only its decisions and its InstanceStats (its node table is
-  /// recycled into later slots once its acks and flights drain), so
-  /// post-run oracles (verify::check_log_prefix) fold per-replica prefixes
-  /// straight from network().decision(u, slot_instance(i)).
+  /// keeps only its decisions (its pool slot, ledger and node table go to
+  /// later slots at once), so post-run oracles (verify::check_log_prefix)
+  /// fold per-replica prefixes straight from
+  /// network().decision(u, slot_instance(i)).
   [[nodiscard]] mac::InstanceId slot_instance(std::size_t slot) const {
     return slots_[slot].instance;
   }

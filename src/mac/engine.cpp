@@ -23,31 +23,31 @@ void Network::queue_crash(const CrashPlan& plan) {
 std::size_t Network::in_flight_from(NodeId sender,
                                     InstanceId instance) const {
   AMAC_EXPECTS(sender < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  if (!has_table(instance)) return 0;  // recycled: no flight left
-  const std::uint32_t slot = live_node(instance, sender).flight_slot;
-  if (slot == kNoFlight) return 0;
+  AMAC_EXPECTS(instance < instance_count());
   // Live (non-tombstoned) pending entries; tracks pending occupancy exactly
   // because each entry is retired by exactly one deliver copy, popped or
-  // discarded with the rest of its run.
-  return flights_[slot].undrained_events;
+  // discarded with the rest of its run. A released flight counts 0.
+  std::size_t count = 0;
+  for (const Flight& flight : flights_) {
+    if (flight.sender == sender && flight.instance == instance) {
+      count += flight.undrained_events;
+    }
+  }
+  return count;
 }
 
 void Network::for_each_in_flight(
     const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn) const {
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
-    // A crashed sender's undelivered copies will never arrive; they are no
-    // longer "in flight" for accounting purposes.
-    if (nodes_[u].crashed) continue;
-    for (InstanceId i = 0; i < instances_.size(); ++i) {
-      if (!has_table(i)) continue;  // recycled: no flight left
-      const std::uint32_t slot = live_node(i, u).flight_slot;
-      if (slot == kNoFlight) continue;
-      const Flight& flight = flights_[slot];
-      for (const NodeId receiver : flight.pending) {
-        if (receiver == kNoNode) continue;  // tombstone: already delivered
-        fn(u, receiver, flight.payload);
-      }
+  for (const Flight& flight : flights_) {
+    // A released flight has nothing pending. A crashed sender's undelivered
+    // copies will never arrive; they are no longer "in flight" for
+    // accounting purposes.
+    if (flight.undrained_events == 0 || nodes_[flight.sender].crashed) {
+      continue;
+    }
+    for (const NodeId receiver : flight.pending) {
+      if (receiver == kNoNode) continue;  // tombstone: already delivered
+      fn(flight.sender, receiver, flight.payload);
     }
   }
 }
@@ -56,21 +56,18 @@ void Network::release_flight(std::uint32_t slot) {
   Flight& flight = flights_[slot];
   AMAC_ENSURES(flight.undrained_events == 0);
   flight.pending.clear();  // all tombstones by now; capacity is recycled
-  Instance& inst = instances_[flight.instance];
-  AMAC_ENSURES(inst.stats.live_pool_slots > 0);
-  --inst.stats.live_pool_slots;
-  inst.stats.live_pool_bytes -= flight.payload.size();
-  InstanceNode& st = live_node(flight.instance, flight.sender);
-  AMAC_ENSURES(st.flight_slot == slot);
-  st.flight_slot = kNoFlight;
   free_flights_.push_back(slot);
-  unpin_table(flight.instance);
+  if (retired(flight.instance)) return;  // its footprint went at retire
+  InstanceStats& stats = live_instance(flight.instance).stats;
+  AMAC_ENSURES(stats.live_pool_slots > 0);
+  --stats.live_pool_slots;
+  stats.live_pool_bytes -= flight.payload.size();
 }
 
 void Network::start_broadcast(NodeId u, InstanceId instance,
                               const util::Buffer& payload) {
   if (nodes_[u].crashed) return;
-  Instance& inst = instances_[instance];
+  Instance& inst = live_instance(instance);
   InstanceNode& st = live_node(instance, u);
   if (st.busy) {
     // Model rule: extra broadcasts while one is outstanding are discarded.
@@ -165,8 +162,6 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     // the event popped later finds its slot at e.seq - first_seq.
     flight.first_seq = next_seq_;
     AMAC_ENSURES(flight.pending.empty() && flight.undrained_events == 0);
-    st.flight_slot = slot;
-    ++inst.table_refs;
     ++inst.stats.live_pool_slots;
     inst.stats.peak_pool_slots = std::max(inst.stats.peak_pool_slots,
                                           inst.stats.live_pool_slots);
@@ -251,7 +246,6 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
   ack.node = u;
   ack.broadcast_id = id;
   ack.instance = instance;
-  ++inst.table_refs;
   events_.push(ack);
 }
 
@@ -293,17 +287,17 @@ void Network::process_event(const Event& e) {
       // non-atomic broadcast reached only the earlier-scheduled neighbors.
       const bool cancelled =
           sender_st.crashed && sender_st.crash_time < e.t;
-      Instance& inst = instances_[e.instance];
       // A retired instance's events are pure bookkeeping: the flight still
-      // drains (releasing its slot) but no callback or counter runs.
-      // The flight pins the instance's table (Instance::table_refs).
-      Process* const process = live_node(e.instance, e.node).process.get();
-      if (!cancelled && !nodes_[e.node].crashed && process != nullptr) {
-        ++inst.stats.deliveries;
-        NodeContext ctx(*this, e.node, e.instance);
-        const Packet packet{e.sender, flight.payload, e.reliable};
-        process->on_receive(packet, ctx);
-      } else if (inst.retired && e.run > 1 && !post_event_hook_) {
+      // drains (releasing its slot) but no callback or counter runs, and
+      // nothing reads the pool slot, which a later instance may own.
+      if (!retired(e.instance)) {
+        if (!cancelled && !nodes_[e.node].crashed) {
+          ++live_instance(e.instance).stats.deliveries;
+          NodeContext ctx(*this, e.node, e.instance);
+          const Packet packet{e.sender, flight.payload, e.reliable};
+          live_node(e.instance, e.node).process->on_receive(packet, ctx);
+        }
+      } else if (e.run > 1 && !post_event_hook_) {
         // The rest of this copy's run is bookkeeping too (same retired
         // instance, same tick) and, its seqs being consecutive, would pop
         // next: drop it in one step instead of copy by copy. A post-event
@@ -328,23 +322,15 @@ void Network::process_event(const Event& e) {
       return;
     }
     case EventKind::kAck: {
-      Instance& inst = instances_[e.instance];
-      if (!nodes_[e.node].crashed) {
-        // The ack pins the instance's table (Instance::table_refs).
-        InstanceNode& st = live_node(e.instance, e.node);
-        AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
-        st.busy = false;
-        if (st.process != nullptr) {
-          ++inst.stats.acks;
-          unpin_table(e.instance);  // live: the table stays
-          NodeContext ctx(*this, e.node, e.instance);
-          st.process->on_ack(ctx);
-          return;
-        }
-      }
-      // Retired mid-flight, or a crashed sender: bookkeeping only, and
-      // this pop may be the last reference to a retired table.
-      unpin_table(e.instance);
+      // Retired mid-flight (its busy flag went with its table), or a
+      // crashed sender: nothing to do.
+      if (retired(e.instance) || nodes_[e.node].crashed) return;
+      InstanceNode& st = live_node(e.instance, e.node);
+      AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
+      st.busy = false;
+      ++live_instance(e.instance).stats.acks;
+      NodeContext ctx(*this, e.node, e.instance);
+      st.process->on_ack(ctx);
       return;
     }
   }

@@ -17,8 +17,8 @@
 // ReferenceNetwork (reference_engine.hpp) both derive from EngineCore
 // (engine_core.hpp). It holds what the model says about nodes and
 // instances: crash flags, processes, busy flags, decisions, undecided
-// counts and InstanceStats (folded into EngineStats once, when run()
-// returns). It also owns the Context's decide/busy/now, add_instance,
+// counts and InstanceStats (each folded into EngineStats once: when its
+// instance retires, or when run() returns). It also owns the Context's decide/busy/now, add_instance,
 // retire_instance, schedule_crash, set_link_faults, crash handling,
 // instance-major start order and the read accessors. Each engine keeps
 // its own event queue, flight storage, fan-out and fault emission, deliver
@@ -92,11 +92,9 @@
 // released when the flight's last deliver event drains, so it outlives
 // every event that names it, and the deque never moves a live flight when
 // a callback's own broadcast grows the table: a Packet's payload reference
-// stays valid for the whole on_receive. Each (node, instance) pair has at
-// most one live flight (a node's instance is busy until its ack, and the
-// ack pops after the flight's last delivery), so the per-instance node
-// state holds the sender's flight slot directly: in_flight_from is O(1) and
-// for_each_in_flight is O(active flights), not O(all flights ever).
+// stays valid for the whole on_receive. Nothing else indexes the flights:
+// in_flight_from and for_each_in_flight scan the slot storage, which is as
+// large as the most flights ever live at once, not every broadcast made.
 //
 // Zero-allocation steady state. After warm-up (flight slots, scratch
 // capacities, and each wheel bucket's lanes grown to the densest tick that
@@ -138,18 +136,20 @@
 //     Flight::instance). Crash events are node-level: a crash at u halts
 //     u's process in EVERY instance, exactly once.
 //   * Per-instance state. A node's process, busy flag, outstanding
-//     broadcast, live flight slot, and decision are per (instance, node);
-//     crash state is per node. Each instance therefore has its own logical
-//     MAC channel per node: instance A being busy never discards instance
-//     B's broadcast, which is what makes interleaved instances behave
-//     exactly like solo runs (pinned by tests/test_multi_instance.cpp
-//     under stateless schedulers and empty fault plans). The first four
-//     are live state, in a node table of n 24-byte entries per instance.
+//     broadcast and decision are per (instance, node); crash state is per
+//     node. Each instance therefore has its own logical MAC channel per
+//     node: instance A being busy never discards instance B's broadcast,
+//     which is what makes interleaved instances behave exactly like solo
+//     runs (pinned by tests/test_multi_instance.cpp under stateless
+//     schedulers and empty fault plans). Live instances share one recycled
+//     pool: slot k holds a header (InstanceStats and the undecided-alive
+//     count) and a node table of n 24-byte entries for the first three.
 //     Decisions are durable: they sit in one network-wide column, entry
 //     instance * n + u, stored in fixed-size chunks that never move, so
 //     decision() references stay valid and the column never copies itself
-//     as it grows. The undecided-alive count is per instance and kept
-//     nowhere else: all_alive_decided() reads every instance's.
+//     as it grows. Every instance ever added keeps a 4-byte entry naming
+//     its pool slot, or kRetired. all_alive_decided() reads the pool's
+//     undecided counts, a free slot's being 0.
 //   * Shared substrate. The event queue, seq counter, broadcast-id counter,
 //     and flight slots are shared — instances multiplex over one MAC layer
 //     rather than simulating parallel networks, so the service layer's
@@ -162,19 +162,18 @@
 //   * Lifecycle. add_instance() may be called before or DURING a run (a
 //     replicated log launches pipelined slots as earlier slots decide);
 //     mid-run instances get their on_start callbacks at the current tick.
-//     retire_instance() destroys a finished instance's processes and
-//     releases its flight slots as they drain; events addressed to a
-//     retired instance are consumed as pure bookkeeping (no callbacks, no
-//     delivery/ack counters). Its node table goes once nothing can
-//     address it: every queued ack and every live flight of the instance
-//     holds one reference (an O(1) count per instance), and when the last
-//     one drops — a flight released, or an ack popped, a crashed node's
-//     included — the table is reset and put on a free list that the next
-//     add_instance reuses. From then on the instance keeps only its
-//     decisions and its 112-byte header (InstanceStats and counts):
-//     in_flight_from reads 0, for_each_in_flight skips it, and process()
-//     fails its precondition. A replicated log thus holds a few live
-//     tables however many slots it has decided.
+//     retire_instance() frees a finished instance's pool slot at once: it
+//     folds the instance's traffic into one engine-wide retired total,
+//     resets the header and node table (destroying the processes and any
+//     busy flag left set), and puts the slot on a free list that the next
+//     add_instance takes. Only the instance's decisions stay: process() and
+//     instance_stats() fail their preconditions. Its events still queued
+//     check retired() first and then touch only their flight — a deliver
+//     drains it (with the rest of its run, see "Retired runs"), an ack does
+//     nothing — so a slot's next tenant never sees them, and its copies
+//     stay in in_flight_from and for_each_in_flight until they drain. A
+//     replicated log thus holds a few live slots however many it has
+//     decided.
 //   * Completion hook. An instance COMPLETES when its undecided_alive
 //     count reaches 0: on the decide of its last live undecided node, on a
 //     crash that takes that node, or vacuously when add_instance finds no
@@ -251,12 +250,12 @@ class Network : public EngineCore {
   /// (crashed nodes get no process and no callbacks).
   using EngineCore::add_instance;
 
-  /// Destroys a finished instance's processes. Subsequent events addressed
-  /// to it are consumed as pure bookkeeping (flights still drain and
-  /// release their slots, busy flags still clear) with no callbacks and no
-  /// delivery/ack counters. Decisions and InstanceStats remain readable;
-  /// the node table is recycled once the instance's last queued ack and
-  /// live flight are gone (design doc: "Instance multiplexing › Lifecycle").
+  /// Frees a finished instance's pool slot at once: its traffic is folded
+  /// into stats(), its processes are destroyed, and the next add_instance
+  /// may take the slot. Events still addressed to it only drain their
+  /// flights: no callbacks, no counters. Decisions remain readable;
+  /// instance_stats() and process() do not (design doc: "Instance
+  /// multiplexing › Lifecycle").
   using EngineCore::retire_instance;
 
   /// Invoked after every processed event; used by invariant monitors
@@ -278,8 +277,9 @@ class Network : public EngineCore {
   RunResult run(StopWhen until, Time max_time);
 
   /// Count of in-flight (scheduled, not yet delivered/cancelled) payload
-  /// copies from `sender`'s current instance-0 broadcast (monitor support).
-  /// O(1) via the per-sender flight index.
+  /// copies from `sender`'s current instance-0 broadcast (monitor support),
+  /// a retired instance's undrained copies included. A scan of the flight
+  /// slots: the fuzzer's crash watch calls it once per planned crash.
   [[nodiscard]] std::size_t in_flight_from(NodeId sender) const {
     return in_flight_from(sender, 0);
   }
@@ -287,10 +287,10 @@ class Network : public EngineCore {
                                            InstanceId instance) const;
 
   /// Visits every in-flight copy as (sender, receiver-not-yet-delivered,
-  /// payload), across all instances (instance 0 first per sender). Used by
-  /// the Lemma 4.2 response-count conservation monitor, whose invariant
-  /// Q(p, s) sums over exactly these messages. Cost is O(active flights),
-  /// not O(every flight in the simulation).
+  /// payload), across all instances, in flight-slot order; a crashed
+  /// sender's copies are skipped. Used by the Lemma 4.2 response-count
+  /// conservation monitor, whose invariant Q(p, s) sums over exactly these
+  /// messages. Cost is O(flight slots), the most flights ever live at once.
   void for_each_in_flight(
       const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
       const;

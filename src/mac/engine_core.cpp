@@ -5,8 +5,20 @@
 
 namespace amac::mac {
 
+TrafficStats& TrafficStats::operator+=(const TrafficStats& from) {
+  broadcasts += from.broadcasts;
+  dropped_busy += from.dropped_busy;
+  deliveries += from.deliveries;
+  acks += from.acks;
+  payload_bytes += from.payload_bytes;
+  max_payload_bytes = std::max(max_payload_bytes, from.max_payload_bytes);
+  drops += from.drops;
+  duplicates += from.duplicates;
+  return *this;
+}
+
 void EngineCore::NodeContext::decide(Value v) {
-  Instance& inst = core_->instances_[instance_];
+  Instance& inst = core_->live_instance(instance_);
   Decision& d =
       core_->decisions_[instance_ * core_->nodes_.size() + node_];
   AMAC_EXPECTS(!d.decided);
@@ -47,17 +59,17 @@ void EngineCore::set_link_faults(const LinkFaultPlan& plan) {
 }
 
 InstanceId EngineCore::add_instance(const ProcessFactory& factory) {
-  const auto id = static_cast<InstanceId>(instances_.size());
+  const auto id = static_cast<InstanceId>(instance_slot_.size());
   const std::size_t n = nodes_.size();
-  Instance& inst = instances_.emplace_back();
-  if (spare_tables_.empty()) {
-    // Table t starts at t * n; an empty graph's tables are all empty.
-    inst.table = n == 0 ? 0 : static_cast<std::uint32_t>(tables_.size() / n);
+  if (free_slots_.empty()) {
+    instance_slot_.push_back(static_cast<std::uint32_t>(pool_.size()));
+    pool_.emplace_back();
     tables_.resize(tables_.size() + n);
   } else {
-    inst.table = spare_tables_.back();
-    spare_tables_.pop_back();
+    instance_slot_.push_back(free_slots_.back());
+    free_slots_.pop_back();
   }
+  Instance& inst = live_instance(id);
   for (NodeId u = 0; u < n; ++u) {
     if (nodes_[u].crashed) continue;  // mid-run launch: the dead stay dead
     InstanceNode& st = live_node(id, u);
@@ -74,30 +86,19 @@ InstanceId EngineCore::add_instance(const ProcessFactory& factory) {
 }
 
 void EngineCore::retire_instance(InstanceId instance) {
-  AMAC_EXPECTS(instance < instances_.size());
-  Instance& inst = instances_[instance];
-  if (inst.retired) return;
-  inst.retired = true;
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
-    live_node(instance, u).process.reset();
-  }
-  inst.undecided_alive = 0;
-  if (inst.table_refs == 0) recycle_table(instance);
-}
-
-void EngineCore::unpin_table(InstanceId instance) {
-  Instance& inst = instances_[instance];
-  AMAC_ENSURES(inst.table_refs > 0);
-  if (--inst.table_refs == 0 && inst.retired) recycle_table(instance);
-}
-
-void EngineCore::recycle_table(InstanceId instance) {
-  // Processes went at retire; a node that crashed while busy left its flag
-  // set, and current_broadcast is stale.
+  AMAC_EXPECTS(instance < instance_slot_.size());
+  if (retired(instance)) return;
+  const std::size_t k = slot(instance);
+  retired_traffic_ += pool_[k].stats;
+  pool_[k] = Instance{};
+  // Destroys the processes and clears busy flags a node may have left set
+  // (broadcasting at retire, or crashed while busy): the next tenant starts
+  // from a fresh table.
   for (NodeId u = 0; u < nodes_.size(); ++u) {
     live_node(instance, u) = InstanceNode{};
   }
-  spare_tables_.push_back(std::exchange(instances_[instance].table, kNoTable));
+  free_slots_.push_back(static_cast<std::uint32_t>(k));
+  instance_slot_[instance] = kRetired;
 }
 
 void EngineCore::start_instance(InstanceId instance) {
@@ -112,7 +113,9 @@ void EngineCore::start_instance(InstanceId instance) {
 void EngineCore::start_run() {
   if (started_) return;
   started_ = true;
-  for (InstanceId i = 0; i < instances_.size(); ++i) start_instance(i);
+  for (InstanceId i = 0; i < instance_count(); ++i) {
+    if (!retired(i)) start_instance(i);
+  }
 }
 
 void EngineCore::crash(NodeId u) {
@@ -121,35 +124,25 @@ void EngineCore::crash(NodeId u) {
   st.crashed = true;
   st.crash_time = now_;
   // Retired instances already left the count.
-  for (InstanceId i = 0; i < instances_.size(); ++i) {
-    Instance& inst = instances_[i];
-    if (inst.retired || decisions_[i * nodes_.size() + u].decided) continue;
+  for (InstanceId i = 0; i < instance_count(); ++i) {
+    if (retired(i) || decisions_[i * nodes_.size() + u].decided) continue;
+    Instance& inst = live_instance(i);
     AMAC_ENSURES(inst.undecided_alive > 0);
     if (--inst.undecided_alive == 0) completed_ = true;
   }
 }
 
 RunResult EngineCore::finish_run(bool met) {
+  // A free slot's header is zeroed, so the pool folds only live ledgers.
   TrafficStats& traffic = stats_;
-  traffic = TrafficStats{};
-  for (const Instance& inst : instances_) {
-    const TrafficStats& from = inst.stats;
-    traffic.broadcasts += from.broadcasts;
-    traffic.dropped_busy += from.dropped_busy;
-    traffic.deliveries += from.deliveries;
-    traffic.acks += from.acks;
-    traffic.payload_bytes += from.payload_bytes;
-    traffic.max_payload_bytes =
-        std::max(traffic.max_payload_bytes, from.max_payload_bytes);
-    traffic.drops += from.drops;
-    traffic.duplicates += from.duplicates;
-  }
+  traffic = retired_traffic_;
+  for (const Instance& inst : pool_) traffic += inst.stats;
   return RunResult{met, now_};
 }
 
 const Decision& EngineCore::decision(NodeId u, InstanceId instance) const {
   AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
+  AMAC_EXPECTS(instance < instance_count());
   return decisions_[instance * nodes_.size() + u];
 }
 
@@ -159,8 +152,8 @@ bool EngineCore::crashed(NodeId u) const {
 }
 
 const InstanceStats& EngineCore::instance_stats(InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].stats;
+  AMAC_EXPECTS(instance < instance_count() && !retired(instance));
+  return live_instance(instance).stats;
 }
 
 Process& EngineCore::process(NodeId u, InstanceId instance) {
@@ -169,22 +162,22 @@ Process& EngineCore::process(NodeId u, InstanceId instance) {
 
 const Process& EngineCore::process(NodeId u, InstanceId instance) const {
   AMAC_EXPECTS(u < nodes_.size());
-  AMAC_EXPECTS(instance < instances_.size());
-  AMAC_EXPECTS(has_table(instance) &&
+  AMAC_EXPECTS(instance < instance_count() && !retired(instance) &&
                live_node(instance, u).process != nullptr);
   return *live_node(instance, u).process;
 }
 
 bool EngineCore::all_alive_decided() const {
-  return std::all_of(instances_.begin(), instances_.end(),
+  // A free slot's zeroed count passes, as a retired instance did.
+  return std::all_of(pool_.begin(), pool_.end(),
                      [](const Instance& inst) {
                        return inst.undecided_alive == 0;
                      });
 }
 
 bool EngineCore::instance_all_decided(InstanceId instance) const {
-  AMAC_EXPECTS(instance < instances_.size());
-  return instances_[instance].undecided_alive == 0;
+  AMAC_EXPECTS(instance < instance_count());
+  return retired(instance) || live_instance(instance).undecided_alive == 0;
 }
 
 }  // namespace amac::mac

@@ -42,6 +42,9 @@ struct Decision {
 /// not by queue internals, so differential fingerprints may include all
 /// eight.
 struct TrafficStats {
+  /// Folds `from` in: counters add, max_payload_bytes takes the larger.
+  TrafficStats& operator+=(const TrafficStats& from);
+
   std::uint64_t broadcasts = 0;
   std::uint64_t dropped_busy = 0;  ///< broadcasts discarded while busy
   std::uint64_t deliveries = 0;
@@ -55,8 +58,9 @@ struct TrafficStats {
 };
 
 /// Aggregate accounting across a run. The traffic fields are the fold of
-/// every instance's ledger, retired and relaunched instances included;
-/// like the queue fields, they are written when run() returns.
+/// every instance's ledger, retired and relaunched instances included (a
+/// retired one's was folded into a running total when it retired); like
+/// the queue fields, they are written when run() returns.
 ///
 /// The wheel_*, batch_pushes and discarded_copies fields describe the
 /// calendar queue only (always 0 on ReferenceNetwork, which has no wheel);
@@ -84,7 +88,8 @@ struct EngineStats : TrafficStats {
 /// footprint of its live flights. The *_pool_* flight fields stay 0 on
 /// ReferenceNetwork. EngineStats' traffic fields are the sum of these
 /// views; its queue-path fields (wheel_*, peak_events) are substrate-level
-/// and have no per-instance meaning.
+/// and have no per-instance meaning. Readable while the instance is live
+/// only: retiring it folds the traffic into EngineStats and frees the rest.
 struct InstanceStats : TrafficStats {
   /// Flight accounting: flight slots, and the payload bytes they hold,
   /// currently owned by this instance's live broadcasts, and their
@@ -126,7 +131,7 @@ class EngineCore {
   void set_link_faults(const LinkFaultPlan& plan);
 
   [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
+    return instance_slot_.size();
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] Time now() const { return now_; }
@@ -137,6 +142,7 @@ class EngineCore {
   [[nodiscard]] bool crashed(NodeId u) const;
   /// As of the last run()'s return (the traffic fields are folded there).
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
+  /// A live instance's ledger; a retired instance has none.
   [[nodiscard]] const InstanceStats& instance_stats(InstanceId instance) const;
   [[nodiscard]] const net::Graph& graph() const { return *graph_; }
 
@@ -175,41 +181,27 @@ class EngineCore {
     Time crash_time = kForever;
   };
 
-  /// One node's live state within one instance: what only the engine's own
-  /// events read. `flight_slot` is Network's live flight index;
-  /// ReferenceNetwork keeps its flights in a map and leaves it kNoFlight.
-  /// The node's decision is durable and lives in decisions_ instead.
+  /// One node's live state within one live instance: what only the
+  /// engine's own events read. The node's decision is durable and lives in
+  /// decisions_ instead.
   struct InstanceNode {
     std::unique_ptr<Process> process;
     std::uint64_t current_broadcast = 0;  ///< id of outstanding broadcast
-    std::uint32_t flight_slot = kNoFlight;
     bool busy = false;
   };
   // n of these per live instance: pinned so a layout change here is
   // deliberate, as event.hpp pins Event.
   static_assert(sizeof(InstanceNode) == 24);
 
-  /// Instance::table of an instance whose node table was recycled.
-  static constexpr std::uint32_t kNoTable = static_cast<std::uint32_t>(-1);
+  /// instance_slot_ entry of a retired instance.
+  static constexpr std::uint32_t kRetired = static_cast<std::uint32_t>(-1);
 
-  /// One protocol instance's durable part: its ledger and undecided count
-  /// (its decisions are in decisions_), plus the number of its live node
-  /// table in tables_. A retired instance keeps its table while anything
-  /// can still address it: each queued ack and each live flight of the
-  /// instance holds one of `table_refs`. When the last of them drops
-  /// (unpin_table), or at retire_instance if none is left, the table is
-  /// reset onto spare_tables_ and `table` becomes kNoTable for good.
-  /// Network counts the references; ReferenceNetwork never retires, so it
-  /// leaves the count at 0.
+  /// A live instance's header in its pool slot: its ledger and undecided
+  /// count. A free slot's header is zeroed, so it counts toward no total.
   struct Instance {
     InstanceStats stats;
     std::uint32_t undecided_alive = 0;
-    std::uint32_t table = kNoTable;
-    std::uint32_t table_refs = 0;  ///< queued acks + live flights
-    bool retired = false;
   };
-  // All that a retired instance keeps besides its n decisions.
-  static_assert(sizeof(Instance) == 112);
 
   /// The Context a callback gets, bound to one (node, instance): decide,
   /// busy and now are core state; broadcast enters the engine's event core.
@@ -249,28 +241,32 @@ class EngineCore {
                                const util::Buffer& payload) = 0;
   virtual void queue_crash(const CrashPlan& plan) = 0;
 
-  /// Adds an instance; once the run has started, its live nodes' on_start
-  /// callbacks fire at the current tick.
+  /// Adds an instance in a free pool slot (or a new one); once the run has
+  /// started, its live nodes' on_start callbacks fire at the current tick.
   InstanceId add_instance(const ProcessFactory& factory);
-  /// Destroys an instance's processes and zeroes its undecided count; its
-  /// node table is recycled once no ack or flight addresses it.
+  /// Folds the instance's traffic into retired_traffic_, resets its header
+  /// and node table (destroying its processes), frees its slot for the next
+  /// add_instance and marks it kRetired. Only its decisions remain.
   void retire_instance(InstanceId instance);
-  /// Drops one reference to an instance's node table (a popped ack or a
-  /// released flight); the last one recycles a retired instance's table.
-  void unpin_table(InstanceId instance);
 
-  /// Node u's state in `instance`, whose table must not be recycled yet.
-  /// add_instance may grow tables_ and move every table: hold no reference
+  [[nodiscard]] bool retired(InstanceId instance) const {
+    return instance_slot_[instance] == kRetired;
+  }
+  /// The header and node u's state of `instance`, which must be live.
+  /// add_instance may grow the pool and move every slot: hold no reference
   /// across it.
+  [[nodiscard]] Instance& live_instance(InstanceId instance) {
+    return pool_[slot(instance)];
+  }
+  [[nodiscard]] const Instance& live_instance(InstanceId instance) const {
+    return pool_[slot(instance)];
+  }
   [[nodiscard]] InstanceNode& live_node(InstanceId instance, NodeId u) {
-    return tables_[table_offset(instance) + u];
+    return tables_[slot(instance) * nodes_.size() + u];
   }
   [[nodiscard]] const InstanceNode& live_node(InstanceId instance,
                                               NodeId u) const {
-    return tables_[table_offset(instance) + u];
-  }
-  [[nodiscard]] bool has_table(InstanceId instance) const {
-    return instances_[instance].table != kNoTable;
+    return tables_[slot(instance) * nodes_.size() + u];
   }
 
   /// First call only: on_start for every pre-run instance, instance-major
@@ -285,16 +281,19 @@ class EngineCore {
   const net::Graph* graph_;
   const net::Graph* overlay_;  ///< unreliable edges (optional)
   std::vector<NodeState> nodes_;
-  std::vector<Instance> instances_;
+  /// Per instance ever added: its pool slot, or kRetired.
+  std::vector<std::uint32_t> instance_slot_;
   /// Every instance's decisions, instance-major: node u of instance i at
   /// i * n + u. Chunked, so a growing column never moves or copies what
   /// it holds and decision() references stay valid.
   std::deque<Decision> decisions_;
-  /// Node tables of n entries each, table t at [t * n, (t + 1) * n): as
-  /// many as were ever live at once.
+  /// The pool of live instances: slot k holds header pool_[k] and node
+  /// table tables_[k * n, (k + 1) * n), as many slots as were ever live at
+  /// once.
+  std::vector<Instance> pool_;
   std::vector<InstanceNode> tables_;
-  /// Recycled tables, reset, for add_instance to reuse.
-  std::vector<std::uint32_t> spare_tables_;
+  std::vector<std::uint32_t> free_slots_;  ///< reset, for add_instance
+  TrafficStats retired_traffic_;  ///< every retired instance's, folded
   LinkFaultPlan faults_;
   Time now_ = 0;
   EngineStats stats_;
@@ -305,11 +304,10 @@ class EngineCore {
 
  private:
   void start_instance(InstanceId instance);
-  void recycle_table(InstanceId instance);
-  [[nodiscard]] std::size_t table_offset(InstanceId instance) const {
-    const std::uint32_t table = instances_[instance].table;
-    AMAC_CHECK_ENSURES(table != kNoTable);
-    return std::size_t{table} * nodes_.size();
+  [[nodiscard]] std::size_t slot(InstanceId instance) const {
+    const std::uint32_t k = instance_slot_[instance];
+    AMAC_CHECK_ENSURES(k != kRetired);
+    return k;
   }
 };
 

@@ -48,7 +48,7 @@ void ReferenceNetwork::for_each_in_flight(
 void ReferenceNetwork::start_broadcast(NodeId u, InstanceId instance,
                                        const util::Buffer& payload) {
   if (nodes_[u].crashed) return;
-  Instance& inst = instances_[instance];
+  Instance& inst = live_instance(instance);
   InstanceNode& st = live_node(instance, u);
   if (st.busy) {
     ++inst.stats.dropped_busy;
@@ -191,7 +191,7 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
       const auto& sender_st = nodes_[e.sender];
       const bool cancelled =
           sender_st.crashed && sender_st.crash_time < e.t;
-      Instance& inst = instances_[e.instance];
+      Instance& inst = live_instance(e.instance);
       if (!cancelled && !nodes_[e.node].crashed) {
         ++inst.stats.deliveries;
         NodeContext ctx(*this, e.node, e.instance);
@@ -203,7 +203,7 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
     }
     case RefEventKind::kAck: {
       if (nodes_[e.node].crashed) return;
-      Instance& inst = instances_[e.instance];
+      Instance& inst = live_instance(e.instance);
       InstanceNode& st = live_node(e.instance, e.node);
       AMAC_ENSURES(st.busy && st.current_broadcast == e.broadcast_id);
       st.busy = false;

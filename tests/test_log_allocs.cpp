@@ -62,11 +62,12 @@ TEST(LogAllocations, LeasedSlotsStayNearProcessConstruction) {
 }
 
 TEST(LogMemory, FinishedServiceKeepsDecisionsNotNodeTables) {
-  // What drive() leaves held, per slot. A retired slot keeps its Instance
-  // header (112 B, in a vector that grows by doubling: 4096 of them here)
-  // and its 16 decisions (256 B in the chunked column); the rest is the
-  // key-value state and the log's latency records. A retired slot that
-  // kept its 16-node table as well left about 1110 B.
+  // What drive() leaves held, per slot. A retired slot keeps only its 16
+  // decisions (256 B in the chunked column) and a 4-B pool-slot entry; the
+  // rest is the key-value state and the log's latency records (about
+  // 385 B per slot in all). A retired slot that kept a 112-B Instance
+  // header as well left about 563 B, and one that kept its 16-node table
+  // too about 1110 B.
   LeasedClique clique;
   const std::int64_t before = testutil::live_bytes();
   const LogServiceStats& stats = clique.service.drive(mac::Time{1} << 40);
@@ -76,7 +77,7 @@ TEST(LogMemory, FinishedServiceKeepsDecisionsNotNodeTables) {
   ASSERT_EQ(stats.slots_total, kOps / leased_config().batch_size);
   const double per_slot =
       static_cast<double>(retained) / static_cast<double>(stats.slots_total);
-  EXPECT_LT(per_slot, 600.0) << retained << " bytes held for "
+  EXPECT_LT(per_slot, 420.0) << retained << " bytes held for "
                              << stats.slots_total << " slots";
   std::printf("bytes held per slot: %.1f\n", per_slot);
 }

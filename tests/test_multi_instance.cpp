@@ -18,9 +18,10 @@
 // whose retired slots' relay copies are dropped a run at a time
 // (CalendarQueue::discard_run) must be indistinguishable from the same
 // service popping every copy (forced by a no-op post-event hook). And the
-// retired-table lifecycle: a retired instance keeps its decisions, but its
-// node table goes back to the engine once no queued ack and no live flight
-// addresses it, and the next add_instance reuses it.
+// instance lifecycle: retiring an instance frees its pool slot at once and
+// leaves only its decisions; the next add_instance takes the slot while
+// the retired instance's events are still queued, and those events touch
+// nothing but their flights.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -174,21 +175,24 @@ TEST(MultiInstance, PoolAccountingDrainsPerInstance) {
   }
 }
 
-TEST(MultiInstance, RetiredInstanceKeepsDecisionsAndStatsReadable) {
+TEST(MultiInstance, RetiredInstanceKeepsDecisionsAndFoldsItsTraffic) {
   const std::size_t n = 4;
   const net::Graph graph = net::make_clique(n);
   SynchronousScheduler sched(1);
   Network net(graph, commit_flood_factory(1, 77), sched);
   const InstanceId live = net.add_instance(wpaxos_factory(n, 8));
-  ASSERT_TRUE(net.run(StopWhen::kAllDecided, 10000).condition_met);
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 10000).condition_met);
 
-  const std::uint64_t broadcasts_before = net.instance_stats(0).broadcasts;
+  TrafficStats expected = net.instance_stats(0);
+  expected += net.instance_stats(live);
   net.retire_instance(0);
   for (NodeId u = 0; u < n; ++u) {
     EXPECT_TRUE(net.decision(u, 0).decided);
     EXPECT_EQ(net.decision(u, 0).value, 77);
   }
-  EXPECT_EQ(net.instance_stats(0).broadcasts, broadcasts_before);
+  // The retired ledger lives on only in the engine-wide fold.
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 10000).condition_met);
+  EXPECT_TRUE(TrafficStats(net.stats()) == expected);
   // The surviving tenant is untouched.
   for (NodeId u = 0; u < n; ++u) {
     EXPECT_EQ(net.decision(u, live).value, 8);
@@ -353,10 +357,8 @@ TEST(CompletionHook, InstanceAddedAfterTheRunCompletesWithoutFiring) {
 struct ServiceRecord {
   std::uint64_t trace = 0;
   EngineStats stats;
-  std::vector<InstanceStats> instances;
+  log::LogServiceStats service;
   std::vector<Decision> decisions;  ///< instance-major, n per instance
-  bool complete = false;
-  Time end_time = 0;
 };
 
 /// Drives a 16-clique replicated log (batch 8, lease 64, window 4) with
@@ -383,10 +385,8 @@ ServiceRecord drive_log(MakeScheduler make_scheduler,
   ServiceRecord r;
   r.trace = net.trace_digest();
   r.stats = net.stats();
-  r.complete = st.complete;
-  r.end_time = st.end_time;
+  r.service = st;
   for (InstanceId i = 0; i < net.instance_count(); ++i) {
-    r.instances.push_back(net.instance_stats(i));
     for (NodeId u = 0; u < n; ++u) r.decisions.push_back(net.decision(u, i));
   }
   return r;
@@ -408,13 +408,17 @@ void expect_same_engine_stats(const EngineStats& a, const EngineStats& b) {
   EXPECT_EQ(a.duplicates, b.duplicates);
 }
 
-void expect_same_instance_stats(const InstanceStats& a,
-                                const InstanceStats& b, InstanceId i) {
-  EXPECT_TRUE(TrafficStats(a) == TrafficStats(b)) << "instance " << i;
-  EXPECT_EQ(a.live_pool_slots, b.live_pool_slots) << "instance " << i;
-  EXPECT_EQ(a.peak_pool_slots, b.peak_pool_slots) << "instance " << i;
-  EXPECT_EQ(a.live_pool_bytes, b.live_pool_bytes) << "instance " << i;
-  EXPECT_EQ(a.peak_pool_bytes, b.peak_pool_bytes) << "instance " << i;
+/// The service's totals, summed from each slot's ledger as it decided.
+void expect_same_service_stats(const log::LogServiceStats& a,
+                               const log::LogServiceStats& b) {
+  EXPECT_EQ(a.complete, b.complete);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.slots_decided, b.slots_decided);
+  EXPECT_EQ(a.slots_recovered, b.slots_recovered);
+  EXPECT_EQ(a.ops_applied, b.ops_applied);
+  EXPECT_EQ(a.broadcasts, b.broadcasts);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.decide_latency, b.decide_latency);
 }
 
 /// Runs the service both ways and demands identical observables; returns
@@ -427,19 +431,9 @@ ServiceRecord expect_bulk_matches_per_copy(MakeScheduler make_scheduler,
   EXPECT_EQ(bulk.trace, copies.trace);
   expect_same_engine_stats(bulk.stats, copies.stats);
   EXPECT_EQ(copies.stats.discarded_copies, 0u);
-  EXPECT_EQ(bulk.complete, copies.complete);
-  EXPECT_EQ(bulk.end_time, copies.end_time);
-  EXPECT_EQ(bulk.instances.size(), copies.instances.size());
+  expect_same_service_stats(bulk.service, copies.service);
   EXPECT_EQ(bulk.decisions.size(), copies.decisions.size());
-  if (bulk.instances.size() != copies.instances.size() ||
-      bulk.decisions.size() != copies.decisions.size()) {
-    return bulk;
-  }
-  for (InstanceId i = 0; i < bulk.instances.size(); ++i) {
-    expect_same_instance_stats(bulk.instances[i], copies.instances[i], i);
-    // Quiescent at the end: every flight drained, discarded runs included.
-    EXPECT_EQ(bulk.instances[i].live_pool_slots, 0u) << "instance " << i;
-  }
+  if (bulk.decisions.size() != copies.decisions.size()) return bulk;
   for (std::size_t k = 0; k < bulk.decisions.size(); ++k) {
     EXPECT_EQ(bulk.decisions[k].decided, copies.decisions[k].decided) << k;
     EXPECT_EQ(bulk.decisions[k].value, copies.decisions[k].value) << k;
@@ -452,7 +446,7 @@ TEST(RetiredRuns, LockStepLogDiscardsInBulkLikePerCopyPops) {
   const ServiceRecord bulk = expect_bulk_matches_per_copy(
       [] { return std::make_unique<SynchronousScheduler>(1); },
       LinkFaultPlan{});
-  EXPECT_TRUE(bulk.complete);
+  EXPECT_TRUE(bulk.service.complete);
   // Most of a lock-step clique's relay copies land on retired slots.
   EXPECT_GT(bulk.stats.discarded_copies, bulk.stats.deliveries);
 }
@@ -468,7 +462,7 @@ TEST(RetiredRuns, FaultedLogKeepsDeferredCopiesPastADiscardedRun) {
   plan.windows.push_back(DropWindow{15, 3, 10, 200});
   const ServiceRecord bulk = expect_bulk_matches_per_copy(
       [] { return std::make_unique<SynchronousScheduler>(1); }, plan);
-  EXPECT_TRUE(bulk.complete);
+  EXPECT_TRUE(bulk.service.complete);
   EXPECT_GT(bulk.stats.drops, 0u);
   EXPECT_GT(bulk.stats.duplicates, 0u);
   EXPECT_GT(bulk.stats.discarded_copies, 0u);
@@ -480,7 +474,7 @@ TEST(RetiredRuns, RandomDelaysHaveNoRunsToDiscard) {
   const ServiceRecord bulk = expect_bulk_matches_per_copy(
       [] { return std::make_unique<UniformRandomScheduler>(4, 0x5EED); },
       LinkFaultPlan{});
-  EXPECT_TRUE(bulk.complete);
+  EXPECT_TRUE(bulk.service.complete);
   EXPECT_EQ(bulk.stats.batch_pushes, 0u);
   EXPECT_EQ(bulk.stats.discarded_copies, 0u);
 }
@@ -520,24 +514,25 @@ TEST(RetiredRuns, DiscardedCopiesLeaveTheInFlightSet) {
   }
   ASSERT_TRUE(retired);
   EXPECT_GT(net.stats().discarded_copies, 0u);
-  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
+  // Every flight of the retired instance drained, discarded runs included.
+  for (NodeId u = 0; u < n; ++u) EXPECT_EQ(net.in_flight_from(u, 0), 0u);
 }
 
-// --- retired node tables: recycled once nothing addresses them ----------
+// --- instance lifecycle: a retired slot is reused at once ----------------
 
-/// A Network that shows its node tables (EngineCore keeps them protected).
-class TableProbe : public Network {
+/// A Network that shows its pool (EngineCore keeps it protected).
+class SlotProbe : public Network {
  public:
   using Network::Network;
 
-  /// The number of the instance's node table, or kNoTable once recycled.
-  [[nodiscard]] std::uint32_t table(InstanceId i) const {
-    return instances_[i].table;
+  /// The instance's pool slot, or kRetired.
+  [[nodiscard]] std::uint32_t pool_slot(InstanceId i) const {
+    return instance_slot_[i];
   }
   [[nodiscard]] const InstanceNode& node(InstanceId i, NodeId u) const {
     return live_node(i, u);
   }
-  static constexpr std::uint32_t kRecycled = kNoTable;
+  using Network::kRetired;
 };
 
 /// A passive tenant: no leader, so no node broadcasts or decides unprompted.
@@ -545,24 +540,30 @@ ProcessFactory passive_factory() { return commit_flood_factory(kNoNode, 0); }
 
 /// A CommitFlood slot (leader 0, value 7) on a lock-step 8-clique, retired
 /// at t=1, the tick every node decides. Each follower's relay is queued
-/// for t=2; node 3's copy to node 5 is deferred to t=50, so node 3's flight
-/// and its stretched ack outlive every other reference to the table.
+/// for t=2 with its ack; node 3's copy to node 5 is deferred to t=50, so
+/// node 3's flight and its stretched ack stay queued until then.
 struct RetiredSlot {
   static constexpr std::size_t n = 8;
   net::Graph graph = net::make_clique(n);
   SynchronousScheduler sched{1};
-  TableProbe net{graph, commit_flood_factory(/*leader=*/0, 7), sched};
+  SlotProbe net{graph, commit_flood_factory(/*leader=*/0, 7), sched};
 
-  RetiredSlot() {
-    LinkFaultPlan plan;
-    plan.windows.push_back(DropWindow{3, 5, 0, 50});
-    net.set_link_faults(plan);
+  RetiredSlot() { net.set_link_faults(plan()); }
+
+  static LinkFaultPlan plan() {
+    LinkFaultPlan p;
+    p.windows.push_back(DropWindow{3, 5, 0, 50});
+    return p;
   }
 
-  void retire_at_first_tick() {
-    ASSERT_FALSE(net.run(StopWhen::kQuiescent, 1).condition_met);
-    ASSERT_TRUE(net.instance_all_decided(0));
+  /// Runs through t=1 and retires instance 0; returns its ledger as read
+  /// just before retirement.
+  TrafficStats retire_at_first_tick() {
+    EXPECT_FALSE(net.run(StopWhen::kQuiescent, 1).condition_met);
+    EXPECT_TRUE(net.instance_all_decided(0));
+    const TrafficStats ledger = net.instance_stats(0);
     net.retire_instance(0);
+    return ledger;
   }
 
   void expect_decisions_readable() const {
@@ -573,79 +574,101 @@ struct RetiredSlot {
   }
 };
 
-TEST(RetiredTables, TableOutlivesQueuedFlightsAndAcksThenIsReused) {
+TEST(InstanceLifecycle, NextTenantTakesTheSlotWhileStaleEventsQueue) {
   RetiredSlot slot;
-  TableProbe& net = slot.net;
+  SlotProbe& net = slot.net;
+  const std::uint32_t k = net.pool_slot(0);
   slot.retire_at_first_tick();
-  const std::uint32_t table = net.table(0);
-  ASSERT_NE(table, TableProbe::kRecycled);
-  // Retired with relays and acks queued: the table stays while they are.
+  EXPECT_EQ(net.pool_slot(0), SlotProbe::kRetired);
+
+  // Leader 2 broadcasts at once; every other node of the new tenant must
+  // start idle, though each was busy relaying in instance 0.
+  const InstanceId next = net.add_instance(commit_flood_factory(2, 9));
+  ASSERT_EQ(net.pool_slot(next), k);
+  for (NodeId u = 0; u < RetiredSlot::n; ++u) {
+    EXPECT_EQ(net.node(next, u).busy, u == 2) << "node " << u;
+  }
+  EXPECT_EQ(net.instance_stats(next).live_pool_slots, 1u);
+  EXPECT_EQ(net.in_flight_from(2, next), RetiredSlot::n - 1);
+
+  // Instance 0's relays, acks and deferred copy pop among the tenant's
+  // own events. Its undrained copy is still in flight until t=50.
   for (Time t = 2; t < 50; ++t) {
     ASSERT_FALSE(net.run(StopWhen::kQuiescent, t).condition_met);
-    ASSERT_EQ(net.table(0), table) << "t=" << t;
     EXPECT_EQ(net.in_flight_from(3, 0), 1u) << "t=" << t;
-    EXPECT_TRUE(net.node(0, 3).busy) << "t=" << t;
   }
-  // Node 3's deferred copy and its ack pop at t=50: the last references.
-  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 50).condition_met);
-  EXPECT_EQ(net.table(0), TableProbe::kRecycled);
-  EXPECT_EQ(net.instance_stats(0).live_pool_slots, 0u);
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  EXPECT_EQ(net.in_flight_from(3, 0), 0u);
   slot.expect_decisions_readable();
 
-  const InstanceId next = net.add_instance(passive_factory());
-  EXPECT_EQ(net.table(next), table);  // the recycled table, reset
+  // The tenant behaves as it would alone on a fresh network (one tick
+  // later): no stale ack cleared its flags, no stale release touched its
+  // flight footprint, no stale copy reached its processes.
+  SynchronousScheduler solo_sched(1);
+  Network solo(slot.graph, commit_flood_factory(2, 9), solo_sched);
+  solo.set_link_faults(RetiredSlot::plan());
+  ASSERT_TRUE(solo.run(StopWhen::kQuiescent, 1000).condition_met);
+  const InstanceStats& got = net.instance_stats(next);
+  const InstanceStats& want = solo.instance_stats(0);
+  EXPECT_TRUE(TrafficStats(got) == TrafficStats(want));
+  EXPECT_EQ(got.dropped_busy, 0u);
+  EXPECT_EQ(got.live_pool_slots, 0u);
+  EXPECT_EQ(got.live_pool_bytes, 0u);
+  EXPECT_EQ(got.peak_pool_slots, want.peak_pool_slots);
+  EXPECT_EQ(got.peak_pool_bytes, want.peak_pool_bytes);
   for (NodeId u = 0; u < RetiredSlot::n; ++u) {
-    EXPECT_NE(net.node(next, u).process, nullptr) << "node " << u;
+    EXPECT_EQ(net.decision(u, next).value, 9) << "node " << u;
+    EXPECT_EQ(net.decision(u, next).time, solo.decision(u).time + 1)
+        << "node " << u;
     EXPECT_FALSE(net.node(next, u).busy) << "node " << u;
-    EXPECT_EQ(net.node(next, u).flight_slot, kNoFlight) << "node " << u;
-    EXPECT_FALSE(net.decision(u, next).decided) << "node " << u;
   }
-  slot.expect_decisions_readable();  // the new instance's column is its own
 }
 
-TEST(RetiredTables, NodeCrashedWhileBusyDoesNotPinTheTable) {
+TEST(InstanceLifecycle, EngineTrafficFoldsEachLedgerOnce) {
+  RetiredSlot slot;
+  SlotProbe& net = slot.net;
+  TrafficStats expected = slot.retire_at_first_tick();
+  const InstanceId next = net.add_instance(commit_flood_factory(2, 9));
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  const TrafficStats tenant = net.instance_stats(next);
+  expected += tenant;
+  EXPECT_TRUE(TrafficStats(net.stats()) == expected);
+
+  // Retiring the tenant too moves its ledger into the fold, unchanged.
+  net.retire_instance(next);
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  EXPECT_TRUE(TrafficStats(net.stats()) == expected);
+}
+
+TEST(InstanceLifecycle, RetiredInstanceKeepsOnlyItsDecisions) {
+  RetiredSlot slot;
+  SlotProbe& net = slot.net;
+  slot.retire_at_first_tick();
+  slot.expect_decisions_readable();
+  EXPECT_TRUE(net.instance_all_decided(0));
+  EXPECT_DEATH((void)net.instance_stats(0), "precondition");
+  EXPECT_DEATH((void)net.process(0, 0), "precondition");
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
+  slot.expect_decisions_readable();
+}
+
+TEST(InstanceLifecycle, NodeCrashedWhileBusyLeavesNoFlagBehind) {
   // Node 4 relays at t=1 and crashes at t=1, after its relay started: its
   // copies are cancelled and its ack pops at t=2 for a crashed node.
   RetiredSlot slot;
-  TableProbe& net = slot.net;
+  SlotProbe& net = slot.net;
   net.schedule_crash(CrashPlan{4, 1});
   slot.retire_at_first_tick();
   ASSERT_TRUE(net.crashed(4));
-  ASSERT_TRUE(net.node(0, 4).busy);
-  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
-  EXPECT_EQ(net.table(0), TableProbe::kRecycled);
   slot.expect_decisions_readable();
 
   // The crashed node gets no process in the next instance, and the busy
-  // flag it left behind does not carry over with the table.
+  // flag it left behind does not carry over with the slot.
   const InstanceId next = net.add_instance(passive_factory());
   EXPECT_EQ(net.node(next, 4).process, nullptr);
   EXPECT_FALSE(net.node(next, 4).busy);
-}
-
-TEST(RetiredTables, RecycledInstanceHasNoFlightsOrProcesses) {
-  RetiredSlot slot;
-  TableProbe& net = slot.net;
-  slot.retire_at_first_tick();
   ASSERT_TRUE(net.run(StopWhen::kQuiescent, 1000).condition_met);
-  ASSERT_EQ(net.table(0), TableProbe::kRecycled);
-
-  // A live tenant on the recycled table, with its leader's flight queued.
-  const InstanceId next = net.add_instance(commit_flood_factory(2, 9));
-  ASSERT_NE(net.table(next), TableProbe::kRecycled);
-  ASSERT_GT(net.in_flight_from(2, next), 0u);
-  std::size_t visited = 0;
-  net.for_each_in_flight([&](NodeId sender, NodeId, const util::Buffer&) {
-    EXPECT_EQ(sender, 2u);
-    ++visited;
-  });
-  std::size_t counted = 0;
-  for (NodeId u = 0; u < RetiredSlot::n; ++u) {
-    EXPECT_EQ(net.in_flight_from(u, 0), 0u) << "node " << u;
-    counted += net.in_flight_from(u, next);
-  }
-  EXPECT_EQ(visited, counted);
-  EXPECT_DEATH((void)net.process(0, 0), "precondition");
+  EXPECT_FALSE(net.node(next, 4).busy);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/wpaxos/wpaxos.hpp"
 #include "fake_context.hpp"
+#include "util/hash.hpp"
 
 namespace amac::core::wpaxos {
 namespace {
@@ -581,6 +582,36 @@ TEST(WPaxosUnit, IdleLeaderRestartsOnStaleChange) {
   deliver_change(node, ctx, 5);  // made before the last launch
   EXPECT_EQ(proposals_of(node), 4u);
   EXPECT_TRUE(node.proposer_snapshot().active);
+}
+
+std::uint64_t digest_of(const WPaxos& node) {
+  util::Hasher h;
+  node.digest(h);
+  return h.digest();
+}
+
+TEST(WPaxosUnit, DigestTellsQueuedFromSentChange) {
+  // Leader 9 hears change {1, 4} once while its radio is busy (the change
+  // and the restarted prepare wait in its queues) and once while idle
+  // (both go out at once). The two behave differently on the next ack, so
+  // Process::digest's contract says they must hash differently.
+  WPaxos busy(9, 5, 1);
+  FakeContext busy_ctx;
+  busy.on_start(busy_ctx);
+  deliver_change(busy, busy_ctx, 1);
+
+  WPaxos idle(9, 5, 1);
+  FakeContext idle_ctx;
+  idle.on_start(idle_ctx);
+  idle_ctx.ack(idle);
+  deliver_change(idle, idle_ctx, 1);
+
+  EXPECT_NE(digest_of(busy), digest_of(idle));
+  busy_ctx.ack(busy);
+  idle_ctx.ack(idle);
+  EXPECT_EQ(busy_ctx.sent.size(), 2u);  // the queued change and prepare
+  EXPECT_EQ(idle_ctx.sent.size(), 2u);  // nothing after the immediate send
+  ASSERT_TRUE(WireEnvelope::decode(busy_ctx.last_sent()).body.change);
 }
 
 // Dead-root pruning: a node that knows leader 9 hears a search for root 5,
